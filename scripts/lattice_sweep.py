@@ -11,7 +11,7 @@ Usage:
 
 import argparse
 
-from manlab.cli import emit_csv
+from manlab.cli import _csv_row, emit_csv
 from manlab.man import lattice_man
 
 
@@ -35,18 +35,7 @@ def main():
         print(f"{str(list(s2)):>14} {len(set(s1) & set(s2)):>8} "
               f"{report.S:>10.6f} {report.S2:>8.3f} "
               f"{report.extras['s2_conditional']:>8.3f}")
-        rows.append({
-            "case": f"S1={list(s1)}|S2={list(s2)}",
-            "method": report.method,
-            "S": report.S,
-            "S2": report.S2,
-            "commutant_bound": report.bounds["commutant_bound"],
-            "weak_bound": report.bounds["weak_bound"],
-            "intersection_bound": report.bounds.get("intersection_bound", ""),
-            "std_error": "",
-            "samples": "",
-            "seed": "",
-        })
+        rows.append(_csv_row(f"S1={list(s1)}|S2={list(s2)}", report.to_dict(), ""))
     if args.csv:
         emit_csv(rows, args.csv)
         print(f"\nwrote {len(rows)} rows to {args.csv}")

@@ -41,14 +41,11 @@ CLUSTER_RTOL = 1e-7
 # Two algebras are equal when their HS projectors differ by less than this.
 EQUALITY_TOL = 1e-8
 
-# Fixed stream for the randomness internal to decompose(); a constant keeps
-# decompositions reproducible without threading a seed through every call.
+# Fixed streams for the randomness internal to decompose() and
+# compute_commutant(); constants keep both reproducible without threading a
+# seed through every call.
 _DECOMPOSE_RNG = RngStream(seed=0x5CA1AB1E, stream=911)
-
-# Above this many stacked rows the commutant solver switches from one big SVD
-# to the Gram-matrix eigenproblem (same nullspace, squared spectrum).
-_STACKED_ROWS_LIMIT = 80_000
-_GRAM_NULL_RTOL = 1e-12
+_COMMUTANT_RNG = RngStream(seed=0x5CA1AB1E, stream=912)
 
 
 class _RetryDraw(Exception):
@@ -89,11 +86,6 @@ class StructuralDecomposition:
     @property
     def commutant_dim(self) -> int:
         return sum(b.n * b.n for b in self.blocks)
-
-    def block_embed(self, j: int, mat: np.ndarray) -> np.ndarray:
-        """Embed an (n_j d_j) x (n_j d_j) matrix into the ambient space."""
-        iso = self.blocks[j].isometry
-        return iso @ mat @ dagger(iso)
 
 
 @dataclass(frozen=True)
@@ -164,13 +156,10 @@ class OperatorAlgebra:
 
     # -- cached structure --------------------------------------------------
 
-    def commutant_algebra(self, use_cache: bool = True) -> "OperatorAlgebra":
-        if use_cache and self._commutant is not None:
-            return self._commutant
-        result = compute_commutant(self)
+    def commutant_algebra(self) -> "OperatorAlgebra":
         if self._commutant is None:
-            self._commutant = result
-        return result
+            self._commutant = compute_commutant(self)
+        return self._commutant
 
     def decomposition(self, rng: Optional[RngStream] = None) -> StructuralDecomposition:
         if self._decomposition is None:
@@ -389,33 +378,30 @@ def _link_commutants(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
 
 
 def compute_commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
-    """Commutant as the joint nullspace of X -> [X, B_k] over the basis."""
+    """Commutant as the joint nullspace of X -> [X, h_1] and X -> [X, h_2].
+
+    h_1 and h_2 are generic hermitian elements of the algebra, drawn from a
+    fixed internal stream.  Two such elements generate a finite-dimensional
+    C*-algebra: the spectra of h_1 on different central blocks are disjoint,
+    so its spectral projections give the central projections, and on a block
+    1_n (x) M_d the level sets of h_1 together with h_2, which has no zero
+    entry between them, give every matrix unit.  So X commutes with the
+    algebra exactly when it commutes with h_1 and h_2, and the system is
+    2d^2 x d^2 whatever dim(A) is.  A degenerate draw leaves the commutant
+    too large, which decompose() reports as a DecompositionError.
+    """
     d = alg.d
     eye = np.eye(d, dtype=complex)
-    rows = alg.dim * d * d
-    if rows <= _STACKED_ROWS_LIMIT:
-        stacked = np.concatenate(
-            [np.kron(b, eye) - np.kron(eye, b.T) for b in alg.basis], axis=0
-        )
-        # unit-norm basis elements set the natural scale; without the floor a
-        # stack that is pure rounding noise (scalar algebras) loses its nullspace
-        null_rows = nullspace(stacked, scale=1.0)
-    else:
-        # Gram route: nullspace of sum_k L_k^dag L_k, assembled analytically.
-        g_left = np.zeros((d, d), dtype=complex)
-        g_right = np.zeros((d, d), dtype=complex)
-        cross = np.zeros((d * d, d * d), dtype=complex)
-        for b in alg.basis:
-            g_left += dagger(b) @ b
-            g_right += b.conj() @ b.T
-            cross += np.kron(dagger(b), b.T) + np.kron(b, b.conj())
-        gram = np.kron(g_left, eye) + np.kron(eye, g_right) - cross
-        gram = (gram + dagger(gram)) / 2
-        evals, evecs = np.linalg.eigh(gram)
-        keep = evals <= _GRAM_NULL_RTOL * max(evals[-1], 1.0)
-        null_rows = evecs[:, keep].T
-    basis = null_rows.reshape(-1, d, d)
-    return OperatorAlgebra(d, basis)
+    gen = _COMMUTANT_RNG.generator(0)
+    stack = []
+    for _ in range(2):
+        h = _random_hermitian(alg.basis, gen)
+        h /= np.linalg.norm(h)
+        stack.append(np.kron(h, eye) - np.kron(eye, h.T))
+    # unit-norm elements set the natural scale; without the floor a stack
+    # that is pure rounding noise (scalar algebras) loses its nullspace
+    null_rows = nullspace(np.concatenate(stack, axis=0), scale=1.0)
+    return OperatorAlgebra(d, null_rows.reshape(-1, d, d))
 
 
 def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:

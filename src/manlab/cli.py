@@ -363,7 +363,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SpecFileError as exc:
         print(f"manlab: {exc}", file=sys.stderr)
         return 2
-    except (ManlabError, ValueError) as exc:
+    except (ManlabError, ValueError, MemoryError) as exc:
         print(f"manlab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - t0

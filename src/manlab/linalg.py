@@ -29,7 +29,6 @@ __all__ = [
     "hs_norm_sq",
     "vec",
     "unvec",
-    "trace_norm",
     "swap_operator",
     "swap_perm",
     "partial_trace",
@@ -68,10 +67,6 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape(d, d)
-
-
-def trace_norm(a: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
 def _check_region(dims: Sequence[int], region: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -194,7 +189,7 @@ def nullspace(m: np.ndarray, rtol: float = RANK_RTOL, scale: float = 0.0) -> np.
     vectors are the conjugated rows of vh (columns of V); forgetting the
     conjugation returns the wrong space for complex input.
     """
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if s.size == 0:
         return vh.conj()
     keep = s <= rtol * max(s[0], scale)
@@ -232,11 +227,6 @@ class SuperOperator:
         for k in kraus:
             t += np.kron(k, k.conj())
         return cls(t)
-
-    @classmethod
-    def from_conjugation(cls, u: np.ndarray) -> "SuperOperator":
-        """X -> U X U^dag."""
-        return cls(np.kron(u, u.conj()))
 
     @classmethod
     def hs_projection(cls, basis: Sequence[np.ndarray]) -> "SuperOperator":

@@ -4,11 +4,17 @@ import csv
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import manlab
+from manlab import cli
+from manlab.algebras import structural_algebra
 from manlab.cli import run
 from manlab.errors import SpecFileError
 from manlab.specio import (
@@ -19,7 +25,7 @@ from manlab.specio import (
     write_spec,
 )
 
-from helpers import BELL, HADAMARD
+from helpers import BELL, HADAMARD, random_matrix, random_unitary
 
 
 def _matrix_payload(mat):
@@ -297,6 +303,46 @@ class TestCliErrors:
         assert run(["analyze", str(big)]) == 2
         assert run(["analyze", str(big), "--allow-large"]) == 0
         capsys.readouterr()
+
+    def test_allocation_failure_is_one_line(self, specdir, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 4.00 GiB")
+
+        monkeypatch.setattr(cli, "_dispatch", exhausted)
+        assert run(["analyze", str(specdir / "full4.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "manlab: MemoryError: Unable to allocate 4.00 GiB\n"
+
+
+ADDRESS_SPACE_CAP = 3 * 2**30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+class TestStructureSolverMemory:
+    # Algebra dimensions 80 and 128 at d = 16: a commutant solved from the
+    # whole basis stack needs a 6.25 or 16 GiB SVD factor here.
+    @pytest.mark.parametrize("blocks", [((1, 8), (2, 4)), ((1, 8), (1, 8))])
+    def test_generic_d16_generators_analyze_under_cap(self, blocks, tmp_path):
+        ref = structural_algebra(blocks, random_unitary(16, 11))
+        gens = [ref.project(random_matrix(16, seed)) for seed in (1, 2)]
+        spec = tmp_path / "gens.json"
+        spec.write_text(json.dumps({"dim": 16, "kind": "generators",
+                                    "matrices": [_matrix_payload(g) for g in gens]}))
+        src = os.path.dirname(os.path.dirname(manlab.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "manlab.cli", "analyze", str(spec)],
+            env=env, capture_output=True, text=True, timeout=600,
+            preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert sorted(zip(result["n"], result["d_blocks"])) == sorted(blocks)
 
 
 class TestCsv:

@@ -274,6 +274,11 @@ class TestNullspace:
         ns = nullspace(m)
         assert ns.shape[0] >= 2
         assert np.linalg.norm(m @ ns.T) < 1e-10
+        # tall, rank 3: the nullspace comes from a thin SVD
+        tall = (gen.standard_normal((40, 3)) + 1j * gen.standard_normal((40, 3))) @ m
+        ns = nullspace(tall)
+        assert ns.shape == (2, 5)
+        assert np.linalg.norm(tall @ ns.T) < 1e-10 * np.linalg.norm(tall)
 
 
 class TestSuperOperator:
