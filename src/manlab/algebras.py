@@ -7,7 +7,7 @@ commutant acts as M_{n_J} (x) 1_{d_J}.  Everything downstream (omega
 operators, projection maps, protocol simulators) is driven by this data.
 
 Values are immutable after construction; the lazy caches (decomposition,
-commutant, block bases, omega) are write-once and idempotent, so algebras are
+commutant, block bases) are write-once and idempotent, so algebras are
 safe to share read-only across workers.
 """
 
@@ -113,7 +113,6 @@ class OperatorAlgebra:
         self._decomposition: Optional[StructuralDecomposition] = None
         self._commutant: Optional["OperatorAlgebra"] = None
         self._block_bases: Optional[BlockBases] = None
-        self._omega: Optional[np.ndarray] = None
 
     # -- basic geometry ----------------------------------------------------
 
@@ -174,13 +173,13 @@ class OperatorAlgebra:
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
         """The image algebra U A U^dag, carrying structure caches along."""
         _check_unitary(u)
-        new_basis = np.einsum("ij,kjl,ml->kim", u, self.basis, u.conj())
-        out = OperatorAlgebra(self.d, new_basis)
+        u_dag = dagger(u)
+        out = OperatorAlgebra(self.d, u @ self.basis @ u_dag)
         if self._decomposition is not None:
             out._decomposition = _conjugate_decomposition(self._decomposition, u)
         if self._commutant is not None:
             comm = self._commutant
-            cc = OperatorAlgebra(self.d, np.einsum("ij,kjl,ml->kim", u, comm.basis, u.conj()))
+            cc = OperatorAlgebra(self.d, u @ comm.basis @ u_dag)
             if comm._decomposition is not None:
                 cc._decomposition = _conjugate_decomposition(comm._decomposition, u)
             out._commutant = cc

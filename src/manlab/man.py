@@ -3,7 +3,8 @@
 All routes compute the same quantity S(A:B) = Haar-averaged squared commutator
 norm between unitaries of the two algebras, normalized to [0, 1]:
 
-* ``man_omega``        - 1 - Tr(S Omega_A Omega_B)/d
+* ``man_omega``        - 1 - Tr(S Omega_A Omega_B)/d, block by block in O(d^3);
+  ``omega_operator`` builds the d^2 x d^2 Omega explicitly as the cross-check
 * ``man_projection``   - 1 - sum_a ||P_B'(e_a)||^2 / d over A's block basis
 * ``man_collinear``    - 1 - Tr_HS(P_A P_B')/d(A), A collinear only
 * ``entropy_decomposition_man`` - average linear-entropy production of the
@@ -24,7 +25,6 @@ import numpy as np
 from .algebras import (
     OperatorAlgebra,
     algebra_intersection,
-    block_bases,
     interleaved_block_swap,
     is_collinear,
 )
@@ -165,41 +165,45 @@ class OmegaOperator:
 
 
 def omega_operator(alg: OperatorAlgebra, method: str = "blocks") -> OmegaOperator:
-    """Build Omega_A from the structure of the algebra.
+    """Build the d^2 x d^2 Omega_A explicitly: the oracle for man_omega's block trace.
 
     ``blocks`` conjugates 1_n^(x2) (x) S_{d_J} into place per central block;
     ``bases`` sums e_a (x) e_a^dag directly.  The two agree to 1e-10 and the
     block route is the cheaper one.
     """
-    if method == "blocks" and alg._omega is not None:
-        return OmegaOperator(alg._omega, alg.d)
-    dec = alg.decomposition()
+    if method not in ("blocks", "bases"):
+        raise ValueError(f"unknown omega construction {method!r}")
     d = alg.d
+    omega = np.zeros((d * d, d * d), dtype=complex)
     if method == "blocks":
-        omega = np.zeros((d * d, d * d), dtype=complex)
-        for b in dec.blocks:
+        for b in alg.decomposition().blocks:
             iso2 = np.kron(b.isometry, b.isometry)
             core = interleaved_block_swap(b.n, b.d)
             omega += iso2 @ core @ dagger(iso2) / b.d
-        if alg._omega is None:
-            alg._omega = omega
-    elif method == "bases":
-        bases = block_bases(dec)
-        omega = np.zeros((d * d, d * d), dtype=complex)
-        for e in bases.e:
-            omega += np.kron(e, dagger(e))
     else:
-        raise ValueError(f"unknown omega construction {method!r}")
+        for e in alg.block_bases().e:
+            omega += np.kron(e, dagger(e))
     return OmegaOperator(omega, d)
 
 
-def _swap_omega_trace(omega_a: OmegaOperator, omega_b: OmegaOperator) -> float:
-    """Tr(S Omega_A Omega_B) without forming the swap matrix."""
-    perm = swap_perm(omega_a.d)
-    val = complex(np.sum(omega_a.matrix[perm] * omega_b.matrix.T))
-    if abs(val.imag) > 1e-6 * max(1.0, abs(val.real)):
-        raise NumericalConsistencyError(f"swap-omega trace has imaginary part {val.imag}")
-    return float(val.real)
+def _block_swap_trace(blocks_a, blocks_b) -> float:
+    """Tr(S Omega_A Omega_B) from the (n, d, isometry) blocks of A and B, in O(d^3).
+
+    Blocks J of A (V_J) and K of B (W_K) add ||N^dag N||_F^2 / (d_J d_K), N the
+    (n_K d_J) x (d_K n_J) regrouping of W_K^dag V_J; the smaller Gram is formed.
+    """
+    total = 0.0
+    for n_j, d_j, v in blocks_a:
+        for n_k, d_k, w in blocks_b:
+            m = (dagger(w) @ v).reshape(n_k, d_k, n_j, d_j)
+            nm = m.transpose(0, 3, 1, 2).reshape(n_k * d_j, d_k * n_j)
+            gram = nm @ dagger(nm) if nm.shape[0] <= nm.shape[1] else dagger(nm) @ nm
+            total += float(np.sum(np.abs(gram) ** 2)) / (d_j * d_k)
+    return total
+
+
+def _iso_blocks(alg: OperatorAlgebra) -> list[tuple[int, int, np.ndarray]]:
+    return [(b.n, b.d, b.isometry) for b in alg.decomposition().blocks]
 
 
 def _pair_bounds(d, summary_a, summary_b, intersection_dim=None, a_collinear=False):
@@ -222,7 +226,7 @@ def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> 
     _check_same_ambient(a, b)
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
-    raw = 1.0 - _swap_omega_trace(omega_operator(a), omega_operator(b)) / a.d
+    raw = 1.0 - _block_swap_trace(_iso_blocks(a), _iso_blocks(b)) / a.d
     s = clamp_unit(raw)
     return ManReport(
         S=s,

@@ -35,9 +35,8 @@ from .linalg import (
     _haar_unitary_from_generator,
     dagger,
     hs_norm_sq,
-    swap_perm,
 )
-from .man import clamp_unit, man_omega, omega_operator
+from .man import _block_swap_trace, _iso_blocks, clamp_unit, man_omega
 from .rng import RngStream
 
 # Sub-stream roles, so one user seed drives independent draw families.
@@ -426,17 +425,13 @@ def mc_orbit_averaged_man(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = a.d
-    omega_a = omega_operator(a).matrix
-    omega_b = omega_operator(b).matrix
-    perm = swap_perm(d)
-    omega_a_perm = omega_a[perm]
+    blocks_a, blocks_b = _iso_blocks(a), _iso_blocks(b)
     rng_orbit = rng.substream(_STREAM_ORBIT)
     vals = np.empty(samples)
     for i in range(samples):
         u = _haar_unitary_from_generator(d, rng_orbit.generator(i))
-        k = np.kron(u, u)
-        omega_u = k @ omega_b @ dagger(k)
-        vals[i] = 1.0 - float(np.real(np.sum(omega_a_perm * omega_u.T))) / d
+        blocks_u = [(n, dj, u @ w) for n, dj, w in blocks_b]
+        vals[i] = 1.0 - _block_swap_trace(blocks_a, blocks_u) / d
     mean, se = _mean_and_se(vals)
     return EstimatorResult(
         estimate=mean, std_error=se, samples=samples,

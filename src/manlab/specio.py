@@ -35,7 +35,9 @@ from .errors import SpecFileError
 KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 
 # d^4-sized superoperator objects grow fast; refuse larger ambients unless
-# explicitly overridden.
+# explicitly overridden.  Still d^4: the HS projectors of algebra_intersection
+# (decomposing generators specs; collinear, and bounds/projection on a
+# collinear first algebra; the protocols' self variants) and protocol choi.
 MAX_AMBIENT_DIM = 64
 
 

@@ -261,6 +261,32 @@ class TestCliCommands:
         assert json.loads(json.dumps(report)) == report
 
 
+class TestNoOmegaInProduction:
+    # Omega_A is d^2 x d^2; every production route works from block data alone
+    def test_commands_never_build_omega(self, specdir, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("omega_operator called outside the oracle tests")
+
+        monkeypatch.setattr("manlab.man.omega_operator", forbidden)
+        monkeypatch.setattr("manlab.protocols.omega_operator", forbidden, raising=False)
+        m2x1, full4 = str(specdir / "m2x1.json"), str(specdir / "full4.json")
+        res = _run_json(capsys, ["man", m2x1, full4])["result"]
+        assert res["method"] == "man.omega" and abs(res["S"] - 0.75) < 1e-12
+        res = _run_json(capsys, ["bounds", m2x1, full4])["result"]
+        assert abs(res["S"] - 0.75) < 1e-12
+        res = _run_json(capsys, [
+            "aotoc", m2x1, "--unitary", str(specdir / "swap_u.json")])["result"]
+        assert abs(res["S"] - 0.75) < 1e-9
+        res = _run_json(capsys, [
+            "markov-check", str(specdir / "diag2.json"), str(specdir / "full2.json"),
+            "--epsilon", "0.5", "--samples", "20"])["result"]
+        assert abs(res["S"] - 0.5) < 1e-12
+        res = _run_json(capsys, ["orbit-avg", m2x1, m2x1, "--samples", "50"])["result"]
+        assert abs(res["value"] - 0.6) < 1e-12
+        mc = res["mc_estimate"]
+        assert abs(mc["estimate"] - 0.6) <= 5 * mc["std_error"]
+
+
 class TestCliErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 2

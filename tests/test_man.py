@@ -13,6 +13,7 @@ from manlab.algebras import (
     is_collinear,
     lattice_algebra,
     masa_from_unitary,
+    structural_algebra,
     trivial_algebra,
 )
 from manlab.errors import (
@@ -20,7 +21,7 @@ from manlab.errors import (
     NonCollinearError,
     NumericalConsistencyError,
 )
-from manlab.linalg import swap_operator
+from manlab.linalg import _haar_unitary_from_generator, dagger, swap_operator, swap_perm
 from manlab.man import (
     ManReport,
     StructuralSummary,
@@ -39,6 +40,8 @@ from manlab.man import (
     quantumness,
     self_man,
 )
+from manlab.protocols import mc_orbit_averaged_man
+from manlab.rng import RngStream
 
 from helpers import (
     BELL,
@@ -143,6 +146,46 @@ class TestManOmega:
     def test_dimension_mismatch(self):
         with pytest.raises(AlgebraError):
             man_omega(full_algebra(2), full_algebra(3))
+
+    def test_block_trace_matches_explicit_omega(self):
+        # the block-by-block trace against Tr(S Omega_A Omega_B) on the d^4 oracle
+        for name, a, b in concordance_pairs():
+            d = a.d
+            omega_a = omega_operator(a, "bases").matrix
+            omega_b = omega_operator(b, "bases").matrix
+            explicit = 1.0 - float(np.real(np.sum(omega_a[swap_perm(d)] * omega_b.T))) / d
+            assert abs(man_omega(a, b).S - explicit) <= 1e-12, name
+
+    def test_orbit_mc_matches_explicit_omega_loop(self):
+        rng = RngStream(4242)
+        for name, a, b in concordance_pairs():
+            d = a.d
+            omega_a = omega_operator(a, "bases").matrix[swap_perm(d)]
+            omega_b = omega_operator(b, "bases").matrix
+            draws = rng.substream(5)
+            vals = []
+            for i in range(5):
+                u = _haar_unitary_from_generator(d, draws.generator(i))
+                k = np.kron(u, u)
+                omega_u = k @ omega_b @ dagger(k)
+                vals.append(1.0 - float(np.real(np.sum(omega_a * omega_u.T))) / d)
+            res = mc_orbit_averaged_man(a, b, 5, rng)
+            assert abs(res.estimate - np.mean(vals)) <= 1e-12, name
+            assert abs(res.std_error - np.std(vals, ddof=1) / math.sqrt(5)) <= 1e-12, name
+
+
+class TestScale:
+    # d = 64 in Haar bases: every exact route and the A-OTOC without d^6 work
+    def test_d64_routes_agree(self):
+        a = structural_algebra([(4, 8), (2, 16)], basis_change=random_unitary(64, 6401))
+        b = structural_algebra([(8, 4), (2, 16)], basis_change=random_unitary(64, 6402))
+        s = man_omega(a, b).S
+        assert abs(man_projection(a, b).S - s) <= 1e-9
+        assert abs(entropy_decomposition_man(a, b).S - s) <= 1e-9
+        assert abs(man_bounds(a, b)["S"] - s) <= 1e-9
+        u = random_unitary(64, 6403)
+        evolved = a.commutant_algebra().conjugated(u)
+        assert abs(a_otoc(a, u).S - man_projection(a, evolved).S) <= 1e-9
 
 
 class TestManProjection:
