@@ -23,7 +23,8 @@ from .errors import AlgebraError, DecompositionError
 from .linalg import (
     RANK_RTOL,
     SuperOperator,
-    _haar_unitary_from_generator,
+    _haar_unitaries,
+    _normal_rows,
     dagger,
     nullspace,
     orthonormalize_hs,
@@ -125,9 +126,15 @@ class OperatorAlgebra:
         return f"OperatorAlgebra(d={self.d}, dim={self.dim})"
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """HS-orthogonal projection of x onto the algebra."""
-        coeffs = np.einsum("kij,ij->k", self.basis.conj(), x)
-        return np.tensordot(coeffs, self.basis, axes=1)
+        """HS-orthogonal projection of x, or of each matrix of a stack, onto the algebra.
+
+        Each matrix is one (1, d^2) row of its own, so its projection does not
+        depend on how many others are stacked with it.
+        """
+        x = np.asarray(x)
+        rows = self.basis.reshape(self.dim, -1)
+        coeffs = x.reshape(*x.shape[:-2], 1, -1) @ rows.conj().T
+        return (coeffs @ rows).reshape(x.shape)
 
     def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
         scale = max(1.0, float(np.linalg.norm(x)))
@@ -163,6 +170,10 @@ class OperatorAlgebra:
     def decomposition(self, rng: Optional[RngStream] = None) -> StructuralDecomposition:
         if self._decomposition is None:
             self._decomposition = _compute_decomposition(self, rng or _DECOMPOSE_RNG)
+            # the solved blocks are the commutant's too, with the factors swapped
+            comm = self._commutant
+            if comm is not None and comm._decomposition is None:
+                comm._decomposition = _commutant_decomposition(self._decomposition)
         return self._decomposition
 
     def block_bases(self) -> BlockBases:
@@ -566,6 +577,14 @@ def _conjugate_decomposition(dec: StructuralDecomposition, u: np.ndarray) -> Str
     return StructuralDecomposition(dec.dim, blocks)
 
 
+def _commutant_decomposition(dec: StructuralDecomposition) -> StructuralDecomposition:
+    """The commutant's blocks: A reads 1_n (x) M_d where A' reads M_n (x) 1_d, so swap."""
+    blocks = tuple(
+        Block(b.d, b.n, b.projector, b.isometry @ _factor_swap(b.n, b.d).T) for b in dec.blocks
+    )
+    return StructuralDecomposition(dec.dim, _canonical_block_order(dec.dim, blocks))
+
+
 def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise AlgebraError("expected a square matrix")
@@ -618,11 +637,28 @@ def haar_algebra_unitary(
     dec: StructuralDecomposition, rng: RngStream, counter: int = 0
 ) -> np.ndarray:
     """Haar unitary of the algebra: independent Haar factors on each irrep."""
-    gen = rng.generator(counter)
-    u = np.zeros((dec.dim, dec.dim), dtype=complex)
+    return _haar_algebra_unitaries(dec, rng, counter, counter + 1)[0]
+
+
+def _haar_algebra_unitaries(
+    dec: StructuralDecomposition, rng: RngStream, start: int, stop: int
+) -> np.ndarray:
+    """Haar unitaries of the algebra at counters start..stop-1, as a stack.
+
+    Counter i draws the Ginibre matrices of the blocks in block order from
+    rng.generator(i); each block's factors then go through one stacked QR
+    and sum_J V_J (1_n (x) U_J) V_J^dag is formed by batched matmul.
+    """
+    rows = _normal_rows(rng, start, stop, sum(2 * b.d * b.d for b in dec.blocks))
+    u = np.zeros((stop - start, dec.dim, dec.dim), dtype=complex)
+    offset = 0
     for b in dec.blocks:
-        uj = _haar_unitary_from_generator(b.d, gen)
-        u += b.isometry @ np.kron(np.eye(b.n), uj) @ dagger(b.isometry)
+        uj = _haar_unitaries(rows, offset, b.d)
+        offset += 2 * b.d * b.d
+        # the stacked np.kron(np.eye(n), uj)
+        core = np.eye(b.n)[:, None, :, None] * uj[:, None, :, None, :]
+        core = core.reshape(-1, b.n * b.d, b.n * b.d)
+        u += b.isometry @ core @ dagger(b.isometry)
     return u
 
 

@@ -43,7 +43,8 @@ __all__ = [
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -127,17 +128,46 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return out.reshape(side, side)
 
 
-def _haar_unitary_from_generator(d: int, gen: np.random.Generator) -> np.ndarray:
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2)
+def _normal_rows(rng: RngStream, start: int, stop: int, width: int) -> np.ndarray:
+    """Row i - start holds the first `width` standard normals of rng.generator(i)."""
+    rows = np.empty((stop - start, width))
+    for row, gen in zip(rows, rng.generators(start, stop)):
+        gen.standard_normal(out=row)
+    return rows
+
+
+def _complex_normals(rows: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
+    """re + i im per row: size(shape) reals from `offset` on, then as many imaginaries."""
+    size = prod(shape)
+    z = rows[..., offset: offset + size] + 1j * rows[..., offset + size: offset + 2 * size]
+    return z.reshape(*rows.shape[:-1], *shape)
+
+
+def _haar_unitaries(rows: np.ndarray, offset: int, d: int) -> np.ndarray:
+    """Haar unitaries, one per row, from the 2 d^2 normals of each row at `offset`.
+
+    QR of the complex Ginibre matrix, then the R-diagonal phases; the whole
+    stack goes through one np.linalg.qr call.
+    """
+    z = _complex_normals(rows, offset, (d, d)) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _haar_states(rows: np.ndarray, d: int) -> np.ndarray:
+    """Haar-random unit vectors, one per row, from the first 2 d normals of each row."""
+    z = _complex_normals(rows, 0, (d,))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def _haar_unitary_from_generator(d: int, gen: np.random.Generator) -> np.ndarray:
+    return _haar_unitaries(gen.standard_normal(2 * d * d), 0, d)
 
 
 def _haar_state_from_generator(d: int, gen: np.random.Generator) -> np.ndarray:
-    z = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-    return z / np.linalg.norm(z)
+    return _haar_states(gen.standard_normal(2 * d), d)
 
 
 def haar_unitary(d: int, rng: RngStream, counter: int = 0) -> np.ndarray:

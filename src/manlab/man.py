@@ -186,19 +186,23 @@ def omega_operator(alg: OperatorAlgebra, method: str = "blocks") -> OmegaOperato
     return OmegaOperator(omega, d)
 
 
-def _block_swap_trace(blocks_a, blocks_b) -> float:
+def _block_swap_trace(blocks_a, blocks_b):
     """Tr(S Omega_A Omega_B) from the (n, d, isometry) blocks of A and B, in O(d^3).
 
     Blocks J of A (V_J) and K of B (W_K) add ||N^dag N||_F^2 / (d_J d_K), N the
     (n_K d_J) x (d_K n_J) regrouping of W_K^dag V_J; the smaller Gram is formed.
+    Isometries may carry leading batch axes (a stack of B's, say); the trace
+    then has the same leading axes.
     """
     total = 0.0
     for n_j, d_j, v in blocks_a:
         for n_k, d_k, w in blocks_b:
-            m = (dagger(w) @ v).reshape(n_k, d_k, n_j, d_j)
-            nm = m.transpose(0, 3, 1, 2).reshape(n_k * d_j, d_k * n_j)
-            gram = nm @ dagger(nm) if nm.shape[0] <= nm.shape[1] else dagger(nm) @ nm
-            total += float(np.sum(np.abs(gram) ** 2)) / (d_j * d_k)
+            m = dagger(w) @ v
+            lead = m.shape[:-2]
+            m = m.reshape(*lead, n_k, d_k, n_j, d_j)
+            nm = np.moveaxis(m, -1, -3).reshape(*lead, n_k * d_j, d_k * n_j)
+            gram = nm @ dagger(nm) if nm.shape[-2] <= nm.shape[-1] else dagger(nm) @ nm
+            total = total + np.sum(np.abs(gram) ** 2, axis=(-2, -1)) / (d_j * d_k)
     return total
 
 
@@ -226,7 +230,7 @@ def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> 
     _check_same_ambient(a, b)
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
-    raw = 1.0 - _block_swap_trace(_iso_blocks(a), _iso_blocks(b)) / a.d
+    raw = 1.0 - float(_block_swap_trace(_iso_blocks(a), _iso_blocks(b))) / a.d
     s = clamp_unit(raw)
     return ManReport(
         S=s,
@@ -555,6 +559,7 @@ def a_otoc(alg: OperatorAlgebra, u: np.ndarray, log_base: float = 2.0) -> ManRep
         raise AlgebraError(f"unitary shape {u.shape} != ({alg.d}, {alg.d})")
     if np.linalg.norm(dagger(u) @ u - np.eye(alg.d)) > 1e-8 * alg.d:
         raise AlgebraError("matrix is not unitary")
+    alg.decomposition()  # also hands the commutant its blocks, so U(A') needs no solve
     evolved = alg.commutant_algebra().conjugated(u)
     report = man_omega(alg, evolved, log_base)
     return replace(report, method="man.aotoc")

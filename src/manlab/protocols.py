@@ -7,8 +7,16 @@ quantity the way a laboratory would: swap-test expectations over Choi-type
 (protocol 2).  Shot noise, when requested, is binomial on the swap-test
 outcome probabilities.
 
-Sample i of every loop draws from the stream at counter i, so estimates are
-reproducible from (seed, samples) regardless of evaluation order or chunking.
+Sample i of every estimator draws from the stream at counter i, so estimates
+are reproducible from (seed, samples) regardless of evaluation order or
+chunking.  The estimators work on stacks: the draws of a chunk of samples are
+taken counter by counter (one repositioned generator per stream, see
+``RngStream.generators``), and the linear algebra (QR, commutators,
+projections, block traces, eigenvalues) then runs once per chunk on the whole
+stack.  Chunks hold at most ``_CHUNK_ELEMENTS`` stacked matrix entries, which
+keeps memory flat; the chunk size never changes a result, because each sample
+is computed from its own counter and the per-sample values are reduced only
+after all chunks are done.
 """
 
 from __future__ import annotations
@@ -21,8 +29,9 @@ import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
+    _haar_algebra_unitaries,
     center,
-    haar_algebra_unitary,
+    haar_algebra_unitary,  # noqa: F401  (perfbench/tracer.py patches this name here)
     is_collinear,
 )
 from .errors import (
@@ -30,12 +39,7 @@ from .errors import (
     IllConditionedEstimatorError,
     NonCollinearError,
 )
-from .linalg import (
-    _haar_state_from_generator,
-    _haar_unitary_from_generator,
-    dagger,
-    hs_norm_sq,
-)
+from .linalg import _haar_states, _haar_unitaries, _normal_rows, dagger
 from .man import _block_swap_trace, _iso_blocks, clamp_unit, man_omega
 from .rng import RngStream
 
@@ -45,6 +49,10 @@ _STREAM_UNITARIES_B = 2
 _STREAM_STATES = 3
 _STREAM_SHOTS = 4
 _STREAM_ORBIT = 5
+
+# Upper bound on the stacked matrix entries of one chunk (samples x entries
+# per sample); small, so a chunk adds well under a MiB to peak memory.
+_CHUNK_ELEMENTS = 4096
 
 __all__ = [
     "AlgebraState",
@@ -102,6 +110,13 @@ def algebra_state(alg: OperatorAlgebra) -> AlgebraState:
     return AlgebraState(alg.projection_superoperator().choi(), alg.d)
 
 
+def _chunks(samples: int, per_sample: int):
+    """(start, stop) ranges covering range(samples), each within the element budget."""
+    step = max(1, _CHUNK_ELEMENTS // per_sample)
+    for start in range(0, samples, step):
+        yield start, min(start + step, samples)
+
+
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     if values.size < 2:
@@ -121,10 +136,11 @@ def mc_man_direct(
     rng_a = rng.substream(_STREAM_UNITARIES_A)
     rng_b = rng.substream(_STREAM_UNITARIES_B)
     vals = np.empty(samples)
-    for i in range(samples):
-        u = haar_algebra_unitary(dec_a, rng_a, i)
-        v = haar_algebra_unitary(dec_b, rng_b, i)
-        vals[i] = hs_norm_sq(u @ v - v @ u) / (2 * a.d)
+    for start, stop in _chunks(samples, a.d * a.d):
+        u = _haar_algebra_unitaries(dec_a, rng_a, start, stop)
+        v = _haar_algebra_unitaries(dec_b, rng_b, start, stop)
+        comm = (u @ v - v @ u).reshape(stop - start, -1)
+        vals[start:stop] = np.sum(np.abs(comm) ** 2, axis=1) / (2 * a.d)
     mean, se = _mean_and_se(vals)
     return EstimatorResult(
         estimate=mean, std_error=se, samples=samples,
@@ -138,14 +154,15 @@ def _require_collinear(alg: OperatorAlgebra) -> None:
         raise NonCollinearError("protocol requires the first algebra to be collinear")
 
 
-def _swap_test(value: float, shots: int, gen: np.random.Generator) -> tuple[float, float]:
-    """Simulated swap test: binomial draw on p = (1 + value)/2 over N shots."""
-    p = (1.0 + value) / 2.0
-    hits = gen.binomial(shots, p)
-    p_hat = hits / shots
-    est = 2.0 * p_hat - 1.0
-    se = 2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / (4 * shots)) / shots)
-    return est, se
+def _swap_tests(values: np.ndarray, shots: int, gen: np.random.Generator):
+    """Simulated swap tests: binomial draws on p = (1 + value)/2 over N shots each.
+
+    One draw per value, in the order given, all from `gen`; returns the
+    estimates and their standard errors.
+    """
+    p_hat = gen.binomial(shots, (1.0 + values) / 2.0) / shots
+    se = 2.0 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 1.0 / (4 * shots)) / shots)
+    return 2.0 * p_hat - 1.0, se
 
 
 def protocol_choi(
@@ -193,8 +210,8 @@ def protocol_choi(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     gen = rng.substream(_STREAM_SHOTS).generator(0)
-    num_hat, num_se = _swap_test(num, shots, gen)
-    den_hat, den_se = _swap_test(den, shots, gen)
+    (num_hat, den_hat), (num_se, den_se) = _swap_tests(np.array([num, den]), shots, gen)
+    num_hat, den_hat = float(num_hat), float(den_hat)
     ratio = num_hat / den_hat
     se = math.sqrt((num_se / den_hat) ** 2 + (num_hat * den_se / den_hat**2) ** 2)
     extras.update({"numerator_estimate": num_hat, "denominator_estimate": den_hat})
@@ -251,21 +268,19 @@ def protocol_stochastic(
     if rng is None:
         raise ValueError("sampled mode needs an RngStream")
     rng_states = rng.substream(_STREAM_STATES)
-    shot_gen = rng.substream(_STREAM_SHOTS).generator(0) if shots else None
-    xs = np.empty(samples)
-    ys = np.empty(samples)
-    for i in range(samples):
-        phi = _haar_state_from_generator(d, rng_states.generator(i))
-        rho = np.outer(phi, phi.conj())
-        pa = a.project(rho)
-        pt = target.project(rho)
-        x = float(np.real(np.sum(pa.conj() * pt)))
-        y = float(np.real(np.sum(pa.conj() * pa)))
-        if shots:
-            x, _ = _swap_test(x, shots, shot_gen)
-            y, _ = _swap_test(y, shots, shot_gen)
-        xs[i] = x
-        ys[i] = y
+    xy = np.empty((samples, 2))
+    for start, stop in _chunks(samples, d * d):
+        phi = _haar_states(_normal_rows(rng_states, start, stop, 2 * d), d)
+        rho = phi[:, :, None] * phi.conj()[:, None, :]
+        pa = a.project(rho).reshape(stop - start, -1)
+        pt = target.project(rho).reshape(stop - start, -1)
+        xy[start:stop, 0] = np.real(np.sum(pa.conj() * pt, axis=1))
+        xy[start:stop, 1] = np.real(np.sum(pa.conj() * pa, axis=1))
+    if shots:
+        # one shot stream, drawn in the order x_0, y_0, x_1, y_1, ...
+        shot_gen = rng.substream(_STREAM_SHOTS).generator(0)
+        xy = _swap_tests(xy.reshape(-1), shots, shot_gen)[0].reshape(samples, 2)
+    xs, ys = np.ascontiguousarray(xy.T)
     mean_x, se_x = _mean_and_se(xs)
     mean_y, se_y = _mean_and_se(ys)
     den = mean_y - offset
@@ -314,12 +329,24 @@ def restricted_distance(
         raise AlgebraError("rho0 must be hermitian with unit trace")
     if np.linalg.eigvalsh((rho0 + dagger(rho0)) / 2).min() < -1e-9:
         raise AlgebraError("rho0 must be positive semi-definite")
-    delta = dagger(u) @ rho0 @ u - dagger(v) @ rho0 @ v
+    return float(_restricted_distances(u, v, observer.decomposition().blocks, rho0))
+
+
+def _restricted_distances(u, v, blocks, rho) -> np.ndarray:
+    """restricted_distance without input checks, over stacks.
+
+    u, v and rho are (..., d, d) stacks that broadcast against each other;
+    the result has their common leading shape.  Meant for unitaries and
+    states the caller drew itself: nothing is re-validated.
+    """
+    delta = dagger(u) @ rho @ u - dagger(v) @ rho @ v
+    lead = delta.shape[:-2]
     total = 0.0
-    for blk in observer.decomposition().blocks:
-        g = (dagger(blk.isometry) @ delta @ blk.isometry).reshape(blk.n, blk.d, blk.n, blk.d)
-        m = np.einsum("plpm->lm", g)
-        total += float(np.sum(np.abs(np.linalg.eigvalsh((m + dagger(m)) / 2))))
+    for blk in blocks:
+        g = dagger(blk.isometry) @ delta @ blk.isometry
+        g = g.reshape(*lead, blk.n, blk.d, blk.n, blk.d)
+        m = np.einsum("...plpm->...lm", g)
+        total = total + np.sum(np.abs(np.linalg.eigvalsh((m + dagger(m)) / 2)), axis=-1)
     return total
 
 
@@ -375,6 +402,8 @@ def markov_bound_check(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if samples < 1 or state_samples < 1:
+        raise ValueError("samples and state_samples must be >= 1")
     if a.d != b.d:
         raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
     rng = rng or RngStream(0)
@@ -391,18 +420,18 @@ def markov_bound_check(
     rng_v = rng.substream(_STREAM_UNITARIES_B)
     rng_s = rng.substream(_STREAM_STATES)
     d = a.d
-    hits = 0
-    overall_max = 0.0
-    for i in range(samples):
-        u = haar_algebra_unitary(dec_a, rng_u, i)
-        v = haar_algebra_unitary(dec_a, rng_v, i)
-        best = 0.0
-        for j in range(state_samples):
-            phi = _haar_state_from_generator(d, rng_s.generator(i * state_samples + j))
-            best = max(best, restricted_distance(u, v, b, np.outer(phi, phi.conj())))
-        overall_max = max(overall_max, best)
-        if best >= epsilon:
-            hits += 1
+    best = np.empty(samples)
+    for start, stop in _chunks(samples, state_samples * d * d):
+        u = _haar_algebra_unitaries(dec_a, rng_u, start, stop)[:, None]
+        v = _haar_algebra_unitaries(dec_a, rng_v, start, stop)[:, None]
+        # state j of sample i sits at counter i * state_samples + j
+        rows = _normal_rows(rng_s, start * state_samples, stop * state_samples, 2 * d)
+        phi = _haar_states(rows, d).reshape(stop - start, state_samples, d)
+        rho = phi[..., :, None] * phi.conj()[..., None, :]
+        dist = _restricted_distances(u, v, dec_b.blocks, rho)
+        best[start:stop] = dist.max(axis=1)
+    hits = int(np.count_nonzero(best >= epsilon))
+    overall_max = float(best.max())
     p_hat = hits / samples
     se = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     violated = p_hat > bound + 5.0 * max(se, math.sqrt(0.25 / samples))
@@ -428,10 +457,10 @@ def mc_orbit_averaged_man(
     blocks_a, blocks_b = _iso_blocks(a), _iso_blocks(b)
     rng_orbit = rng.substream(_STREAM_ORBIT)
     vals = np.empty(samples)
-    for i in range(samples):
-        u = _haar_unitary_from_generator(d, rng_orbit.generator(i))
+    for start, stop in _chunks(samples, d * d):
+        u = _haar_unitaries(_normal_rows(rng_orbit, start, stop, 2 * d * d), 0, d)
         blocks_u = [(n, dj, u @ w) for n, dj, w in blocks_b]
-        vals[i] = 1.0 - _block_swap_trace(blocks_a, blocks_u) / d
+        vals[start:stop] = 1.0 - _block_swap_trace(blocks_a, blocks_u) / d
     mean, se = _mean_and_se(vals)
     return EstimatorResult(
         estimate=mean, std_error=se, samples=samples,

@@ -41,10 +41,6 @@ KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 MAX_AMBIENT_DIM = 64
 
 
-def _encode_matrix(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
-
-
 def _decode_matrix(data, dim: int, path, field) -> tuple:
     try:
         rows = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from manlab.algebras import (
@@ -16,6 +18,14 @@ from manlab.algebras import (
     trivial_algebra,
 )
 from manlab.linalg import _haar_unitary_from_generator, swap_operator
+from manlab.man import _block_swap_trace, _iso_blocks
+from manlab.protocols import (
+    _STREAM_ORBIT,
+    _STREAM_SHOTS,
+    _STREAM_STATES,
+    _STREAM_UNITARIES_A,
+    _STREAM_UNITARIES_B,
+)
 from manlab.rng import RngStream
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -110,3 +120,132 @@ def concordance_pairs() -> list[tuple[str, OperatorAlgebra, OperatorAlgebra]]:
         ("lat012:lat1", lattice_algebra([2, 2, 2], {0, 1, 2}), lattice_algebra([2, 2, 2], {1})),
     ]
     return pairs
+
+
+# -- per-sample reference loops ------------------------------------------------
+#
+# The Monte-Carlo estimators run on stacks of samples.  These loops are the
+# one-sample-at-a-time form they replaced: a fresh generator per counter, one
+# draw, one small matmul or projection at a time.  Same streams, counters and
+# draw order, so a batched estimator must match them.
+
+
+def ref_haar_unitary(d: int, gen: np.random.Generator) -> np.ndarray:
+    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+def ref_haar_state(d: int, gen: np.random.Generator) -> np.ndarray:
+    z = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
+def ref_haar_algebra_unitary(dec, rng: RngStream, counter: int) -> np.ndarray:
+    gen = rng.generator(counter)
+    u = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for b in dec.blocks:
+        uj = ref_haar_unitary(b.d, gen)
+        u += b.isometry @ np.kron(np.eye(b.n), uj) @ b.isometry.conj().T
+    return u
+
+
+def _ref_mean_and_se(values: np.ndarray) -> tuple[float, float]:
+    mean = float(np.mean(values))
+    if values.size < 2:
+        return mean, 0.0
+    return mean, float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
+def ref_mc_man_direct(a, b, samples: int, rng: RngStream) -> tuple[float, float]:
+    dec_a, dec_b = a.decomposition(), b.decomposition()
+    rng_a = rng.substream(_STREAM_UNITARIES_A)
+    rng_b = rng.substream(_STREAM_UNITARIES_B)
+    vals = np.empty(samples)
+    for i in range(samples):
+        u = ref_haar_algebra_unitary(dec_a, rng_a, i)
+        v = ref_haar_algebra_unitary(dec_b, rng_b, i)
+        vals[i] = float(np.sum(np.abs(u @ v - v @ u) ** 2)) / (2 * a.d)
+    return _ref_mean_and_se(vals)
+
+
+def ref_mc_orbit(a, b, samples: int, rng: RngStream) -> tuple[float, float]:
+    d = a.d
+    blocks_a, blocks_b = _iso_blocks(a), _iso_blocks(b)
+    rng_orbit = rng.substream(_STREAM_ORBIT)
+    vals = np.empty(samples)
+    for i in range(samples):
+        u = ref_haar_unitary(d, rng_orbit.generator(i))
+        blocks_u = [(n, dj, u @ w) for n, dj, w in blocks_b]
+        vals[i] = 1.0 - float(_block_swap_trace(blocks_a, blocks_u)) / d
+    return _ref_mean_and_se(vals)
+
+
+def _ref_project(alg, x: np.ndarray) -> np.ndarray:
+    coeffs = np.einsum("kij,ij->k", alg.basis.conj(), x)
+    return np.tensordot(coeffs, alg.basis, axes=1)
+
+
+def _ref_swap_test(value: float, shots: int, gen: np.random.Generator) -> float:
+    hits = gen.binomial(shots, (1.0 + value) / 2.0)
+    return 2.0 * (hits / shots) - 1.0
+
+
+def ref_stochastic(a, target, samples: int, shots, rng: RngStream) -> dict:
+    """Per-sample x, y of the random-state protocol (target = B' or the center)."""
+    d = a.d
+    rng_states = rng.substream(_STREAM_STATES)
+    shot_gen = rng.substream(_STREAM_SHOTS).generator(0) if shots else None
+    xs = np.empty(samples)
+    ys = np.empty(samples)
+    for i in range(samples):
+        phi = ref_haar_state(d, rng_states.generator(i))
+        rho = np.outer(phi, phi.conj())
+        pa = _ref_project(a, rho)
+        pt = _ref_project(target, rho)
+        x = float(np.real(np.sum(pa.conj() * pt)))
+        y = float(np.real(np.sum(pa.conj() * pa)))
+        if shots:
+            x = _ref_swap_test(x, shots, shot_gen)
+            y = _ref_swap_test(y, shots, shot_gen)
+        xs[i] = x
+        ys[i] = y
+    offset = 1.0 / (d + 1)
+    ratio = (np.mean(xs) - offset) / (np.mean(ys) - offset)
+    return {"estimate": 1.0 - ratio, "mean_numerator": float(np.mean(xs)),
+            "mean_denominator": float(np.mean(ys))}
+
+
+def ref_restricted_distance(u, v, observer, rho) -> float:
+    delta = u.conj().T @ rho @ u - v.conj().T @ rho @ v
+    total = 0.0
+    for blk in observer.decomposition().blocks:
+        iso = blk.isometry
+        g = (iso.conj().T @ delta @ iso).reshape(blk.n, blk.d, blk.n, blk.d)
+        m = np.einsum("plpm->lm", g)
+        total += float(np.sum(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
+    return total
+
+
+def ref_markov(a, b, epsilon: float, samples: int, state_samples: int,
+               rng: RngStream) -> tuple[float, float]:
+    """(probability, max_distance) of the Markov tail check."""
+    dec_a = a.decomposition()
+    rng_u = rng.substream(_STREAM_UNITARIES_A)
+    rng_v = rng.substream(_STREAM_UNITARIES_B)
+    rng_s = rng.substream(_STREAM_STATES)
+    hits = 0
+    overall_max = 0.0
+    for i in range(samples):
+        u = ref_haar_algebra_unitary(dec_a, rng_u, i)
+        v = ref_haar_algebra_unitary(dec_a, rng_v, i)
+        best = 0.0
+        for j in range(state_samples):
+            phi = ref_haar_state(a.d, rng_s.generator(i * state_samples + j))
+            best = max(best, ref_restricted_distance(u, v, b, np.outer(phi, phi.conj())))
+        overall_max = max(overall_max, best)
+        if best >= epsilon:
+            hits += 1
+    return hits / samples, overall_max

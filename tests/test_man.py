@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manlab import algebras
 from manlab.algebras import (
+    algebra_from_generators,
     compute_commutant,
     diagonal_masa,
     full_algebra,
@@ -52,6 +54,7 @@ from helpers import (
     factor_1xm2,
     factor_m2x1,
     fourier_basis,
+    random_matrix,
     random_unitary,
     symmetric_operator_algebra,
 )
@@ -401,6 +404,28 @@ class TestAOtoc:
     def test_non_unitary_rejected(self):
         with pytest.raises(AlgebraError):
             a_otoc(factor_m2x1(), np.ones((4, 4)))
+
+    def test_generators_spec_reuses_its_blocks(self, monkeypatch):
+        # U(A') of an algebra with no cached structure: its blocks are A's with
+        # the factors swapped, so only A itself is ever decomposed
+        ref = structural_algebra([(2, 4), (4, 2)], basis_change=random_unitary(16, 1601))
+        alg = algebra_from_generators([ref.project(random_matrix(16, s)) for s in (3, 4)], 16)
+        assert alg.dim == ref.dim
+        u = random_unitary(16, 1602)
+        solves = []
+        original = algebras._compute_decomposition
+
+        def counted(*args, **kwargs):
+            solves.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(algebras, "_compute_decomposition", counted)
+        got = a_otoc(alg, u).S
+        assert solves == [alg]
+        want = man_projection(ref, ref.commutant_algebra().conjugated(u)).S
+        assert abs(got - want) <= 1e-9
+        evolved_dec = alg.commutant_algebra().conjugated(u).decomposition()
+        assert sorted(zip(evolved_dec.n_vec, evolved_dec.d_vec)) == [(2, 4), (4, 2)]
 
     def test_bipartite_otoc_is_operator_entanglement_form(self):
         # for a factor, the A-OTOC of U equals the entropy-decomposition value

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from manlab import protocols
 from manlab.algebras import (
+    _haar_algebra_unitaries,
     center,
     diagonal_masa,
     full_algebra,
+    haar_algebra_unitary,
     lattice_algebra,
     masa_from_unitary,
+    structural_algebra,
     trivial_algebra,
 )
 from manlab.errors import (
@@ -21,6 +25,7 @@ from manlab.errors import (
 from manlab.linalg import dagger, haar_state
 from manlab.man import man_collinear, man_omega, orbit_averaged_man, self_man
 from manlab.protocols import (
+    _restricted_distances,
     algebra_state,
     markov_bound_check,
     mc_man_direct,
@@ -38,6 +43,12 @@ from helpers import (
     factor_1xm2,
     factor_m2x1,
     random_unitary,
+    ref_haar_algebra_unitary,
+    ref_markov,
+    ref_mc_man_direct,
+    ref_mc_orbit,
+    ref_restricted_distance,
+    ref_stochastic,
     symmetric_operator_algebra,
 )
 
@@ -259,6 +270,37 @@ class TestRestrictedDistance:
             restricted_distance(SX, np.eye(2), full_algebra(2), np.eye(2))  # trace 2
 
 
+class TestRestrictedDistanceKernel:
+    def test_kernel_equals_public_function(self):
+        observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra())
+        for tag, observer in enumerate(observers):
+            blocks = observer.decomposition().blocks
+            for k in range(6):
+                u = random_unitary(4, 900 + 10 * tag + k)
+                v = random_unitary(4, 950 + 10 * tag + k)
+                phi = haar_state(4, RngStream(39, tag), k)
+                rho = np.outer(phi, phi.conj())
+                want = restricted_distance(u, v, observer, rho)
+                assert abs(float(_restricted_distances(u, v, blocks, rho)) - want) <= 1e-12
+                assert abs(ref_restricted_distance(u, v, observer, rho) - want) <= 1e-12
+
+    def test_kernel_broadcasts_over_stacks(self):
+        # (samples, 1, d, d) unitaries against (samples, states, d, d) states
+        observer = factor_m2x1()
+        blocks = observer.decomposition().blocks
+        us = np.stack([random_unitary(4, 1000 + i) for i in range(3)])
+        vs = np.stack([random_unitary(4, 1100 + i) for i in range(3)])
+        phis = np.stack([[haar_state(4, RngStream(40, i), j) for j in range(5)]
+                         for i in range(3)])
+        rhos = phis[..., :, None] * phis.conj()[..., None, :]
+        got = _restricted_distances(us[:, None], vs[:, None], blocks, rhos)
+        assert got.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                want = restricted_distance(us[i], vs[i], observer, rhos[i, j])
+                assert abs(got[i, j] - want) <= 1e-12
+
+
 def _random_contraction(d, gen):
     """Random operator with spectral norm at most 1."""
     z = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
@@ -314,6 +356,12 @@ class TestMarkovCheck:
         with pytest.raises(ValueError):
             markov_bound_check(full_algebra(2), full_algebra(2), epsilon=0.0)
 
+    @pytest.mark.parametrize("samples, state_samples", [(0, 4), (10, 0), (10, -2)])
+    def test_bad_sample_counts(self, samples, state_samples):
+        with pytest.raises(ValueError):
+            markov_bound_check(full_algebra(2), full_algebra(2), epsilon=0.5,
+                               samples=samples, state_samples=state_samples)
+
 
 class TestOrbitMc:
     def test_embedded_factor(self):
@@ -363,3 +411,107 @@ class TestConcentration:
             spreads.append(float(np.var(vals, ddof=1)))
         assert all(s2 < s1 for s1, s2 in zip(spreads, spreads[1:])), spreads
         assert spreads[-1] < spreads[0] / 10
+
+
+def _haar_pair(dims_a, dims_b, seed):
+    d = sum(n * dj for n, dj in dims_a)
+    return (structural_algebra(dims_a, basis_change=random_unitary(d, seed)),
+            structural_algebra(dims_b, basis_change=random_unitary(d, seed + 1)))
+
+
+class TestCounterSemantics:
+    """The batched estimators against the per-sample loops they replaced.
+
+    Sample i draws from counter i in both, so the direct oracle and the Haar
+    draws agree bit for bit and the rest to rounding.
+    """
+
+    PAIRS = (
+        ("d4", (((2, 2),), ((1, 2), (2, 1))), 41),
+        ("d8", (((2, 2), (2, 2)), ((1, 2), (3, 2))), 42),
+        ("d16", (((2, 4), (4, 2)), ((4, 4),)), 43),
+    )
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return {name: _haar_pair(*dims, seed) for name, dims, seed in self.PAIRS}
+
+    def test_generators_walk_matches_generator(self):
+        s = RngStream(123, 4)
+        walked = []
+        for i, gen in zip(range(5, 40), s.generators(5, 40)):
+            # an odd number of 32-bit draws leaves half a word buffered
+            walked.append((gen.integers(0, 2**31, size=3, dtype=np.int32),
+                           gen.standard_normal(7), gen.random(2)))
+        for i, (ints, normals, uniforms) in zip(range(5, 40), walked):
+            fresh = s.generator(i)
+            assert np.array_equal(ints, fresh.integers(0, 2**31, size=3, dtype=np.int32))
+            assert np.array_equal(normals, fresh.standard_normal(7))
+            assert np.array_equal(uniforms, fresh.random(2))
+        big = 2**64 + 5
+        gen = next(s.generators(big, big + 1))
+        assert np.array_equal(gen.standard_normal(4), s.generator(big).standard_normal(4))
+        assert list(s.generators(3, 3)) == []
+        with pytest.raises(ValueError):
+            next(s.generators(-1, 2))
+
+    def test_haar_algebra_unitary_bitwise(self, pairs):
+        for name, (a, b) in pairs.items():
+            for alg in (a, b):
+                dec = alg.decomposition()
+                rng = RngStream(44, len(name))
+                stack = _haar_algebra_unitaries(dec, rng, 3, 20)
+                for i in range(3, 20):
+                    want = ref_haar_algebra_unitary(dec, rng, i)
+                    assert np.array_equal(stack[i - 3], want), (name, i)
+                    assert np.array_equal(haar_algebra_unitary(dec, rng, i), want), (name, i)
+
+    def test_mc_direct_bitwise(self, pairs):
+        cases = list(pairs.values()) + [(factor_m2x1(), bell_masa()),
+                                        (full_algebra(2), diagonal_masa(2))]
+        for k, (a, b) in enumerate(cases):
+            res = mc_man_direct(a, b, 150, RngStream(45, k))
+            assert (res.estimate, res.std_error) == ref_mc_man_direct(a, b, 150, RngStream(45, k))
+
+    def test_orbit_matches_loop(self, pairs):
+        for k, (a, b) in enumerate(pairs.values()):
+            res = mc_orbit_averaged_man(a, b, 120, RngStream(46, k))
+            mean, se = ref_mc_orbit(a, b, 120, RngStream(46, k))
+            assert abs(res.estimate - mean) <= 1e-12 and abs(res.std_error - se) <= 1e-12
+
+    @pytest.mark.parametrize("shots", [None, 500])
+    def test_stochastic_matches_loop(self, pairs, shots):
+        a, b = pairs["d8"]
+        for target, other in ((b.commutant_algebra(), b), (center(a), None)):
+            res = protocol_stochastic(a, other, samples=200, shots=shots, rng=RngStream(47))
+            ref = ref_stochastic(a, target, 200, shots, RngStream(47))
+            for key in ("mean_numerator", "mean_denominator"):
+                assert abs(res.extras[key] - ref[key]) <= 1e-12, key
+            assert abs(res.estimate - ref["estimate"]) <= 1e-12
+
+    def test_markov_matches_loop(self, pairs):
+        cases = [pairs["d4"], (diagonal_masa(2), full_algebra(2)), (factor_m2x1(), bell_masa())]
+        for k, (a, b) in enumerate(cases):
+            rep = markov_bound_check(a, b, epsilon=0.5, samples=40, state_samples=3,
+                                     rng=RngStream(48, k))
+            probability, max_distance = ref_markov(a, b, 0.5, 40, 3, RngStream(48, k))
+            assert rep.probability == probability
+            assert abs(rep.max_distance - max_distance) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [1, 10**9])
+    def test_chunking_never_changes_a_result(self, pairs, monkeypatch, budget):
+        a8, b8 = pairs["d8"]
+        a4, b4 = pairs["d4"]
+        runs = [
+            lambda: mc_man_direct(a8, b8, 70, RngStream(49)).to_dict(),
+            lambda: mc_orbit_averaged_man(a8, b8, 70, RngStream(50)).to_dict(),
+            lambda: protocol_stochastic(a8, b8, samples=70, rng=RngStream(51)).to_dict(),
+            lambda: protocol_stochastic(a8, b8, samples=70, shots=300,
+                                        rng=RngStream(52)).to_dict(),
+            lambda: protocol_stochastic(a8, samples=70, rng=RngStream(53)).to_dict(),
+            lambda: markov_bound_check(a4, b4, epsilon=0.5, samples=30, state_samples=4,
+                                       rng=RngStream(54)).to_dict(),
+        ]
+        default = [run() for run in runs]
+        monkeypatch.setattr(protocols, "_CHUNK_ELEMENTS", budget)
+        assert [run() for run in runs] == default
