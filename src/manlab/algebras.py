@@ -6,6 +6,13 @@ C^{n_J} (x) C^{d_J} on which the algebra acts as 1_{n_J} (x) M_{d_J}; the
 commutant acts as M_{n_J} (x) 1_{d_J}.  Everything downstream (omega
 operators, projection maps, protocol simulators) is driven by this data.
 
+The structure solver works in the algebra's own coordinates: generators are
+closed Krylov-style, the center is solved inside A (a 2d^2 x dim(A) system),
+the commutant is built from the blocks, and intersections come from principal
+angles between the two bases.  No product stack of size dim(A)^2, commutant
+system or d^4 projector is formed.  compute_commutant and the HS projectors
+(projection_superoperator, algebras_equal) stay as cross-check oracles.
+
 Values are immutable after construction; the lazy caches (decomposition,
 commutant, block bases) are write-once and idempotent, so algebras are
 safe to share read-only across workers.
@@ -42,9 +49,9 @@ CLUSTER_RTOL = 1e-7
 # Two algebras are equal when their HS projectors differ by less than this.
 EQUALITY_TOL = 1e-8
 
-# Fixed streams for the randomness internal to decompose() and
-# compute_commutant(); constants keep both reproducible without threading a
-# seed through every call.
+# Fixed streams for the randomness internal to decompose() (block draws) and
+# to the generating pair of compute_commutant() and the center solve;
+# constants keep both reproducible without threading a seed through every call.
 _DECOMPOSE_RNG = RngStream(seed=0x5CA1AB1E, stream=911)
 _COMMUTANT_RNG = RngStream(seed=0x5CA1AB1E, stream=912)
 
@@ -163,17 +170,17 @@ class OperatorAlgebra:
     # -- cached structure --------------------------------------------------
 
     def commutant_algebra(self) -> "OperatorAlgebra":
+        """A' = sum_J M_{n_J} (x) 1_{d_J}, built from A's blocks with the factors swapped."""
         if self._commutant is None:
-            self._commutant = compute_commutant(self)
+            dec = _commutant_decomposition(self.decomposition())
+            comm = OperatorAlgebra(self.d, _block_algebra_basis(dec.blocks))
+            comm._decomposition = dec
+            _link_commutants(self, comm)
         return self._commutant
 
     def decomposition(self, rng: Optional[RngStream] = None) -> StructuralDecomposition:
         if self._decomposition is None:
             self._decomposition = _compute_decomposition(self, rng or _DECOMPOSE_RNG)
-            # the solved blocks are the commutant's too, with the factors swapped
-            comm = self._commutant
-            if comm is not None and comm._decomposition is None:
-                comm._decomposition = _commutant_decomposition(self._decomposition)
         return self._decomposition
 
     def block_bases(self) -> BlockBases:
@@ -203,25 +210,39 @@ class OperatorAlgebra:
 def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgebra:
     """Smallest hermitian-closed unital algebra containing the generators.
 
-    Adjoints and the identity are added up front, then pairwise products are
-    folded in until the linear dimension stabilizes.  The dimension strictly
-    grows each round, so d^2 rounds bound the loop.
+    Krylov closure over the letters, the generators and their adjoints each
+    scaled to unit HS norm.  The words of length <= L+1 span the words of
+    length <= L plus the letters times the words new at length L, so a round
+    multiplies only the directions the round before found.  The basis is
+    projected out of those products twice (Gram-Schmidt with
+    re-orthogonalization), and the residual directions with singular value
+    above RANK_RTOL (against unit scale) join the basis.  The dimension
+    strictly grows each round, so d^2 rounds bound the loop.
     """
-    mats = [np.eye(d, dtype=complex)]
+    letters = []
     for g in gens:
         g = np.asarray(g, dtype=complex)
         if g.shape != (d, d):
             raise AlgebraError(f"generator shape {g.shape} != ({d}, {d})")
-        mats.append(g)
-        mats.append(dagger(g))
-    basis = orthonormalize_hs(mats)
+        norm = np.linalg.norm(g)
+        if norm > 0:
+            letters += [g / norm, dagger(g) / norm]
+    basis = np.eye(d, dtype=complex).reshape(1, d * d) / np.sqrt(d)
+    new = basis
     for _ in range(d * d + 1):
-        products = [a @ b for a in basis for b in basis]
-        new_basis = orthonormalize_hs(list(basis) + products)
-        if len(new_basis) == len(basis):
-            return OperatorAlgebra(d, np.stack(basis))
-        basis = new_basis
-    raise AlgebraError("product closure did not stabilize within d^2 rounds")
+        if not letters or not len(new):
+            break
+        products = (np.stack(letters)[:, None] @ new.reshape(1, -1, d, d)).reshape(-1, d * d)
+        for _ in range(2):
+            products -= (products @ basis.conj().T) @ basis
+        if np.linalg.norm(products) <= RANK_RTOL:
+            break  # every singular value is at most the Frobenius norm: nothing new
+        _, s, vh = np.linalg.svd(products, full_matrices=False)
+        new = vh[s > RANK_RTOL]
+        basis = np.concatenate([basis, new])
+    else:
+        raise AlgebraError("product closure did not stabilize within d^2 rounds")
+    return OperatorAlgebra(d, basis.reshape(-1, d, d))
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -294,28 +315,35 @@ def structural_algebra(
 
 
 def _structural_core(d, block_dims, swap_factors):
-    basis_mats = []
     blocks = []
     eye_d = np.eye(d, dtype=complex)
     offset = 0
     for n, dj in block_dims:
-        m = n * dj
-        iso = eye_d[:, offset: offset + m]
+        iso = eye_d[:, offset: offset + n * dj]
+        offset += n * dj
         if swap_factors:
             iso = iso @ _factor_swap(n, dj).T
             n, dj = dj, n
-        for l in range(dj):
-            for mm in range(dj):
-                unit = np.zeros((dj, dj), dtype=complex)
-                unit[l, mm] = 1.0
-                mat = iso @ np.kron(np.eye(n), unit) @ dagger(iso) / np.sqrt(n)
-                basis_mats.append(mat)
-        proj = iso @ dagger(iso)
-        blocks.append(Block(n, dj, proj, iso))
-        offset += m
-    alg = OperatorAlgebra(d, np.stack(basis_mats))
+        blocks.append(Block(n, dj, iso @ dagger(iso), iso))
+    alg = OperatorAlgebra(d, _block_algebra_basis(blocks))
     alg._decomposition = StructuralDecomposition(d, _canonical_block_order(d, tuple(blocks)))
     return alg
+
+
+def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
+    """Orthonormal basis V_J (1_n (x) E_lm) V_J^dag / sqrt(n_J) of sum_J 1_{n_J} (x) M_{d_J}."""
+    d = blocks[0].isometry.shape[0]
+    out = np.empty((sum(b.d * b.d for b in blocks), d, d), dtype=complex)
+    start = 0
+    for b in blocks:
+        units = np.eye(b.d * b.d, dtype=complex).reshape(-1, b.d, b.d)  # E_lm at l * d + m
+        # the stacked np.kron(np.eye(n), E_lm) / sqrt(n)
+        core = np.eye(b.n)[:, None, :, None] * units[:, None, :, None, :]
+        core = core.reshape(-1, b.n * b.d, b.n * b.d) / np.sqrt(b.n)
+        stop = start + b.d * b.d
+        np.matmul(b.isometry @ core, dagger(b.isometry), out=out[start:stop])
+        start = stop
+    return out
 
 
 def _factor_swap(n: int, d: int) -> np.ndarray:
@@ -390,6 +418,8 @@ def _link_commutants(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
 def compute_commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     """Commutant as the joint nullspace of X -> [X, h_1] and X -> [X, h_2].
 
+    Cross-check oracle: production code gets A' from A's blocks
+    (OperatorAlgebra.commutant_algebra); this solve needs no decomposition.
     h_1 and h_2 are generic hermitian elements of the algebra, drawn from a
     fixed internal stream.  Two such elements generate a finite-dimensional
     C*-algebra: the spectra of h_1 on different central blocks are disjoint,
@@ -397,21 +427,37 @@ def compute_commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     1_n (x) M_d the level sets of h_1 together with h_2, which has no zero
     entry between them, give every matrix unit.  So X commutes with the
     algebra exactly when it commutes with h_1 and h_2, and the system is
-    2d^2 x d^2 whatever dim(A) is.  A degenerate draw leaves the commutant
-    too large, which decompose() reports as a DecompositionError.
+    2d^2 x d^2 whatever dim(A) is.
     """
     d = alg.d
     eye = np.eye(d, dtype=complex)
-    gen = _COMMUTANT_RNG.generator(0)
-    stack = []
-    for _ in range(2):
-        h = _random_hermitian(alg.basis, gen)
-        h /= np.linalg.norm(h)
-        stack.append(np.kron(h, eye) - np.kron(eye, h.T))
+    stack = [np.kron(h, eye) - np.kron(eye, h.T) for h in _generating_pair(alg)]
     # unit-norm elements set the natural scale; without the floor a stack
     # that is pure rounding noise (scalar algebras) loses its nullspace
     null_rows = nullspace(np.concatenate(stack, axis=0), scale=1.0)
     return OperatorAlgebra(d, null_rows.reshape(-1, d, d))
+
+
+def _generating_pair(alg: OperatorAlgebra) -> list[np.ndarray]:
+    """Two generic hermitian elements of unit HS norm; they generate the algebra."""
+    gen = _COMMUTANT_RNG.generator(0)
+    pair = []
+    for _ in range(2):
+        h = _random_hermitian(alg.basis, gen)
+        pair.append(h / np.linalg.norm(h))
+    return pair
+
+
+def _center_in_algebra(alg: OperatorAlgebra) -> OperatorAlgebra:
+    """Z(A) in A's own coordinates: X = sum_k c_k b_k with [X, h_1] = [X, h_2] = 0.
+
+    h_1, h_2 generate A (see compute_commutant), so these X are exactly the
+    central elements; the system is 2d^2 x dim(A).
+    """
+    d, k = alg.d, alg.dim
+    columns = [(alg.basis @ h - h @ alg.basis).reshape(k, -1).T for h in _generating_pair(alg)]
+    coeffs = nullspace(np.concatenate(columns, axis=0), scale=1.0)
+    return OperatorAlgebra(d, (coeffs @ alg.basis.reshape(k, -1)).reshape(-1, d, d))
 
 
 def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
@@ -419,15 +465,22 @@ def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
 
 
 def algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlgebra:
-    """Intersection of the two algebras as subspaces (always unital)."""
+    """Intersection of the two algebras as subspaces (always unital).
+
+    Principal angles between the bases: with Q_a the basis of the smaller
+    algebra and Q_b the other, x = c Q_a lies in B exactly when c R = 0 for
+    R = Q_a - (Q_a Q_b^dag) Q_b.  Those c are the conjugated left singular
+    vectors of R with zero singular value, the nullspace of R^T.
+    """
     if a.d != b.d:
         raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
-    eye = np.eye(a.d * a.d, dtype=complex)
-    pa = a.projection_superoperator().transfer
-    pb = b.projection_superoperator().transfer
-    stacked = np.concatenate([eye - pa, eye - pb], axis=0)
-    basis = nullspace(stacked, scale=1.0).reshape(-1, a.d, a.d)
-    return OperatorAlgebra(a.d, basis)
+    if a.dim > b.dim:
+        a, b = b, a
+    qa = a.basis.reshape(a.dim, -1)
+    qb = b.basis.reshape(b.dim, -1)
+    residual = qa - (qa @ qb.conj().T) @ qb
+    coeffs = nullspace(residual.T, scale=1.0)
+    return OperatorAlgebra(a.d, (coeffs @ qa).reshape(-1, a.d, a.d))
 
 
 def center(alg: OperatorAlgebra) -> OperatorAlgebra:
@@ -448,9 +501,16 @@ def decompose(alg: OperatorAlgebra, rng: Optional[RngStream] = None) -> Structur
 
 
 def _compute_decomposition(alg, rng, max_attempts: int = 12) -> StructuralDecomposition:
+    """Blocks from a generic central element, then matrix units per block.
+
+    The checks prove A = sum_J 1_{n_J} (x) M_{d_J}: each basis element has
+    that form on every block (_validate_block_form) and nothing between
+    blocks (leakage), and the dimensions match.  A wrong center, from a
+    degenerate draw of h_1 and h_2, fails them on every attempt and ends in
+    DecompositionError.
+    """
     d = alg.d
-    commutant_alg = alg.commutant_algebra()
-    center_alg = algebra_intersection(alg, commutant_alg)
+    center_alg = _center_in_algebra(alg)
     d_z = center_alg.dim
     last_failure = "no attempt made"
     for attempt in range(max_attempts):
@@ -461,11 +521,14 @@ def _compute_decomposition(alg, rng, max_attempts: int = 12) -> StructuralDecomp
             last_failure = str(exc)
             continue
         dec = StructuralDecomposition(d, _canonical_block_order(d, blocks))
-        if dec.algebra_dim != alg.dim or dec.commutant_dim != commutant_alg.dim:
+        if dec.algebra_dim != alg.dim:
             last_failure = "dimension bookkeeping mismatch"
             continue
         if sum(b.n * b.d for b in dec.blocks) != d:
             last_failure = "block sizes do not fill the space"
+            continue
+        if _block_leakage(alg, dec) > ISO_TOL:
+            last_failure = "algebra elements leak between central blocks"
             continue
         return dec
     raise DecompositionError(
@@ -557,6 +620,15 @@ def _validate_block_form(alg, iso, nj, dj):
         ideal = np.einsum("pq,lm->plqm", np.eye(nj), mean)
         if np.linalg.norm(w - ideal) > ISO_TOL:
             raise _RetryDraw("isometry does not block-diagonalize the algebra")
+
+
+def _block_leakage(alg, dec: StructuralDecomposition) -> float:
+    """max over the basis of ||b - sum_J P_J b P_J||, read in the blocks' coordinates."""
+    v = np.concatenate([b.isometry for b in dec.blocks], axis=1)  # unitary once blocks fill
+    w = dagger(v) @ alg.basis @ v
+    labels = np.repeat(np.arange(dec.d_Z), [b.n * b.d for b in dec.blocks])
+    w[:, labels[:, None] == labels[None, :]] = 0
+    return float(np.max(np.linalg.norm(w, axis=(1, 2))))
 
 
 def _canonical_block_order(d: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:

@@ -245,9 +245,8 @@ def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> 
 def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN through the conditional expectation onto B'.
 
-    Sums ||P_B'(e_a)||^2 over A's block basis; B itself never needs a
-    decomposition because P_B' is built from the commutant's orthonormal
-    basis.
+    Sums ||P_B'(e_a)||^2 over A's block basis; P_B' is built from the
+    orthonormal basis of the commutant, which comes from B's blocks.
     """
     _check_same_ambient(a, b)
     sa = StructuralSummary.from_algebra(a)
@@ -559,7 +558,6 @@ def a_otoc(alg: OperatorAlgebra, u: np.ndarray, log_base: float = 2.0) -> ManRep
         raise AlgebraError(f"unitary shape {u.shape} != ({alg.d}, {alg.d})")
     if np.linalg.norm(dagger(u) @ u - np.eye(alg.d)) > 1e-8 * alg.d:
         raise AlgebraError("matrix is not unitary")
-    alg.decomposition()  # also hands the commutant its blocks, so U(A') needs no solve
     evolved = alg.commutant_algebra().conjugated(u)
     report = man_omega(alg, evolved, log_base)
     return replace(report, method="man.aotoc")

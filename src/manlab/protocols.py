@@ -197,7 +197,9 @@ def protocol_choi(
         "self_mode": self_mode,
     }
     if self_mode:
-        extras["nc2"] = omega_t.renyi2(log_base) - omega_a.renyi2(log_base)
+        # algebra-state purities are d(X)/d^2 exactly, so the Renyi-2 gap is
+        # log(d(A)/d(Z)); from the dimensions it carries no rounding
+        extras["nc2"] = math.log(a.dim / target.dim) / math.log(log_base)
     if shots is None:
         s = clamp_unit(1.0 - num / den)
         return EstimatorResult(

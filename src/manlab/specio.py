@@ -35,9 +35,9 @@ from .errors import SpecFileError
 KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 
 # d^4-sized superoperator objects grow fast; refuse larger ambients unless
-# explicitly overridden.  Still d^4: the HS projectors of algebra_intersection
-# (decomposing generators specs; collinear, and bounds/projection on a
-# collinear first algebra; the protocols' self variants) and protocol choi.
+# explicitly overridden.  Still d^4: the HS projectors of algebras_equal and
+# the Choi states of algebra_state (protocol choi).  algebra_intersection is
+# no longer one: it works from principal angles between the two bases.
 MAX_AMBIENT_DIM = 64
 
 

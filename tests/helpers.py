@@ -17,7 +17,13 @@ from manlab.algebras import (
     structural_algebra,
     trivial_algebra,
 )
-from manlab.linalg import _haar_unitary_from_generator, swap_operator
+from manlab.linalg import (
+    RANK_RTOL,
+    _haar_unitary_from_generator,
+    dagger,
+    orthonormalize_hs,
+    swap_operator,
+)
 from manlab.man import _block_swap_trace, _iso_blocks
 from manlab.protocols import (
     _STREAM_ORBIT,
@@ -120,6 +126,37 @@ def concordance_pairs() -> list[tuple[str, OperatorAlgebra, OperatorAlgebra]]:
         ("lat012:lat1", lattice_algebra([2, 2, 2], {0, 1, 2}), lattice_algebra([2, 2, 2], {1})),
     ]
     return pairs
+
+
+# -- structure-solver references ------------------------------------------------
+#
+# The dense forms the structure solver replaced: the closure that multiplies
+# every pair of basis elements each round, and the intersection as the joint
+# nullspace of the two d^2 x d^2 HS-projector complements.
+
+
+def ref_algebra_from_generators(gens, d: int) -> OperatorAlgebra:
+    mats = [np.eye(d, dtype=complex)]
+    for g in gens:
+        g = np.asarray(g, dtype=complex)
+        mats += [g, dagger(g)]
+    basis = orthonormalize_hs(mats)
+    for _ in range(d * d + 1):
+        products = [a @ b for a in basis for b in basis]
+        new_basis = orthonormalize_hs(list(basis) + products)
+        if len(new_basis) == len(basis):
+            return OperatorAlgebra(d, np.stack(basis))
+        basis = new_basis
+    raise AssertionError("product closure did not stabilize")
+
+
+def ref_algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlgebra:
+    eye = np.eye(a.d * a.d, dtype=complex)
+    pa = a.projection_superoperator().transfer
+    pb = b.projection_superoperator().transfer
+    _, s, vh = np.linalg.svd(np.concatenate([eye - pa, eye - pb], axis=0))
+    keep = s <= RANK_RTOL * max(s[0], 1.0)
+    return OperatorAlgebra(a.d, vh[keep].conj().reshape(-1, a.d, a.d))
 
 
 # -- per-sample reference loops ------------------------------------------------

@@ -32,10 +32,13 @@ from helpers import (
     HADAMARD,
     SX,
     SZ,
+    concordance_pairs,
     factor_1xm2,
     factor_m2x1,
     random_matrix,
     random_unitary,
+    ref_algebra_from_generators,
+    ref_algebra_intersection,
     strip_structure,
     symmetric_operator_algebra,
 )
@@ -87,6 +90,159 @@ class TestGenerators:
         with pytest.raises(AlgebraError):
             OperatorAlgebra(2, bad).validate()
         OperatorAlgebra(2, basis)  # constructing without validate is fine
+
+
+# Block data per ambient dimension for the seeded generator sets below.
+CLOSURE_BLOCKS = {
+    2: [(1, 1), (1, 1)],
+    3: [(1, 1), (1, 2)],
+    4: [(1, 2), (2, 1)],
+    5: [(1, 2), (1, 3)],
+    6: [(2, 3)],
+    7: [(1, 3), (2, 2)],
+    8: [(1, 2), (2, 3)],
+}
+
+
+def _structural_generators(d: int, seed: int):
+    """Two random elements of a rotated structural algebra, and that algebra."""
+    ref = structural_algebra(CLOSURE_BLOCKS[d], basis_change=random_unitary(d, seed))
+    return [ref.project(random_matrix(d, seed + k)) for k in (0, 1)], ref
+
+
+def _generator_sets(d: int):
+    gens, ref = _structural_generators(d, 500 + d)
+    hermitian = [(g + dagger(g)) / 2 for g in gens]
+    return [
+        ("generic", [random_matrix(d, 600 + d)]),
+        ("structural", gens),
+        ("hermitian", hermitian),
+        ("single", gens[:1]),
+        ("closed", list(ref.basis)),
+    ]
+
+
+class TestKrylovClosure:
+    @pytest.mark.parametrize("d", sorted(CLOSURE_BLOCKS))
+    def test_matches_pairwise_closure(self, d):
+        for name, gens in _generator_sets(d):
+            got = algebra_from_generators(gens, d)
+            want = ref_algebra_from_generators(gens, d)
+            assert got.dim == want.dim, name
+            assert algebras_equal(got, want), name
+            flat = got.basis.reshape(got.dim, -1)
+            assert np.linalg.norm(flat.conj() @ flat.T - np.eye(got.dim)) < 1e-10, name
+
+    def test_degenerate_inputs(self):
+        assert algebras_equal(algebra_from_generators([], 4), ref_algebra_from_generators([], 4))
+        zero = np.zeros((3, 3), dtype=complex)
+        assert algebras_equal(algebra_from_generators([zero], 3), trivial_algebra(3))
+        mixed = [np.zeros((2, 2), dtype=complex), SZ]
+        assert algebras_equal(algebra_from_generators(mixed, 2),
+                              ref_algebra_from_generators(mixed, 2))
+        # the scale of a generator does not matter, only its direction
+        assert algebras_equal(algebra_from_generators([1e-6 * SX, 1e6 * SZ], 2), full_algebra(2))
+
+
+def _intersection_pairs():
+    pairs = [(name, a, b) for name, a, b in concordance_pairs()]
+    pairs += [(name + ":comm", a, b.commutant_algebra()) for name, a, b in concordance_pairs()]
+    w4, w6, w8 = random_unitary(4, 801), random_unitary(6, 802), random_unitary(8, 803)
+    structural = [
+        ("m2+m2:1xm2", [(1, 2), (1, 2)], [(2, 2)], w4),
+        ("m2+m2:m4", [(1, 2), (1, 2)], [(1, 4)], w4),
+        ("c+m2:m3", [(1, 1), (1, 2)], [(1, 3)], random_unitary(3, 804)),
+        ("m3+m3:m2+m2+m2", [(1, 3), (1, 3)], [(1, 2), (1, 2), (1, 2)], w6),
+        ("m2+m2+m2+m2:m4+m4", [(1, 2)] * 4, [(1, 4), (1, 4)], w8),
+        ("1xm4:m2+m2x2", [(2, 4)], [(1, 2), (3, 2)], w8),
+        ("1xm2+m4:m2+2xm3", [(2, 2), (1, 4)], [(1, 2), (2, 3)], w8),
+    ]
+    random_pairs = [
+        (name, structural_algebra(blocks_a, w), structural_algebra(blocks_b, w))
+        for name, blocks_a, blocks_b, w in structural
+    ]
+    random_pairs.append(("generic8", structural_algebra([(2, 2), (1, 4)], w8),
+                         structural_algebra([(1, 2), (2, 3)], random_unitary(8, 805))))
+    for d in (4, 7, 8):
+        gens, ref = _structural_generators(d, 830 + d)
+        alg = algebra_from_generators(gens, d)
+        random_pairs.append((f"gens{d}:comm", alg, alg.commutant_algebra()))
+        random_pairs.append((f"gens{d}:ref", alg, ref))
+    # structural bases give real coefficients on many intersections; random
+    # phases on the basis elements make them complex
+    phased = [(name + ":phases", _with_phases(a, 840), _with_phases(b, 841))
+              for name, a, b in random_pairs]
+    return pairs + random_pairs + phased
+
+
+def _with_phases(alg, seed):
+    """The same algebra with each basis element multiplied by a random phase."""
+    theta = RngStream(seed).generator(0).uniform(0, 2 * np.pi, alg.dim)
+    return OperatorAlgebra(alg.d, alg.basis * np.exp(1j * theta)[:, None, None])
+
+
+class TestPrincipalAngleIntersection:
+    def test_matches_projector_nullspace(self):
+        for name, a, b in _intersection_pairs():
+            want = ref_algebra_intersection(a, b)
+            for x, y in ((a, b), (b, a)):
+                got = algebra_intersection(x, y)
+                assert got.dim == want.dim, name
+                assert algebras_equal(got, want), name
+                flat = got.basis.reshape(got.dim, -1)
+                assert np.linalg.norm(flat.conj() @ flat.T - np.eye(got.dim)) < 1e-10, name
+
+
+class TestCommutantFromBlocks:
+    def _named(self):
+        return [
+            ("full3", full_algebra(3)),
+            ("triv3", trivial_algebra(3)),
+            ("diag3", diagonal_masa(3)),
+            ("had2", masa_from_unitary(HADAMARD)),
+            ("m2x1", factor_m2x1()),
+            ("struct", structural_algebra([(1, 2), (2, 1)])),
+            ("rot-struct", structural_algebra([(2, 2), (1, 3)], basis_change=random_unitary(7, 811))),
+            ("lattice", lattice_algebra([2, 3], {1})),
+            ("sym22", symmetric_operator_algebra()),
+        ]
+
+    def test_equals_commutant_oracle(self):
+        cases = [(name, strip_structure(alg)) for name, alg in self._named()]
+        for d in (4, 6, 8):
+            gens, _ = _structural_generators(d, 820 + d)
+            cases.append((f"gens{d}", algebra_from_generators(gens, d)))
+        for name, alg in cases:
+            want = compute_commutant(alg)
+            got = alg.commutant_algebra()
+            assert got.dim == want.dim, name
+            assert algebras_equal(got, want), name
+            assert got.commutant_algebra() is alg, name
+            dec, comm_dec = alg.decomposition(), got.decomposition()
+            assert sorted(zip(comm_dec.n_vec, comm_dec.d_vec)) == sorted(
+                zip(dec.d_vec, dec.n_vec)), name
+
+    def test_too_large_center_is_refused(self, monkeypatch):
+        import manlab.algebras as mod
+
+        # a center equal to A itself (non-abelian A) must not pass the checks
+        monkeypatch.setattr(mod, "_center_in_algebra", lambda alg: alg)
+        with pytest.raises(DecompositionError):
+            strip_structure(factor_m2x1()).decomposition()
+        with pytest.raises(DecompositionError):
+            strip_structure(structural_algebra([(1, 1), (1, 2)])).decomposition()
+
+    def test_leaking_blocks_are_refused(self, monkeypatch):
+        import manlab.algebras as mod
+
+        # blocks of the Hadamard MASA offered for the diagonal MASA: dimensions,
+        # fill and the commutant dimension all match; only leakage tells them apart
+        had = masa_from_unitary(HADAMARD).decomposition()
+        monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: had.blocks)
+        alg = strip_structure(diagonal_masa(2))
+        assert had.algebra_dim == alg.dim and had.commutant_dim == compute_commutant(alg).dim
+        with pytest.raises(DecompositionError, match="leak"):
+            alg.decomposition()
 
 
 class TestCommutant:

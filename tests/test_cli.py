@@ -287,6 +287,32 @@ class TestNoOmegaInProduction:
         assert abs(mc["estimate"] - 0.6) <= 5 * mc["std_error"]
 
 
+class TestNoCommutantSolveInProduction:
+    # a generators spec gets its commutant and center from its own blocks
+    def test_generators_commands_never_solve_a_commutant(self, specdir, tmp_path, capsys,
+                                                         monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compute_commutant called outside the oracle tests")
+
+        monkeypatch.setattr("manlab.algebras.compute_commutant", forbidden)
+        sx = np.array([[0, 1], [1, 0]])
+        sz = np.diag([1.0, -1.0])
+        gens = tmp_path / "m2x1_gens.json"
+        gens.write_text(json.dumps({"dim": 4, "kind": "generators", "matrices": [
+            _matrix_payload(np.kron(sx, np.eye(2))), _matrix_payload(np.kron(sz, np.eye(2)))]}))
+        a, full4 = str(gens), str(specdir / "full4.json")
+        res = _run_json(capsys, ["analyze", a])["result"]
+        assert (res["n"], res["d_blocks"]) == ([2], [2])
+        assert abs(_run_json(capsys, ["selfman", a])["result"]["S"] - 0.75) < 1e-12
+        for method in ("omega", "projection", "collinear", "entropy"):
+            res = _run_json(capsys, ["man", a, full4, "--method", method])["result"]
+            assert abs(res["S"] - 0.75) < 1e-9, method
+        res = _run_json(capsys, ["bounds", a, full4])["result"]
+        assert abs(res["S"] - 0.75) < 1e-9 and res["intersection_dim"] == 1
+        res = _run_json(capsys, ["aotoc", a, "--unitary", str(specdir / "swap_u.json")])
+        assert abs(res["result"]["S"] - 0.75) < 1e-9
+
+
 class TestCliErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 2
@@ -369,6 +395,41 @@ class TestStructureSolverMemory:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)["result"]
         assert sorted(zip(result["n"], result["d_blocks"])) == sorted(blocks)
+
+
+def _generators_spec(path, blocks, d):
+    """A generators spec: two random elements of a rotated structural algebra."""
+    ref = structural_algebra(blocks, random_unitary(d, 11))
+    gens = [ref.project(random_matrix(d, seed)) for seed in (1, 2)]
+    path.write_text(json.dumps({"dim": d, "kind": "generators",
+                                "matrices": [_matrix_payload(g) for g in gens]}))
+
+
+def _capped_cli(args):
+    """`python -m manlab.cli ARGS` in a child with one BLAS thread under the cap."""
+    src = os.path.dirname(os.path.dirname(manlab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "manlab.cli", *args],
+        env=env, capture_output=True, text=True, timeout=600,
+        preexec_fn=_cap_address_space,
+    )
+
+
+class TestKrylovClosureMemory:
+    # Algebra dimension 320 at d = 32: a closure over all pairwise products
+    # stacks the basis and its 102400 products, 102720 x 1024 entries
+    # (1.57 GiB), in one round.
+    def test_d32_generators_selfman_under_cap(self, tmp_path):
+        blocks = ((1, 16), (2, 8))
+        spec = tmp_path / "gens32.json"
+        _generators_spec(spec, blocks, 32)
+        proc = _capped_cli(["selfman", str(spec)])
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        want = 1.0 - sum(n / dj for n, dj in blocks) / 32
+        assert abs(result["S"] - want) <= 1e-9
 
 
 class TestCsv:

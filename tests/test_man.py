@@ -191,6 +191,29 @@ class TestScale:
         assert abs(a_otoc(a, u).S - man_projection(a, evolved).S) <= 1e-9
 
 
+class TestGeneratorsSpecs:
+    # no cached structure: every route goes through the structure solver
+    @pytest.mark.parametrize(
+        "blocks_a, blocks_b",
+        [([(1, 2), (2, 4)], [(2, 2), (3, 2)]), ([(1, 3), (1, 3)], [(2, 1), (1, 4)])],
+    )
+    def test_exact_routes_agree(self, blocks_a, blocks_b):
+        d = sum(n * dj for n, dj in blocks_a)
+        ref_a = structural_algebra(blocks_a, basis_change=random_unitary(d, 901))
+        ref_b = structural_algebra(blocks_b, basis_change=random_unitary(d, 902))
+        a = algebra_from_generators([ref_a.project(random_matrix(d, s)) for s in (1, 2)], d)
+        b = algebra_from_generators([ref_b.project(random_matrix(d, s)) for s in (3, 4)], d)
+        want = man_omega(ref_a, ref_b).S
+        assert abs(man_omega(a, b).S - want) <= 1e-9
+        assert abs(man_projection(a, b).S - want) <= 1e-9
+        assert abs(entropy_decomposition_man(a, b).S - want) <= 1e-9
+        assert abs(man_collinear(a, b).S - want) <= 1e-9
+        bounds = man_bounds(a, b)
+        assert abs(bounds["S"] - want) <= 1e-9
+        assert bounds["intersection_dim"] == man_bounds(ref_a, ref_b)["intersection_dim"]
+        assert abs(self_man(a).S - self_man(ref_a).S) <= 1e-12
+
+
 class TestManProjection:
     def test_commutant_pair_vanishes(self):
         for name, a, _ in concordance_pairs()[:8]:
