@@ -1,21 +1,27 @@
 """Hermitian-closed unital operator algebras and their block structure.
 
 An algebra is stored as an HS-orthonormal basis of d x d matrices.  Its
-structure is the central-block data: the ambient space splits into blocks
-C^{n_J} (x) C^{d_J} on which the algebra acts as 1_{n_J} (x) M_{d_J}; the
-commutant acts as M_{n_J} (x) 1_{d_J}.  Everything downstream (omega
-operators, projection maps, protocol simulators) is driven by this data.
+structure is the central-block data (n_J, d_J, V_J): the ambient space splits
+into blocks C^{n_J} (x) C^{d_J} on which the algebra acts as 1_{n_J} (x)
+M_{d_J}; the commutant acts as M_{n_J} (x) 1_{d_J}.  Everything downstream
+(omega operators, projection maps, protocol simulators) is driven by this data.
 
-The structure solver works in the algebra's own coordinates: generators are
-closed Krylov-style, the center is solved inside A (a 2d^2 x dim(A) system),
-the commutant is built from the blocks, and intersections come from principal
-angles between the two bases.  No product stack of size dim(A)^2, commutant
-system or d^4 projector is formed.  compute_commutant and the HS projectors
-(projection_superoperator, algebras_equal) stay as cross-check oracles.
+Every named algebra (full, trivial, masa, structural, lattice) and every
+commutant is born from its blocks in _algebra_from_blocks: the basis is built
+from the isometries and the decomposition is cached at once.  Only algebras
+given by generators or by a bare basis run the structure solver, which works
+in the algebra's own coordinates: generators are closed Krylov-style, the
+center is solved inside A (a 2d^2 x dim(A) system), and intersections come
+from principal angles between the two bases.  No product stack of size
+dim(A)^2, commutant system or d^4 projector is formed.  compute_commutant and
+the HS projectors (projection_superoperator, algebras_equal) stay as
+cross-check oracles.
 
-Values are immutable after construction; the lazy caches (decomposition,
-commutant, block bases) are write-once and idempotent, so algebras are
-safe to share read-only across workers.
+Values are immutable after construction.  The lazy caches are write-once and
+idempotent, so algebras are safe to share read-only across workers:
+decomposition (set at birth for block-born algebras, solved on first request
+otherwise), commutant (built from the blocks on first request, and linked
+back so A'' is A) and block bases.
 """
 
 from __future__ import annotations
@@ -172,10 +178,11 @@ class OperatorAlgebra:
     def commutant_algebra(self) -> "OperatorAlgebra":
         """A' = sum_J M_{n_J} (x) 1_{d_J}, built from A's blocks with the factors swapped."""
         if self._commutant is None:
-            dec = _commutant_decomposition(self.decomposition())
-            comm = OperatorAlgebra(self.d, _block_algebra_basis(dec.blocks))
-            comm._decomposition = dec
-            _link_commutants(self, comm)
+            blocks = [
+                Block(b.d, b.n, b.projector, b.isometry @ _factor_swap(b.n, b.d).T)
+                for b in self.decomposition().blocks
+            ]
+            _link_commutants(self, _algebra_from_blocks(self.d, blocks))
         return self._commutant
 
     def decomposition(self, rng: Optional[RngStream] = None) -> StructuralDecomposition:
@@ -189,18 +196,11 @@ class OperatorAlgebra:
         return self._block_bases
 
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
-        """The image algebra U A U^dag, carrying structure caches along."""
+        """The image algebra U A U^dag, carrying the decomposition along."""
         _check_unitary(u)
-        u_dag = dagger(u)
-        out = OperatorAlgebra(self.d, u @ self.basis @ u_dag)
+        out = OperatorAlgebra(self.d, u @ self.basis @ dagger(u))
         if self._decomposition is not None:
             out._decomposition = _conjugate_decomposition(self._decomposition, u)
-        if self._commutant is not None:
-            comm = self._commutant
-            cc = OperatorAlgebra(self.d, u @ comm.basis @ u_dag)
-            if comm._decomposition is not None:
-                cc._decomposition = _conjugate_decomposition(comm._decomposition, u)
-            out._commutant = cc
         return out
 
 
@@ -246,27 +246,13 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
-    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    alg = OperatorAlgebra(d, basis)
     eye = np.eye(d, dtype=complex)
-    alg._decomposition = StructuralDecomposition(d, (Block(1, d, eye, eye),))
-    triv = _trivial_core(d)
-    _link_commutants(alg, triv)
-    return alg
+    return _algebra_from_blocks(d, [Block(1, d, eye, eye)])
 
 
 def trivial_algebra(d: int) -> OperatorAlgebra:
-    alg = _trivial_core(d)
-    _link_commutants(alg, full_algebra(d))
-    return alg
-
-
-def _trivial_core(d: int) -> OperatorAlgebra:
-    basis = np.eye(d, dtype=complex).reshape(1, d, d) / np.sqrt(d)
-    alg = OperatorAlgebra(d, basis)
     eye = np.eye(d, dtype=complex)
-    alg._decomposition = StructuralDecomposition(d, (Block(d, 1, eye, eye),))
-    return alg
+    return _algebra_from_blocks(d, [Block(d, 1, eye, eye)])
 
 
 def masa_from_unitary(u: np.ndarray) -> OperatorAlgebra:
@@ -274,14 +260,8 @@ def masa_from_unitary(u: np.ndarray) -> OperatorAlgebra:
     u = np.asarray(u, dtype=complex)
     _check_unitary(u)
     d = u.shape[0]
-    basis = np.einsum("ik,jk->kij", u, u.conj())
-    alg = OperatorAlgebra(d, basis)
-    blocks = tuple(
-        Block(1, 1, np.outer(u[:, i], u[:, i].conj()), u[:, i: i + 1]) for i in range(d)
-    )
-    alg._decomposition = StructuralDecomposition(d, _canonical_block_order(d, blocks))
-    alg._commutant = alg  # a MASA is its own commutant
-    return alg
+    blocks = [Block(1, 1, np.outer(u[:, i], u[:, i].conj()), u[:, i: i + 1]) for i in range(d)]
+    return _algebra_from_blocks(d, blocks)
 
 
 def diagonal_masa(d: int) -> OperatorAlgebra:
@@ -294,37 +274,31 @@ def structural_algebra(
 ) -> OperatorAlgebra:
     """Algebra with prescribed block data [(n_J, d_J), ...].
 
-    Blocks are laid out along the diagonal in the given order; an optional
-    unitary then moves the whole structure to a generic position.
+    Block J's isometry is the next n_J d_J columns of the optional unitary
+    (the identity by default), so the unitary moves the whole structure to a
+    generic position without a conjugation pass.
     """
     block_dims = [(int(n), int(dj)) for n, dj in block_dims]
     if not block_dims or any(n < 1 or dj < 1 for n, dj in block_dims):
         raise AlgebraError("block dimensions must be positive")
     d = sum(n * dj for n, dj in block_dims)
-    alg = _structural_core(d, block_dims, swap_factors=False)
-    comm = _structural_core(d, block_dims, swap_factors=True)
-    if basis_change is not None:
-        basis_change = np.asarray(basis_change, dtype=complex)
-        if basis_change.shape != (d, d):
-            raise AlgebraError("basis change unitary has wrong shape")
-        _check_unitary(basis_change)
-        alg = alg.conjugated(basis_change)
-        comm = comm.conjugated(basis_change)
-    _link_commutants(alg, comm)
-    return alg
-
-
-def _structural_core(d, block_dims, swap_factors):
+    if basis_change is None:
+        basis_change = np.eye(d, dtype=complex)
+    basis_change = np.asarray(basis_change, dtype=complex)
+    if basis_change.shape != (d, d):
+        raise AlgebraError("basis change unitary has wrong shape")
+    _check_unitary(basis_change)
     blocks = []
-    eye_d = np.eye(d, dtype=complex)
     offset = 0
     for n, dj in block_dims:
-        iso = eye_d[:, offset: offset + n * dj]
+        iso = basis_change[:, offset: offset + n * dj]
         offset += n * dj
-        if swap_factors:
-            iso = iso @ _factor_swap(n, dj).T
-            n, dj = dj, n
         blocks.append(Block(n, dj, iso @ dagger(iso), iso))
+    return _algebra_from_blocks(d, blocks)
+
+
+def _algebra_from_blocks(d: int, blocks: Sequence[Block]) -> OperatorAlgebra:
+    """The algebra sum_J V_J (1_{n_J} (x) M_{d_J}) V_J^dag, with its blocks cached."""
     alg = OperatorAlgebra(d, _block_algebra_basis(blocks))
     alg._decomposition = StructuralDecomposition(d, _canonical_block_order(d, tuple(blocks)))
     return alg
@@ -355,11 +329,7 @@ def _factor_swap(n: int, d: int) -> np.ndarray:
     return p
 
 
-def lattice_algebra(
-    site_dims: Sequence[int],
-    region: Iterable[int],
-    _with_commutant: bool = True,
-) -> OperatorAlgebra:
+def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> OperatorAlgebra:
     """Local algebra of a lattice region: L(H_S) (x) 1 on the complement.
 
     Sites are 0-indexed; region=() gives the scalars C1 and the full site set
@@ -374,23 +344,10 @@ def lattice_algebra(
             raise AlgebraError(f"region index {r} out of range")
     comp = [i for i in range(len(site_dims)) if i not in region]
     d = prod(site_dims)
-    n = prod(site_dims[i] for i in comp) if comp else 1
-    dj = prod(site_dims[i] for i in region) if region else 1
+    n = prod(site_dims[i] for i in comp)
+    dj = prod(site_dims[i] for i in region)
     iso = _site_order_unitary(site_dims, comp + region)
-    basis_mats = np.empty((dj * dj, d, d), dtype=complex)
-    scaled = iso / np.sqrt(n)
-    for l in range(dj):
-        for m in range(dj):
-            unit = np.zeros((dj, dj), dtype=complex)
-            unit[l, m] = 1.0
-            basis_mats[l * dj + m] = scaled @ np.kron(np.eye(n), unit) @ dagger(iso)
-    alg = OperatorAlgebra(d, basis_mats)
-    alg._decomposition = StructuralDecomposition(
-        d, (Block(n, dj, np.eye(d, dtype=complex), iso),)
-    )
-    if _with_commutant:
-        _link_commutants(alg, lattice_algebra(site_dims, comp, _with_commutant=False))
-    return alg
+    return _algebra_from_blocks(d, [Block(n, dj, np.eye(d, dtype=complex), iso)])
 
 
 def _site_order_unitary(site_dims, order):
@@ -647,14 +604,6 @@ def _conjugate_decomposition(dec: StructuralDecomposition, u: np.ndarray) -> Str
         Block(b.n, b.d, u @ b.projector @ dagger(u), u @ b.isometry) for b in dec.blocks
     )
     return StructuralDecomposition(dec.dim, blocks)
-
-
-def _commutant_decomposition(dec: StructuralDecomposition) -> StructuralDecomposition:
-    """The commutant's blocks: A reads 1_n (x) M_d where A' reads M_n (x) 1_d, so swap."""
-    blocks = tuple(
-        Block(b.d, b.n, b.projector, b.isometry @ _factor_swap(b.n, b.d).T) for b in dec.blocks
-    )
-    return StructuralDecomposition(dec.dim, _canonical_block_order(dec.dim, blocks))
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:

@@ -198,7 +198,9 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
         spec_a, a = _load(args.spec_a, args)
         spec_b, b = _load(args.spec_b, args)
         if args.method == "mc":
-            est = protocols.mc_man_direct(a, b, args.samples or 10_000, rng)
+            est = protocols.mc_man_direct(
+                a, b, 10_000 if args.samples is None else args.samples, rng
+            )
             result = est.to_dict()
         else:
             fn = {
@@ -235,7 +237,7 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
         spec_b, b = _load(args.spec_b, args)
         value = man_engine.orbit_averaged_man(a, b)
         result = {"method": "man.orbit", "value": value}
-        if args.samples:
+        if args.samples is not None:
             result["mc_estimate"] = protocols.mc_orbit_averaged_man(
                 a, b, args.samples, rng
             ).to_dict()
@@ -306,7 +308,7 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
             raise ManlabError("markov-check requires --epsilon")
         report = protocols.markov_bound_check(
             a, b, args.epsilon,
-            samples=args.samples or 1000,
+            samples=1000 if args.samples is None else args.samples,
             state_samples=args.state_samples,
             rng=rng,
         )

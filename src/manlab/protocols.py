@@ -239,6 +239,8 @@ def protocol_stochastic(
     state purity.
     """
     _require_collinear(a)
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1")
     self_mode = b is None or b is a
     if self_mode:
         target = center(a)
@@ -278,7 +280,7 @@ def protocol_stochastic(
         pt = target.project(rho).reshape(stop - start, -1)
         xy[start:stop, 0] = np.real(np.sum(pa.conj() * pt, axis=1))
         xy[start:stop, 1] = np.real(np.sum(pa.conj() * pa, axis=1))
-    if shots:
+    if shots is not None:
         # one shot stream, drawn in the order x_0, y_0, x_1, y_1, ...
         shot_gen = rng.substream(_STREAM_SHOTS).generator(0)
         xy = _swap_tests(xy.reshape(-1), shots, shot_gen)[0].reshape(samples, 2)

@@ -208,7 +208,10 @@ class TestCommutantFromBlocks:
         ]
 
     def test_equals_commutant_oracle(self):
-        cases = [(name, strip_structure(alg)) for name, alg in self._named()]
+        # the named constructors build A' lazily from their own blocks; the
+        # stripped copies go through decompose() first
+        named = self._named()
+        cases = named + [(f"{name}-stripped", strip_structure(alg)) for name, alg in named]
         for d in (4, 6, 8):
             gens, _ = _structural_generators(d, 820 + d)
             cases.append((f"gens{d}", algebra_from_generators(gens, d)))

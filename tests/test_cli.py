@@ -313,6 +313,35 @@ class TestNoCommutantSolveInProduction:
         assert abs(res["result"]["S"] - 0.75) < 1e-9
 
 
+class TestOneBasisPerAlgebra:
+    # every named algebra is born from its blocks; A' is built only when read
+    def test_commands_build_no_commutant_basis(self, specdir, tmp_path, capsys, monkeypatch):
+        import manlab.algebras as mod
+
+        built = []
+        block_basis = mod._block_algebra_basis
+
+        def counting(blocks):
+            basis = block_basis(blocks)
+            built.append(len(basis))
+            return basis
+
+        monkeypatch.setattr(mod, "_block_algebra_basis", counting)
+        rot = tmp_path / "rot4.json"
+        rot.write_text(json.dumps({"dim": 4, "kind": "structural", "blocks": [[1, 2], [2, 1]],
+                                   "basis_change": _matrix_payload(random_unitary(4, 61))}))
+        specs = [str(specdir / name) for name in ("full4.json", "triv4.json", "bell4.json",
+                                                  "m2x1.json")] + [str(rot)]
+        pairs = list(zip(specs, specs[1:] + specs[:1]))
+        argvs = [["analyze", s] for s in specs] + [["selfman", s] for s in specs]
+        argvs += [["man", a, b] for a, b in pairs]
+        argvs += [["orbit-avg", a, b, "--samples", "20"] for a, b in pairs]
+        for argv in argvs:
+            built.clear()
+            report = _run_json(capsys, argv)
+            assert sum(built) == sum(entry["d_alg"] for entry in report["inputs"]), argv
+
+
 class TestCliErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 2
@@ -348,6 +377,24 @@ class TestCliErrors:
                     "--seed", "1"])
         assert code == 1
         assert "std error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["man", "m2x1.json", "full4.json", "--method", "mc", "--samples", "0"],
+         "samples must be >= 1"),
+        (["markov-check", "diag2.json", "full2.json", "--epsilon", "0.5", "--samples", "0"],
+         "samples and state_samples must be >= 1"),
+        (["orbit-avg", "m2x1.json", "m2x1.json", "--samples", "0"], "samples must be >= 1"),
+        (["protocol", "stochastic", "m2x1.json", "bell4.json", "--samples", "200",
+          "--shots", "0"], "shots must be >= 1"),
+        (["protocol", "stochastic", "m2x1.json", "bell4.json", "--shots", "0"],
+         "shots must be >= 1"),
+    ])
+    def test_zero_counts_are_refused(self, specdir, capsys, argv, message):
+        argv = [str(specdir / a) if a.endswith(".json") else a for a in argv]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"manlab: ValueError: {message}\n"
 
     def test_dimension_guardrail_cli(self, tmp_path, capsys):
         big = tmp_path / "big.json"

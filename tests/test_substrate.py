@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from manlab.algebras import trivial_algebra
 from manlab.linalg import (
     SuperOperator,
+    _haar_states,
+    _normal_rows,
     dagger,
     haar_state,
     haar_unitary,
@@ -177,16 +179,20 @@ class TestHaarState:
     @pytest.mark.parametrize("d", [2, 3])
     def test_two_design_average(self, d):
         # E[phihat (x) phihat] equals (1 + S)/(d(d+1)); 1e5 samples, 5 sigma.
-        n = 100_000
+        # The states are drawn as stacks of 1e4; on every 997th counter the
+        # stack is checked against haar_state itself.
+        n, chunk = 100_000, 10_000
         exact = symmetric_two_design(d)
         acc = np.zeros((d * d, d * d), dtype=complex)
         acc_sq = np.zeros((d * d, d * d))
         rng = RngStream(515, d)
-        for i in range(n):
-            phi = haar_state(d, rng, i)
-            rho2 = np.outer(np.kron(phi, phi), np.kron(phi, phi).conj())
-            acc += rho2
-            acc_sq += np.abs(rho2) ** 2
+        for start in range(0, n, chunk):
+            phi = _haar_states(_normal_rows(rng, start, start + chunk, 2 * d), d)
+            for i in range(-start % 997, chunk, 997):
+                assert np.array_equal(phi[i], haar_state(d, rng, start + i))
+            pairs = (phi[:, :, None] * phi[:, None, :]).reshape(chunk, d * d)  # phi (x) phi
+            acc += pairs.T @ pairs.conj()
+            acc_sq += (np.abs(pairs.T) ** 2) @ (np.abs(pairs) ** 2)
         mean = acc / n
         se = np.sqrt(np.maximum(acc_sq / n - np.abs(mean) ** 2, 0) / n) + 1e-12
         assert np.all(np.abs(mean - exact) <= 5 * se)
