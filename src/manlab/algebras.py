@@ -305,17 +305,18 @@ def _algebra_from_blocks(d: int, blocks: Sequence[Block]) -> OperatorAlgebra:
 
 
 def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
-    """Orthonormal basis V_J (1_n (x) E_lm) V_J^dag / sqrt(n_J) of sum_J 1_{n_J} (x) M_{d_J}."""
+    """Orthonormal basis V_J (1_n (x) E_lm) V_J^dag / sqrt(n_J) of sum_J 1_{n_J} (x) M_{d_J}.
+
+    Element (l, m) is X_l X_m^dag / sqrt(n_J), X_l the columns p d_J + l of V_J.
+    """
     d = blocks[0].isometry.shape[0]
     out = np.empty((sum(b.d * b.d for b in blocks), d, d), dtype=complex)
     start = 0
     for b in blocks:
-        units = np.eye(b.d * b.d, dtype=complex).reshape(-1, b.d, b.d)  # E_lm at l * d + m
-        # the stacked np.kron(np.eye(n), E_lm) / sqrt(n)
-        core = np.eye(b.n)[:, None, :, None] * units[:, None, :, None, :]
-        core = core.reshape(-1, b.n * b.d, b.n * b.d) / np.sqrt(b.n)
+        x = b.isometry.reshape(d, b.n, b.d).transpose(2, 0, 1)  # x[l] = X_l
         stop = start + b.d * b.d
-        np.matmul(b.isometry @ core, dagger(b.isometry), out=out[start:stop])
+        elements = out[start:stop].reshape(b.d, b.d, d, d)  # a view: (l, m) at l * d_J + m
+        np.matmul((x / np.sqrt(b.n))[:, None], dagger(x)[None], out=elements)
         start = stop
     return out
 
@@ -589,12 +590,13 @@ def _block_leakage(alg, dec: StructuralDecomposition) -> float:
 
 
 def _canonical_block_order(d: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
-    # The ordering of blocks is a free choice; sort on (d_J, n_J, <R>) with a
-    # fixed reference matrix so reports and caches are reproducible.
-    ref = np.diag(np.arange(d) / max(d - 1, 1))
+    # The ordering of blocks is a free choice; sort on (d_J, n_J, Tr(P_J R))
+    # with the fixed diagonal reference R = diag(r) so reports and caches are
+    # reproducible.  Tr(P_J R) = sum_i r_i (P_J)_ii reads only the diagonal.
+    ref = np.arange(d) / max(d - 1, 1)
 
     def key(b: Block):
-        return (b.d, b.n, round(float(np.real(np.trace(b.projector @ ref))), 9))
+        return (b.d, b.n, round(float(np.real(np.diagonal(b.projector)) @ ref), 9))
 
     return tuple(sorted(blocks, key=key))
 

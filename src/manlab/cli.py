@@ -61,16 +61,23 @@ def _log_base(args) -> float:
     return 2.0 if args.log_base == "2" else math.e
 
 
-def _load(path: str, args) -> tuple[AlgebraSpec, OperatorAlgebra]:
-    spec = parse_spec(path, allow_large=args.allow_large)
-    return spec, spec.to_algebra()
-
-
 def _input_entry(path: str, spec: AlgebraSpec, alg: Optional[OperatorAlgebra]) -> dict:
     entry = {"path": path, "label": spec.label(), "dim": spec.dim, "kind": spec.kind}
     if alg is not None:
         entry.update(StructuralSummary.from_algebra(alg).to_dict())
     return entry
+
+
+def _load(args, *paths: str) -> tuple[list[OperatorAlgebra], list[dict], str]:
+    """The algebras of the spec files, their input entries and the "A|B" case label."""
+    algs, inputs, labels = [], [], []
+    for path in paths:
+        spec = parse_spec(path, allow_large=args.allow_large)
+        alg = spec.to_algebra()
+        algs.append(alg)
+        inputs.append(_input_entry(path, spec, alg))
+        labels.append(spec.label())
+    return algs, inputs, "|".join(labels)
 
 
 def _csv_row(case: str, result: dict, seed: int) -> dict:
@@ -185,18 +192,17 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
     cmd = args.command
 
     if cmd == "analyze":
-        spec, alg = _load(args.spec, args)
+        (alg,), inputs, _ = _load(args, args.spec)
         summary = StructuralSummary.from_algebra(alg)
         result = {
             "method": "algebra.analyze",
             **summary.to_dict(),
             "blocks": [{"n": b.n, "d": b.d} for b in alg.decomposition().blocks],
         }
-        return result, [_input_entry(args.spec, spec, alg)], []
+        return result, inputs, []
 
     if cmd == "man":
-        spec_a, a = _load(args.spec_a, args)
-        spec_b, b = _load(args.spec_b, args)
+        (a, b), inputs, case = _load(args, args.spec_a, args.spec_b)
         if args.method == "mc":
             est = protocols.mc_man_direct(
                 a, b, 10_000 if args.samples is None else args.samples, rng
@@ -210,39 +216,29 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
                 "entropy": man_engine.entropy_decomposition_man,
             }[args.method]
             result = fn(a, b, base).to_dict()
-        inputs = [_input_entry(args.spec_a, spec_a, a), _input_entry(args.spec_b, spec_b, b)]
-        case = f"{spec_a.label()}|{spec_b.label()}"
         return result, inputs, [_csv_row(case, result, seed)]
 
     if cmd == "selfman":
-        spec, alg = _load(args.spec, args)
+        (alg,), inputs, case = _load(args, args.spec)
         result = man_engine.self_man(alg, base).to_dict()
-        return result, [_input_entry(args.spec, spec, alg)], [
-            _csv_row(spec.label(), result, seed)
-        ]
+        return result, inputs, [_csv_row(case, result, seed)]
 
     if cmd == "bounds":
-        spec_a, a = _load(args.spec_a, args)
-        spec_b, b = _load(args.spec_b, args)
+        (a, b), inputs, case = _load(args, args.spec_a, args.spec_b)
         record = man_engine.man_bounds(a, b, base)
         result = {"method": "man.bounds", **record}
-        inputs = [_input_entry(args.spec_a, spec_a, a), _input_entry(args.spec_b, spec_b, b)]
-        case = f"{spec_a.label()}|{spec_b.label()}"
         row = _csv_row(case, {"method": "man.bounds", "S": record["S"], "S2": record["S2"],
                               "bounds": record}, seed)
         return result, inputs, [row]
 
     if cmd == "orbit-avg":
-        spec_a, a = _load(args.spec_a, args)
-        spec_b, b = _load(args.spec_b, args)
+        (a, b), inputs, case = _load(args, args.spec_a, args.spec_b)
         value = man_engine.orbit_averaged_man(a, b)
         result = {"method": "man.orbit", "value": value}
         if args.samples is not None:
             result["mc_estimate"] = protocols.mc_orbit_averaged_man(
                 a, b, args.samples, rng
             ).to_dict()
-        inputs = [_input_entry(args.spec_a, spec_a, a), _input_entry(args.spec_b, spec_b, b)]
-        case = f"{spec_a.label()}|{spec_b.label()}"
         return result, inputs, [_csv_row(case, {"method": "man.orbit", "S": value}, seed)]
 
     if cmd == "lattice":
@@ -277,21 +273,14 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
         return result, inputs, [_csv_row(case, result, seed)]
 
     if cmd == "aotoc":
-        spec, alg = _load(args.spec, args)
-        u = parse_matrix_file(args.unitary, expected_dim=spec.dim)
+        (alg,), inputs, case = _load(args, args.spec)
+        u = parse_matrix_file(args.unitary, expected_dim=alg.d)
         result = man_engine.a_otoc(alg, u, base).to_dict()
-        inputs = [_input_entry(args.spec, spec, alg)]
-        return result, inputs, [_csv_row(spec.label(), result, seed)]
+        return result, inputs, [_csv_row(case, result, seed)]
 
     if cmd == "protocol":
-        spec_a, a = _load(args.spec_a, args)
-        b = None
-        inputs = [_input_entry(args.spec_a, spec_a, a)]
-        case = spec_a.label()
-        if args.spec_b:
-            spec_b, b = _load(args.spec_b, args)
-            inputs.append(_input_entry(args.spec_b, spec_b, b))
-            case += f"|{spec_b.label()}"
+        algs, inputs, case = _load(args, *[p for p in (args.spec_a, args.spec_b) if p])
+        a, b = (algs + [None])[:2]
         if args.variant == "choi":
             est = protocols.protocol_choi(a, b, shots=args.shots, rng=rng, log_base=base)
         else:
@@ -302,8 +291,7 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
         return result, inputs, [_csv_row(case, result, seed)]
 
     if cmd == "markov-check":
-        spec_a, a = _load(args.spec_a, args)
-        spec_b, b = _load(args.spec_b, args)
+        (a, b), inputs, _ = _load(args, args.spec_a, args.spec_b)
         if args.epsilon is None:
             raise ManlabError("markov-check requires --epsilon")
         report = protocols.markov_bound_check(
@@ -313,7 +301,6 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
             rng=rng,
         )
         result = {"method": "protocol.markov_check", **report.to_dict()}
-        inputs = [_input_entry(args.spec_a, spec_a, a), _input_entry(args.spec_b, spec_b, b)]
         return result, inputs, []
 
     if cmd == "sweep":

@@ -6,7 +6,9 @@ norm between unitaries of the two algebras, normalized to [0, 1]:
 * ``man_omega``        - 1 - Tr(S Omega_A Omega_B)/d, block by block in O(d^3);
   ``omega_operator`` builds the d^2 x d^2 Omega explicitly as the cross-check
 * ``man_projection``   - 1 - sum_a ||P_B'(e_a)||^2 / d over A's block basis
-* ``man_collinear``    - 1 - Tr_HS(P_A P_B')/d(A), A collinear only
+* ``man_collinear``    - 1 - Tr_HS(P_A P_B')/d(A), A collinear only; the
+  overlap comes block by block in O(d^3), from the same per-pair core as
+  man_omega's trace under another weight
 * ``entropy_decomposition_man`` - average linear-entropy production of the
   per-block compression maps of B under P_A'
 * ``self_man``         - structural formula for S(A:A)
@@ -186,15 +188,15 @@ def omega_operator(alg: OperatorAlgebra, method: str = "blocks") -> OmegaOperato
     return OmegaOperator(omega, d)
 
 
-def _block_swap_trace(blocks_a, blocks_b):
-    """Tr(S Omega_A Omega_B) from the (n, d, isometry) blocks of A and B, in O(d^3).
+def _block_pair_cores(blocks_a, blocks_b):
+    """||N_JK^dag N_JK||_F^2 for every block J of A and K of B, with the block sizes.
 
-    Blocks J of A (V_J) and K of B (W_K) add ||N^dag N||_F^2 / (d_J d_K), N the
-    (n_K d_J) x (d_K n_J) regrouping of W_K^dag V_J; the smaller Gram is formed.
-    Isometries may carry leading batch axes (a stack of B's, say); the trace
-    then has the same leading axes.
+    Yields (n_J, d_J, n_K, d_K, core) for A's blocks (V_J) and B's (W_K);
+    N_JK is the (n_K d_J) x (d_K n_J) regrouping of W_K^dag V_J, read as
+    (n_K, d_K, n_J, d_J), and the smaller of its two Grams is formed, so no
+    object exceeds d x d.  Isometries may carry leading batch axes (a stack
+    of B's, say); the cores then have the same leading axes.
     """
-    total = 0.0
     for n_j, d_j, v in blocks_a:
         for n_k, d_k, w in blocks_b:
             m = dagger(w) @ v
@@ -202,8 +204,32 @@ def _block_swap_trace(blocks_a, blocks_b):
             m = m.reshape(*lead, n_k, d_k, n_j, d_j)
             nm = np.moveaxis(m, -1, -3).reshape(*lead, n_k * d_j, d_k * n_j)
             gram = nm @ dagger(nm) if nm.shape[-2] <= nm.shape[-1] else dagger(nm) @ nm
-            total = total + np.sum(np.abs(gram) ** 2, axis=(-2, -1)) / (d_j * d_k)
-    return total
+            yield n_j, d_j, n_k, d_k, np.sum(np.abs(gram) ** 2, axis=(-2, -1))
+
+
+def _block_swap_trace(blocks_a, blocks_b):
+    """Tr(S Omega_A Omega_B) from the (n, d, isometry) blocks of A and B, in O(d^3).
+
+    Each block pair adds its core with weight 1/(d_J d_K).
+    """
+    return sum(c / (d_j * d_k) for _, d_j, _, d_k, c in _block_pair_cores(blocks_a, blocks_b))
+
+
+def _projection_overlap(
+    a: OperatorAlgebra, b: Optional[OperatorAlgebra] = None
+) -> tuple[float, int]:
+    """(Tr_HS(P_A P_T), dim T) from block data alone: T = B', or T = Z(A) with b omitted.
+
+    B' reads M_{n_K} (x) 1_{d_K} on B's own blocks, and each block pair adds
+    its core with weight 1/(n_J d_K).  Z(A) lies in A, so Tr(P_A P_Z) = dim Z
+    = d_Z and no kernel runs.
+    """
+    if b is None:
+        d_z = a.decomposition().d_Z
+        return float(d_z), d_z
+    cores = _block_pair_cores(_iso_blocks(a), _iso_blocks(b))
+    overlap = float(sum(c / (n_j * d_k) for n_j, _, _, d_k, c in cores))
+    return overlap, b.decomposition().commutant_dim
 
 
 def _iso_blocks(alg: OperatorAlgebra) -> list[tuple[int, int, np.ndarray]]:
@@ -271,14 +297,6 @@ def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0
     )
 
 
-def _hs_overlap(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
-    """Tr_HS(P_A P_B) from the cross Gram matrix of the orthonormal bases."""
-    ra = a.basis.reshape(a.dim, -1)
-    rb = b.basis.reshape(b.dim, -1)
-    gram = ra.conj() @ rb.T
-    return float(np.sum(np.abs(gram) ** 2))
-
-
 def man_collinear(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN of a collinear algebra via projector overlap / projector distance."""
     _check_same_ambient(a, b)
@@ -288,19 +306,18 @@ def man_collinear(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0)
         raise NonCollinearError("man_collinear requires the first algebra to be collinear")
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
-    b_comm = b.commutant_algebra()
-    overlap = _hs_overlap(a, b_comm)
+    overlap, comm_dim = _projection_overlap(a, b)
     s = clamp_unit(1.0 - overlap / a.dim)
     extras = {"hs_overlap": overlap}
-    if a.dim == b_comm.dim:
-        dist_sq = a.dim + b_comm.dim - 2.0 * overlap
+    if a.dim == comm_dim:
+        dist_sq = a.dim + comm_dim - 2.0 * overlap
         s_dist = clamp_unit(dist_sq / (2.0 * a.dim))
         if abs(s_dist - s) > FORMULA_TOL:
             raise NumericalConsistencyError(
                 f"distance form {s_dist} disagrees with overlap form {s}"
             )
         extras["distance_form"] = s_dist
-    inter = algebra_intersection(a, b_comm).dim
+    inter = algebra_intersection(a, b.commutant_algebra()).dim
     return ManReport(
         S=s,
         S2=log_man(s, log_base),

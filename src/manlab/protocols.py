@@ -40,7 +40,7 @@ from .errors import (
     NonCollinearError,
 )
 from .linalg import _haar_states, _haar_unitaries, _normal_rows, dagger
-from .man import _block_swap_trace, _iso_blocks, clamp_unit, man_omega
+from .man import _block_swap_trace, _iso_blocks, _projection_overlap, clamp_unit, man_omega
 from .rng import RngStream
 
 # Sub-stream roles, so one user seed drives independent draw families.
@@ -107,6 +107,7 @@ class AlgebraState:
 
 
 def algebra_state(alg: OperatorAlgebra) -> AlgebraState:
+    """The d^2 x d^2 Choi state of P_A: the oracle behind protocol_choi's block overlaps."""
     return AlgebraState(alg.projection_superoperator().choi(), alg.d)
 
 
@@ -148,10 +149,16 @@ def mc_man_direct(
     )
 
 
-def _require_collinear(alg: OperatorAlgebra) -> None:
-    coll, _ = is_collinear(alg.decomposition())
+def _self_mode(a: OperatorAlgebra, b: Optional[OperatorAlgebra]) -> bool:
+    """Check a protocol's inputs; True for the self variant (b omitted or b is a)."""
+    coll, _ = is_collinear(a.decomposition())
     if not coll:
         raise NonCollinearError("protocol requires the first algebra to be collinear")
+    if b is None or b is a:
+        return True
+    if a.d != b.d:
+        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    return False
 
 
 def _swap_tests(values: np.ndarray, shots: int, gen: np.random.Generator):
@@ -176,30 +183,25 @@ def protocol_choi(
 
     With b omitted this is the self variant: the numerator becomes the purity
     of the center's algebra state.  shots=None evaluates the swap expectations
-    exactly; otherwise each is a binomial swap-test simulation.
+    exactly; otherwise each is a binomial swap-test simulation.  The algebra
+    states are Choi states of the HS projections, so the swap expectations
+    are Tr(P_A P_T)/d^2 and d(A)/d^2: both come from block data, and no
+    state is built.
     """
-    _require_collinear(a)
-    self_mode = b is None or b is a
-    if self_mode:
-        target = center(a)
-    else:
-        if a.d != b.d:
-            raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
-        target = b.commutant_algebra()
-    omega_a = algebra_state(a)
-    omega_t = algebra_state(target)
-    num = float(np.real(np.sum(omega_a.rho * omega_t.rho.T)))
-    den = omega_a.purity()
+    self_mode = _self_mode(a, b)
+    overlap, target_dim = _projection_overlap(a, None if self_mode else b)
+    num = overlap / a.d**2
+    den = a.dim / a.d**2
     extras = {
         "numerator": num,
         "denominator": den,
-        "target_dim": target.dim,
+        "target_dim": target_dim,
         "self_mode": self_mode,
     }
     if self_mode:
         # algebra-state purities are d(X)/d^2 exactly, so the Renyi-2 gap is
         # log(d(A)/d(Z)); from the dimensions it carries no rounding
-        extras["nc2"] = math.log(a.dim / target.dim) / math.log(log_base)
+        extras["nc2"] = math.log(a.dim / target_dim) / math.log(log_base)
     if shots is None:
         s = clamp_unit(1.0 - num / den)
         return EstimatorResult(
@@ -238,25 +240,13 @@ def protocol_stochastic(
     The b=None self variant replaces the numerator by the center's average
     state purity.
     """
-    _require_collinear(a)
+    self_mode = _self_mode(a, b)
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")
-    self_mode = b is None or b is a
-    if self_mode:
-        target = center(a)
-    else:
-        if a.d != b.d:
-            raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
-        target = b.commutant_algebra()
     d = a.d
     offset = 1.0 / (d + 1)
     if samples is None:
-        ra = a.basis.reshape(a.dim, -1)
-        rt = target.basis.reshape(target.dim, -1)
-        if self_mode:
-            cross = float(target.dim)
-        else:
-            cross = float(np.sum(np.abs(ra.conj() @ rt.T) ** 2))
+        cross, _ = _projection_overlap(a, None if self_mode else b)
         e_num = (cross + d) / (d * (d + 1))
         e_den = (a.dim + d) / (d * (d + 1))
         s = clamp_unit(1.0 - (e_num - offset) / (e_den - offset))
@@ -271,6 +261,7 @@ def protocol_stochastic(
         raise ValueError("sampled mode needs samples >= 2")
     if rng is None:
         raise ValueError("sampled mode needs an RngStream")
+    target = center(a) if self_mode else b.commutant_algebra()
     rng_states = rng.substream(_STREAM_STATES)
     xy = np.empty((samples, 2))
     for start, stop in _chunks(samples, d * d):

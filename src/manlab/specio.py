@@ -34,10 +34,10 @@ from .errors import SpecFileError
 
 KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 
-# d^4-sized superoperator objects grow fast; refuse larger ambients unless
-# explicitly overridden.  Still d^4: the HS projectors of algebras_equal and
-# the Choi states of algebra_state (protocol choi).  algebra_intersection is
-# no longer one: it works from principal angles between the two bases.
+# Refuse larger ambients unless explicitly overridden.  No command builds a
+# d^2 x d^2 superoperator any more: protocol choi reads its overlaps from block
+# data, and only the oracles (algebras_equal, algebra_state) are d^4.  Dense
+# algebra bases still take dim(A) d^2 entries, d^4 for the full algebra.
 MAX_AMBIENT_DIM = 64
 
 

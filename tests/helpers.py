@@ -128,11 +128,12 @@ def concordance_pairs() -> list[tuple[str, OperatorAlgebra, OperatorAlgebra]]:
     return pairs
 
 
-# -- structure-solver references ------------------------------------------------
+# -- structure-solver and overlap references -----------------------------------
 #
-# The dense forms the structure solver replaced: the closure that multiplies
-# every pair of basis elements each round, and the intersection as the joint
-# nullspace of the two d^2 x d^2 HS-projector complements.
+# The dense forms the block-data engine replaced: the closure that multiplies
+# every pair of basis elements each round, the intersection as the joint
+# nullspace of the two d^2 x d^2 HS-projector complements, and the projector
+# overlap as a cross Gram of two bases.
 
 
 def ref_algebra_from_generators(gens, d: int) -> OperatorAlgebra:
@@ -157,6 +158,17 @@ def ref_algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> Operator
     _, s, vh = np.linalg.svd(np.concatenate([eye - pa, eye - pb], axis=0))
     keep = s <= RANK_RTOL * max(s[0], 1.0)
     return OperatorAlgebra(a.d, vh[keep].conj().reshape(-1, a.d, a.d))
+
+
+def ref_hs_overlap(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
+    """Tr_HS(P_A P_B) from the dim(A) x dim(B) cross Gram of the orthonormal bases.
+
+    The dense form the block overlap kernel replaced in man_collinear and in
+    the exact protocol modes.
+    """
+    ra = a.basis.reshape(a.dim, -1)
+    rb = b.basis.reshape(b.dim, -1)
+    return float(np.sum(np.abs(ra.conj() @ rb.T) ** 2))
 
 
 # -- per-sample reference loops ------------------------------------------------

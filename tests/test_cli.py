@@ -17,6 +17,9 @@ from manlab import cli
 from manlab.algebras import structural_algebra
 from manlab.cli import run
 from manlab.errors import SpecFileError
+from manlab.linalg import haar_unitary
+from manlab.man import man_omega
+from manlab.rng import RngStream
 from manlab.specio import (
     parse_matrix_file,
     parse_spec,
@@ -287,6 +290,34 @@ class TestNoOmegaInProduction:
         assert abs(mc["estimate"] - 0.6) <= 5 * mc["std_error"]
 
 
+class TestNoDenseOverlapInProduction:
+    # Tr(P_A P_B') comes from block data: no HS projector and no Choi state;
+    # the exact protocol modes build neither B' nor the center either
+    def test_overlap_routes_build_no_dense_objects(self, specdir, capsys, monkeypatch):
+        def forbid(name):
+            def forbidden(*args, **kwargs):
+                raise AssertionError(f"{name} called by an overlap route")
+            return forbidden
+
+        monkeypatch.setattr("manlab.linalg.SuperOperator.hs_projection",
+                            forbid("SuperOperator.hs_projection"))
+        monkeypatch.setattr("manlab.protocols.algebra_state", forbid("algebra_state"))
+        m2x1, bell4 = str(specdir / "m2x1.json"), str(specdir / "bell4.json")
+        res = _run_json(capsys, ["man", m2x1, bell4, "--method", "collinear"])["result"]
+        assert abs(res["S"] - 0.75) < 1e-12
+
+        monkeypatch.setattr("manlab.algebras.OperatorAlgebra.commutant_algebra",
+                            forbid("commutant_algebra"))
+        monkeypatch.setattr("manlab.protocols.center", forbid("center"))
+        for argv in (["choi", m2x1, bell4], ["choi", m2x1],
+                     ["stochastic", m2x1, bell4], ["stochastic", m2x1]):
+            res = _run_json(capsys, ["protocol", *argv])["result"]
+            assert abs(res["estimate"] - 0.75) < 1e-12, argv
+        res = _run_json(capsys, ["protocol", "choi", m2x1, bell4, "--shots", "4000",
+                                 "--seed", "3"])["result"]
+        assert abs(res["estimate"] - 0.75) <= 5 * res["std_error"]
+
+
 class TestNoCommutantSolveInProduction:
     # a generators spec gets its commutant and center from its own blocks
     def test_generators_commands_never_solve_a_commutant(self, specdir, tmp_path, capsys,
@@ -477,6 +508,45 @@ class TestKrylovClosureMemory:
         result = json.loads(proc.stdout)["result"]
         want = 1.0 - sum(n / dj for n, dj in blocks) / 32
         assert abs(result["S"] - want) <= 1e-9
+
+
+class TestProtocolChoiMemory:
+    # d = 64 collinear pair in Haar position: two d^2 x d^2 Choi states need
+    # about 1.1 GiB peak RSS; the block overlap needs only d x d objects
+    def test_d64_protocol_choi_stays_small(self, tmp_path):
+        specs = []
+        for name, blocks, seed in (("a", [(4, 4)] * 4, 1), ("b", [(16, 2), (8, 4)], 2)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "dim": 64, "kind": "structural", "blocks": [list(b) for b in blocks],
+                "basis_change": _matrix_payload(haar_unitary(64, RngStream(seed))),
+            }))
+            specs.append(str(path))
+        code = (
+            "import contextlib, io, json, resource, sys\n"
+            "from manlab import cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = cli.run(sys.argv[1:])\n"
+            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps({'code': code, 'report': out.getvalue(), 'peak_rss_mib': rss}))\n"
+        )
+        src = os.path.dirname(os.path.dirname(manlab.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "protocol", "choi", *specs],
+            env=env, capture_output=True, text=True, timeout=600,
+            preexec_fn=_cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        usage = json.loads(proc.stdout)
+        assert usage["code"] == 0, proc.stderr
+        result = json.loads(usage["report"])["result"]
+        a = structural_algebra([(4, 4)] * 4, haar_unitary(64, RngStream(1)))
+        b = structural_algebra([(16, 2), (8, 4)], haar_unitary(64, RngStream(2)))
+        assert abs(result["estimate"] - man_omega(a, b).S) <= 1e-9
+        assert usage["peak_rss_mib"] < 100, usage
 
 
 class TestCsv:

@@ -27,6 +27,7 @@ from manlab.linalg import _haar_unitary_from_generator, dagger, swap_operator, s
 from manlab.man import (
     ManReport,
     StructuralSummary,
+    _projection_overlap,
     a_otoc,
     clamp_unit,
     entropy_decomposition_man,
@@ -56,6 +57,7 @@ from helpers import (
     fourier_basis,
     random_matrix,
     random_unitary,
+    ref_hs_overlap,
     symmetric_operator_algebra,
 )
 
@@ -175,6 +177,52 @@ class TestManOmega:
             res = mc_orbit_averaged_man(a, b, 5, rng)
             assert abs(res.estimate - np.mean(vals)) <= 1e-12, name
             assert abs(res.std_error - np.std(vals, ddof=1) / math.sqrt(5)) <= 1e-12, name
+
+
+class TestBlockOverlap:
+    # Tr(P_A P_B') block by block against the dense cross Gram of A and B'
+    @staticmethod
+    def _check(a, b, label):
+        b_comm = b.commutant_algebra()
+        want = ref_hs_overlap(a, b_comm)
+        got, dim = _projection_overlap(a, b)
+        assert abs(got - want) <= 1e-12 * max(1.0, want), label
+        assert dim == b_comm.dim, label
+
+    @pytest.mark.parametrize("blocks_a, blocks_b", [
+        ([(1, 2), (2, 1)], [(1, 1), (3, 1)]),  # A non-collinear
+        ([(2, 3), (1, 2)], [(4, 1), (2, 2)]),  # A non-collinear, n_J != d_J
+        ([(3, 1), (1, 3)], [(2, 3)]),
+        ([(2, 4), (1, 2)], [(1, 4), (3, 2)]),  # A collinear with n_J/d_J = 1/2
+        ([(4, 2), (2, 1)], [(5, 2)]),  # A collinear with n_J/d_J = 2
+    ])
+    def test_rotated_structural_pairs(self, blocks_a, blocks_b):
+        d = sum(n * dj for n, dj in blocks_a)
+        a = structural_algebra(blocks_a, basis_change=random_unitary(d, 71))
+        b = structural_algebra(blocks_b, basis_change=random_unitary(d, 72))
+        self._check(a, b, f"{blocks_a}|{blocks_b}")
+        self._check(b, a, f"{blocks_b}|{blocks_a}")
+
+    def test_generators_algebras(self):
+        # blocks solved by the structure solver, in Haar position
+        ref_a = structural_algebra([(1, 2), (2, 2)], basis_change=random_unitary(6, 901))
+        ref_b = structural_algebra([(2, 1), (1, 4)], basis_change=random_unitary(6, 902))
+        a = algebra_from_generators([ref_a.project(random_matrix(6, s)) for s in (1, 2)], 6)
+        b = algebra_from_generators([ref_b.project(random_matrix(6, s)) for s in (3, 4)], 6)
+        self._check(a, b, "generators")
+        self._check(b, a, "generators, swapped")
+
+    def test_fixture_pairs(self):
+        # masa, lattice, full, trivial and solved (symmetric) algebras
+        for name, a, b in concordance_pairs():
+            self._check(a, b, name)
+
+    def test_self_mode_is_center_dimension(self):
+        pairs = concordance_pairs()
+        for name, a in [(n, a) for n, a, _ in pairs] + [("sym", symmetric_operator_algebra())]:
+            d_z = a.decomposition().d_Z
+            assert _projection_overlap(a) == (float(d_z), d_z), name
+            assert abs(ref_hs_overlap(a, algebras.center(a)) - d_z) <= 1e-12, name
 
 
 class TestScale:
