@@ -14,6 +14,7 @@ import argparse
 import numpy as np
 
 from manlab.algebras import lattice_algebra, masa_from_unitary
+from manlab.errors import IllConditionedEstimatorError
 from manlab.man import man_collinear
 from manlab.protocols import mc_man_direct, protocol_choi, protocol_stochastic
 from manlab.rng import RngStream
@@ -38,13 +39,19 @@ def main():
 
     print(f"{'effort':>8} {'direct oracle':>22} {'protocol 1 (shots)':>22} {'protocol 2 (states)':>22}")
     for effort in (100, 1000, 10_000):
-        direct = mc_man_direct(a, b, effort, rng.substream(1))
-        choi = protocol_choi(a, b, shots=effort, rng=rng.substream(2))
-        stoch = protocol_stochastic(a, b, samples=effort, rng=rng.substream(3))
-        print(f"{effort:>8}"
-              f" {direct.estimate:>12.6f} ± {direct.std_error:<7.5f}"
-              f" {choi.estimate:>12.6f} ± {choi.std_error:<7.5f}"
-              f" {stoch.estimate:>12.6f} ± {stoch.std_error:<7.5f}")
+        direct = _cell(mc_man_direct, a, b, effort, rng.substream(1))
+        choi = _cell(protocol_choi, a, b, shots=effort, rng=rng.substream(2))
+        stoch = _cell(protocol_stochastic, a, b, samples=effort, rng=rng.substream(3))
+        print(f"{effort:>8}{direct}{choi}{stoch}")
+
+
+def _cell(estimator, *args, **kwargs) -> str:
+    """One table cell: estimate ± std error, or a note when the ratio is ill-conditioned."""
+    try:
+        result = estimator(*args, **kwargs)
+    except IllConditionedEstimatorError:
+        return f" {'ill-conditioned':>22}"
+    return f" {result.estimate:>12.6f} ± {result.std_error:<7.5f}"
 
 
 if __name__ == "__main__":

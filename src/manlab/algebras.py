@@ -6,16 +6,18 @@ into blocks C^{n_J} (x) C^{d_J} on which the algebra acts as 1_{n_J} (x)
 M_{d_J}; the commutant acts as M_{n_J} (x) 1_{d_J}.  Everything downstream
 (omega operators, projection maps, protocol simulators) is driven by this data.
 
-Every named algebra (full, trivial, masa, structural, lattice) and every
-commutant is born from its blocks in _algebra_from_blocks: the basis is built
-from the isometries and the decomposition is cached at once.  Only algebras
-given by generators or by a bare basis run the structure solver, which works
-in the algebra's own coordinates: generators are closed Krylov-style, the
-center is solved inside A (a 2d^2 x dim(A) system), and intersections come
-from principal angles between the two bases.  No product stack of size
-dim(A)^2, commutant system or d^4 projector is formed.  compute_commutant and
-the HS projectors (projection_superoperator, algebras_equal) stay as
-cross-check oracles.
+Every named algebra (full, trivial, masa, structural, lattice), every
+commutant and every center is born from its blocks in _algebra_from_blocks:
+the basis is built from the isometries and the decomposition is cached at
+once.  Generators, and an algebra given by a bare basis, reach their blocks
+through the spectral solve (_compute_decomposition): the eigenspaces of one
+generic hermitian element, linked by the letters (the unit-norm generators and
+their adjoints, or the basis elements), give the blocks, polar factors along
+a spanning tree give the isometries, and every letter is checked to read
+sum_J 1_{n_J} (x) X_J.  No closure, center system or per-element restriction
+is formed.  Intersections come from principal angles between the two bases.
+compute_commutant and the HS projectors (projection_superoperator,
+algebras_equal) stay as cross-check oracles.
 
 Values are immutable after construction.  The lazy caches are write-once and
 idempotent, so algebras are safe to share read-only across workers:
@@ -27,43 +29,52 @@ back so A'' is A) and block bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
-from typing import Iterable, Optional, Sequence
+from math import prod
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import AlgebraError, DecompositionError
 from .linalg import (
-    RANK_RTOL,
     SuperOperator,
     _haar_unitaries,
     _normal_rows,
     dagger,
     nullspace,
-    orthonormalize_hs,
+    orthonormalize_hs,  # noqa: F401  (held here for perfbench/tracer.py)
     swap_operator,
 )
 from .rng import RngStream
 
 # Residual tolerance for "X belongs to the algebra" checks.
 MEMBERSHIP_TOL = 1e-9
-# Tolerance for validating that an isometry block-diagonalizes the algebra.
+# Tolerance for validating that an isometry block-diagonalizes the algebra;
+# its square bounds the link weight of two eigenspaces in different blocks.
 ISO_TOL = 1e-8
-# Relative eigenvalue-gap threshold when clustering spectra of random
-# central/block elements; separates exact degeneracy from generic splitting.
+# Relative eigenvalue-gap threshold when clustering the spectrum of a generic
+# element; separates exact degeneracy from generic splitting.
 CLUSTER_RTOL = 1e-7
 # Two algebras are equal when their HS projectors differ by less than this.
 EQUALITY_TOL = 1e-8
 
-# Fixed streams for the randomness internal to decompose() (block draws) and
-# to the generating pair of compute_commutant() and the center solve;
-# constants keep both reproducible without threading a seed through every call.
+# Fixed streams for the randomness internal to decompose() (the generic
+# element) and to the generating pair of compute_commutant(); constants keep
+# both reproducible without threading a seed through every call.
 _DECOMPOSE_RNG = RngStream(seed=0x5CA1AB1E, stream=911)
 _COMMUTANT_RNG = RngStream(seed=0x5CA1AB1E, stream=912)
 
 
 class _RetryDraw(Exception):
     """Internal: a random draw in decompose() was degenerate; try again."""
+
+
+class _Letters(NamedTuple):
+    """What the structure solve reads: the letters, a (k, d, d) stack of unit
+    HS norm, and dim(A) when they are a basis of A (None for generators)."""
+
+    d: int
+    letters: np.ndarray
+    dim: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -187,7 +198,8 @@ class OperatorAlgebra:
 
     def decomposition(self, rng: Optional[RngStream] = None) -> StructuralDecomposition:
         if self._decomposition is None:
-            self._decomposition = _compute_decomposition(self, rng or _DECOMPOSE_RNG)
+            letters = _Letters(self.d, self.basis, self.dim)  # the basis elements are the letters
+            self._decomposition = _compute_decomposition(letters, rng or _DECOMPOSE_RNG)
         return self._decomposition
 
     def block_bases(self) -> BlockBases:
@@ -210,14 +222,10 @@ class OperatorAlgebra:
 def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgebra:
     """Smallest hermitian-closed unital algebra containing the generators.
 
-    Krylov closure over the letters, the generators and their adjoints each
-    scaled to unit HS norm.  The words of length <= L+1 span the words of
-    length <= L plus the letters times the words new at length L, so a round
-    multiplies only the directions the round before found.  The basis is
-    projected out of those products twice (Gram-Schmidt with
-    re-orthogonalization), and the residual directions with singular value
-    above RANK_RTOL (against unit scale) join the basis.  The dimension
-    strictly grows each round, so d^2 rounds bound the loop.
+    The letters are the generators and their adjoints, each scaled to unit HS
+    norm.  The spectral solve (_compute_decomposition) finds the blocks
+    (n_J, d_J, V_J) from the letters alone, and the algebra is born from
+    them; no basis of A is formed on the way.
     """
     letters = []
     for g in gens:
@@ -227,22 +235,9 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
         norm = np.linalg.norm(g)
         if norm > 0:
             letters += [g / norm, dagger(g) / norm]
-    basis = np.eye(d, dtype=complex).reshape(1, d * d) / np.sqrt(d)
-    new = basis
-    for _ in range(d * d + 1):
-        if not letters or not len(new):
-            break
-        products = (np.stack(letters)[:, None] @ new.reshape(1, -1, d, d)).reshape(-1, d * d)
-        for _ in range(2):
-            products -= (products @ basis.conj().T) @ basis
-        if np.linalg.norm(products) <= RANK_RTOL:
-            break  # every singular value is at most the Frobenius norm: nothing new
-        _, s, vh = np.linalg.svd(products, full_matrices=False)
-        new = vh[s > RANK_RTOL]
-        basis = np.concatenate([basis, new])
-    else:
-        raise AlgebraError("product closure did not stabilize within d^2 rounds")
-    return OperatorAlgebra(d, basis.reshape(-1, d, d))
+    stack = np.stack(letters) if letters else np.empty((0, d, d), dtype=complex)
+    dec = _compute_decomposition(_Letters(d, stack, None), _DECOMPOSE_RNG)
+    return _algebra_from_blocks(d, dec.blocks)
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -406,18 +401,6 @@ def _generating_pair(alg: OperatorAlgebra) -> list[np.ndarray]:
     return pair
 
 
-def _center_in_algebra(alg: OperatorAlgebra) -> OperatorAlgebra:
-    """Z(A) in A's own coordinates: X = sum_k c_k b_k with [X, h_1] = [X, h_2] = 0.
-
-    h_1, h_2 generate A (see compute_commutant), so these X are exactly the
-    central elements; the system is 2d^2 x dim(A).
-    """
-    d, k = alg.d, alg.dim
-    columns = [(alg.basis @ h - h @ alg.basis).reshape(k, -1).T for h in _generating_pair(alg)]
-    coeffs = nullspace(np.concatenate(columns, axis=0), scale=1.0)
-    return OperatorAlgebra(d, (coeffs @ alg.basis.reshape(k, -1)).reshape(-1, d, d))
-
-
 def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     return alg.commutant_algebra()
 
@@ -442,7 +425,9 @@ def algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlge
 
 
 def center(alg: OperatorAlgebra) -> OperatorAlgebra:
-    return algebra_intersection(alg, alg.commutant_algebra())
+    """Z(A) = sum_J C P_J, born from A's blocks as the scalar blocks (n_J d_J, 1) on V_J."""
+    blocks = [Block(b.n * b.d, 1, b.projector, b.isometry) for b in alg.decomposition().blocks]
+    return _algebra_from_blocks(alg.d, blocks)
 
 
 def algebras_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float = EQUALITY_TOL) -> bool:
@@ -458,35 +443,39 @@ def decompose(alg: OperatorAlgebra, rng: Optional[RngStream] = None) -> Structur
     return alg.decomposition(rng)
 
 
-def _compute_decomposition(alg, rng, max_attempts: int = 12) -> StructuralDecomposition:
-    """Blocks from a generic central element, then matrix units per block.
+def _compute_decomposition(alg: _Letters, rng, max_attempts: int = 12) -> StructuralDecomposition:
+    """Blocks from the spectral solve, accepted only when every letter proves them.
 
-    The checks prove A = sum_J 1_{n_J} (x) M_{d_J}: each basis element has
-    that form on every block (_validate_block_form) and nothing between
-    blocks (leakage), and the dimensions match.  A wrong center, from a
-    degenerate draw of h_1 and h_2, fails them on every attempt and ends in
-    DecompositionError.
+    Attempt i (_decompose_attempt) draws from rng.generator(i).  Its blocks
+    are accepted when they fill the space, match dim(A) when it is known,
+    and every letter reads sum_J 1_{n_J} (x) X_J in their coordinates with
+    nothing between blocks.  Then A lies in sum_J 1_{n_J} (x) M_{d_J}; the
+    eigenprojections and transports that built the blocks lie in A and give
+    every matrix unit, so the two are equal.  A non-generic draw fails these
+    checks, and the last failure is reported in DecompositionError.
     """
     d = alg.d
-    center_alg = _center_in_algebra(alg)
-    d_z = center_alg.dim
     last_failure = "no attempt made"
     for attempt in range(max_attempts):
         gen = rng.generator(attempt)
         try:
-            blocks = _decompose_attempt(alg, center_alg, d_z, gen)
+            blocks = _decompose_attempt(alg, gen)
         except _RetryDraw as exc:
             last_failure = str(exc)
             continue
         dec = StructuralDecomposition(d, _canonical_block_order(d, blocks))
-        if dec.algebra_dim != alg.dim:
+        if alg.dim is not None and dec.algebra_dim != alg.dim:
             last_failure = "dimension bookkeeping mismatch"
             continue
         if sum(b.n * b.d for b in dec.blocks) != d:
             last_failure = "block sizes do not fill the space"
             continue
-        if _block_leakage(alg, dec) > ISO_TOL:
-            last_failure = "algebra elements leak between central blocks"
+        leak, form = _letter_residuals(alg.letters, dec)
+        if leak > ISO_TOL:
+            last_failure = "letters leak between central blocks"
+            continue
+        if form > ISO_TOL:
+            last_failure = "letters are not of the form 1_n (x) X on a block"
             continue
         return dec
     raise DecompositionError(
@@ -494,33 +483,90 @@ def _compute_decomposition(alg, rng, max_attempts: int = 12) -> StructuralDecomp
     )
 
 
-def _decompose_attempt(alg, center_alg, d_z, gen):
-    d = alg.d
-    c = _random_hermitian(center_alg.basis, gen)
-    evals, evecs = np.linalg.eigh(c)
-    clusters = _cluster_indices(evals)
-    if len(clusters) != d_z:
-        raise _RetryDraw(f"center element produced {len(clusters)} clusters, need {d_z}")
+def _decompose_attempt(alg: _Letters, gen) -> tuple[Block, ...]:
+    """Candidate blocks from the eigenspaces of one generic hermitian h in A.
+
+    The eigenspaces Q_a of h have dimension n_J, d_J of them per block.  Two
+    lie in one block when some letter l links them (Q_a^dag l Q_b != 0): the
+    letters generate A, so the components of that graph are the blocks.  On
+    a maximum spanning tree of the link weights, the frame R_b of eigenspace
+    b is the polar factor of (Q_a R_a)^dag l Q_b for its parent a and the
+    strongest letter l on the edge; the frames Q_a R_a are the columns of V_J.
+    """
+    evals, evecs = np.linalg.eigh(_generic_element(alg, gen))
+    clusters = _cluster_indices(evals)  # contiguous runs of the sorted spectrum
+    starts = [c[0] for c in clusters]
+    compressed = dagger(evecs) @ alg.letters @ evecs  # the letters in h's eigenbasis
+    weight = np.sum(np.abs(compressed) ** 2, axis=0)
+    weight = np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1)
     blocks = []
-    for cluster in clusters:
-        v = evecs[:, cluster]
-        m = v.shape[1]
-        restricted = [dagger(v) @ b @ v for b in alg.basis]
-        local_basis = orthonormalize_hs(restricted)
-        dj = isqrt(len(local_basis))
-        if dj * dj != len(local_basis) or m % dj != 0:
-            raise _RetryDraw("restricted algebra dimension is not a perfect square")
-        nj = m // dj
-        units = _matrix_unit_isometry(local_basis, nj, dj, gen)
-        iso = v @ units
-        _validate_block_form(alg, iso, nj, dj)
-        blocks.append(Block(nj, dj, v @ dagger(v), iso))
+    rest = list(range(len(clusters)))
+    while rest:
+        tree = [rest.pop(0)]
+        frames = [np.eye(len(clusters[tree[0]]), dtype=complex)]
+        while rest:
+            links = weight[np.ix_(tree, rest)]
+            i, j = np.unravel_index(np.argmax(links), links.shape)
+            if links[i, j] <= ISO_TOL**2:
+                break
+            a, b = clusters[tree[i]], clusters[rest[j]]
+            if len(b) != len(a):
+                raise _RetryDraw("eigenspaces of one block differ in dimension")
+            transports = compressed[:, a][:, :, b]  # Q_a^dag l Q_b for every letter l
+            best = np.argmax(np.linalg.norm(transports, axis=(1, 2)))
+            u, _, vh = np.linalg.svd(dagger(frames[i]) @ transports[best])
+            frames.append(dagger(u @ vh))
+            tree.append(rest.pop(j))
+        # column p d_J + l is column p of the l-th frame
+        iso = np.stack([evecs[:, clusters[a]] @ f for a, f in zip(tree, frames)], axis=2)
+        iso = iso.reshape(alg.d, -1)
+        blocks.append(Block(len(frames[0]), len(tree), iso @ dagger(iso), iso))
     return tuple(blocks)
 
 
+def _letter_residuals(letters: np.ndarray, dec: StructuralDecomposition) -> tuple[float, float]:
+    """Worst HS norms, over the letters, of the parts between blocks and of the
+    parts off the form 1_n (x) X within a block, in the blocks' coordinates."""
+    v = np.concatenate([b.isometry for b in dec.blocks], axis=1)  # unitary once blocks fill
+    w = dagger(v) @ letters @ v
+    ideal = np.zeros_like(w)
+    start = 0
+    for b in dec.blocks:
+        stop = start + b.n * b.d
+        x = w[:, start:stop, start:stop].reshape(-1, b.n, b.d, b.n, b.d)
+        ideal[:, start:stop, start:stop] = np.kron(np.eye(b.n), np.einsum("kplpm->klm", x) / b.n)
+        start = stop
+    labels = np.repeat(np.arange(dec.d_Z), [b.n * b.d for b in dec.blocks])
+    within = labels[:, None] == labels[None, :]
+    sq = np.abs(w - ideal) ** 2
+    return tuple(float(np.sqrt(np.max(np.sum(sq[:, m], axis=1), initial=0.0)))
+                 for m in (~within, within))
+
+
+def _generic_element(alg: _Letters, gen) -> np.ndarray:
+    """A generic hermitian element of A, drawn from gen.
+
+    Letters that are a basis span A, so a random combination of them is
+    generic.  Generators span A only with their products, so the element
+    adds short words: the hermitian part of x + x y + x y z for random
+    combinations x, y, z of the letters.
+    """
+    if alg.dim is not None:
+        return _random_hermitian(alg.letters, gen)
+    m = word = _random_combination(alg.letters, gen)
+    for _ in range(2):
+        word = word @ _random_combination(alg.letters, gen)
+        m = m + word
+    return (m + dagger(m)) / 2
+
+
+def _random_combination(letters, gen) -> np.ndarray:
+    coeffs = gen.standard_normal(len(letters)) + 1j * gen.standard_normal(len(letters))
+    return np.tensordot(coeffs, np.asarray(letters), axes=1)
+
+
 def _random_hermitian(basis, gen):
-    coeffs = gen.standard_normal(len(basis)) + 1j * gen.standard_normal(len(basis))
-    m = np.tensordot(coeffs, np.asarray(basis), axes=1)
+    m = _random_combination(basis, gen)
     return (m + dagger(m)) / 2
 
 
@@ -537,56 +583,6 @@ def _cluster_indices(evals: np.ndarray) -> list[list[int]]:
         else:
             clusters[-1].append(i)
     return clusters
-
-
-def _matrix_unit_isometry(local_basis, nj, dj, gen):
-    """Orthonormal block coordinates in which the algebra reads 1_n (x) M_d.
-
-    Spectral projections Q_1..Q_d of a generic hermitian algebra element each
-    have rank n; Q_l x Q_1 for a generic algebra element x is full rank, and
-    its polar isometry transports the basis of range(Q_1) to range(Q_l).
-    """
-    m = nj * dj
-    if dj == 1:
-        return np.eye(m, dtype=complex)
-    h = _random_hermitian(local_basis, gen)
-    evals, evecs = np.linalg.eigh(h)
-    clusters = _cluster_indices(evals)
-    if len(clusters) != dj or any(len(c) != nj for c in clusters):
-        raise _RetryDraw("block element spectrum did not split into d_J level sets")
-    q = [evecs[:, c] for c in clusters]
-    coeffs = gen.standard_normal(len(local_basis)) + 1j * gen.standard_normal(len(local_basis))
-    x = np.tensordot(coeffs, np.asarray(local_basis), axes=1)
-    columns = [q[0]]
-    for l in range(1, dj):
-        t = q[l] @ (dagger(q[l]) @ x @ q[0])
-        u, s, vh = np.linalg.svd(t, full_matrices=False)
-        if s[-1] <= RANK_RTOL * max(s[0], 1.0):
-            raise _RetryDraw("transport operator between level sets is rank-deficient")
-        columns.append(u @ vh)
-    iso = np.empty((m, m), dtype=complex)
-    for l, w in enumerate(columns):
-        for p in range(nj):
-            iso[:, p * dj + l] = w[:, p]
-    return iso
-
-
-def _validate_block_form(alg, iso, nj, dj):
-    for b in alg.basis:
-        w = (dagger(iso) @ b @ iso).reshape(nj, dj, nj, dj)
-        mean = np.einsum("plpm->lm", w) / nj
-        ideal = np.einsum("pq,lm->plqm", np.eye(nj), mean)
-        if np.linalg.norm(w - ideal) > ISO_TOL:
-            raise _RetryDraw("isometry does not block-diagonalize the algebra")
-
-
-def _block_leakage(alg, dec: StructuralDecomposition) -> float:
-    """max over the basis of ||b - sum_J P_J b P_J||, read in the blocks' coordinates."""
-    v = np.concatenate([b.isometry for b in dec.blocks], axis=1)  # unitary once blocks fill
-    w = dagger(v) @ alg.basis @ v
-    labels = np.repeat(np.arange(dec.d_Z), [b.n * b.d for b in dec.blocks])
-    w[:, labels[:, None] == labels[None, :]] = 0
-    return float(np.max(np.linalg.norm(w, axis=(1, 2))))
 
 
 def _canonical_block_order(d: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:

@@ -216,6 +216,10 @@ def protocol_choi(
     gen = rng.substream(_STREAM_SHOTS).generator(0)
     (num_hat, den_hat), (num_se, den_se) = _swap_tests(np.array([num, den]), shots, gen)
     num_hat, den_hat = float(num_hat), float(den_hat)
+    if abs(den_hat) <= 3.0 * den_se:
+        raise IllConditionedEstimatorError(
+            f"denominator estimate {den_hat:.3e} is within 3 std errors ({den_se:.3e}) of zero"
+        )
     ratio = num_hat / den_hat
     se = math.sqrt((num_se / den_hat) ** 2 + (num_hat * den_se / den_hat**2) ** 2)
     extras.update({"numerator_estimate": num_hat, "denominator_estimate": den_hat})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from typing import Optional
 
@@ -51,6 +52,10 @@ def _decode_matrix(data, dim: int, path, field) -> tuple:
         raise SpecFileError(f"matrix entries must be [re, im] pairs ({exc})", path, field)
     if len(mat) != dim or any(len(row) != dim for row in mat):
         raise SpecFileError(f"matrix must be {dim}x{dim}", path, field)
+    # json accepts the NaN and Infinity tokens; float() lets them through
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(mat)), float, 2 * dim * dim)
+    if not np.isfinite(flat).all():
+        raise SpecFileError("matrix entries must be finite", path, field)
     return mat
 
 
@@ -203,7 +208,10 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
 def _check_unitary_payload(mat: tuple, path, field) -> None:
     arr = _matrix_to_array(mat)
     d = arr.shape[0]
-    if np.linalg.norm(arr.conj().T @ arr - np.eye(d)) > 1e-8 * d:
+    # unitary entries have modulus <= 1; checked first, it keeps the product finite,
+    # and the negated comparisons refuse a NaN
+    bounded = np.abs(arr).max() <= 1.0 + 1e-8
+    if not (bounded and np.linalg.norm(arr.conj().T @ arr - np.eye(d)) <= 1e-8 * d):
         raise SpecFileError("matrix is not unitary (columns not orthonormal)", path, field)
 
 

@@ -131,9 +131,10 @@ def concordance_pairs() -> list[tuple[str, OperatorAlgebra, OperatorAlgebra]]:
 # -- structure-solver and overlap references -----------------------------------
 #
 # The dense forms the block-data engine replaced: the closure that multiplies
-# every pair of basis elements each round, the intersection as the joint
-# nullspace of the two d^2 x d^2 HS-projector complements, and the projector
-# overlap as a cross Gram of two bases.
+# every pair of basis elements each round, the Krylov closure that builds A's
+# basis from the letters, the intersection as the joint nullspace of the two
+# d^2 x d^2 HS-projector complements, and the projector overlap as a cross
+# Gram of two bases.
 
 
 def ref_algebra_from_generators(gens, d: int) -> OperatorAlgebra:
@@ -149,6 +150,35 @@ def ref_algebra_from_generators(gens, d: int) -> OperatorAlgebra:
             return OperatorAlgebra(d, np.stack(basis))
         basis = new_basis
     raise AssertionError("product closure did not stabilize")
+
+
+def krylov_closure(gens, d: int) -> OperatorAlgebra:
+    """A's basis from the letters, the generators and their adjoints at unit HS norm.
+
+    The words of length <= L+1 span the words of length <= L plus the letters
+    times the words new at length L, so a round multiplies only the
+    directions the round before found.  The basis is projected out of those
+    products twice (Gram-Schmidt with re-orthogonalization), and the residual
+    directions with singular value above RANK_RTOL join the basis.
+    """
+    letters = []
+    for g in gens:
+        g = np.asarray(g, dtype=complex)
+        norm = np.linalg.norm(g)
+        if norm > 0:
+            letters += [g / norm, dagger(g) / norm]
+    basis = np.eye(d, dtype=complex).reshape(1, d * d) / np.sqrt(d)
+    new = basis
+    for _ in range(d * d + 1):
+        if not letters or not len(new):
+            return OperatorAlgebra(d, basis.reshape(-1, d, d))
+        products = (np.stack(letters)[:, None] @ new.reshape(1, -1, d, d)).reshape(-1, d * d)
+        for _ in range(2):
+            products -= (products @ basis.conj().T) @ basis
+        _, s, vh = np.linalg.svd(products, full_matrices=False)
+        new = vh[s > RANK_RTOL]
+        basis = np.concatenate([basis, new])
+    raise AssertionError("Krylov closure did not stabilize")
 
 
 def ref_algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlgebra:

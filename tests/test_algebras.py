@@ -35,6 +35,7 @@ from helpers import (
     concordance_pairs,
     factor_1xm2,
     factor_m2x1,
+    krylov_closure,
     random_matrix,
     random_unitary,
     ref_algebra_from_generators,
@@ -144,6 +145,54 @@ class TestKrylovClosure:
         assert algebras_equal(algebra_from_generators([1e-6 * SX, 1e6 * SZ], 2), full_algebra(2))
 
 
+# (name, block data, which generators): the spectral solve must recover the
+# generated blocks of a rotated structural algebra from its generators alone.
+SPECTRAL_CASES = [
+    ("n>d", [(3, 2), (4, 1), (2, 3)], "pair"),
+    ("d=1", [(1, 1), (2, 1), (3, 1)], "pair"),
+    ("repeated", [(2, 2), (2, 2), (1, 3)], "pair"),
+    ("single", [(1, 3), (2, 2)], "single"),
+    ("commuting", [(1, 1), (2, 1), (1, 1), (1, 1)], "commuting"),
+    ("closed", [(2, 2), (1, 3)], "closed"),
+]
+
+
+def _spectral_generators(blocks, kind):
+    d = sum(n * dj for n, dj in blocks)
+    ref = structural_algebra(blocks, basis_change=random_unitary(d, 850 + d))
+    if kind == "pair":
+        return ref, [ref.project(random_matrix(d, 860 + k)) for k in (0, 1)]
+    if kind == "single":
+        return ref, [ref.project(random_matrix(d, 870))]
+    if kind == "commuting":
+        # each generator alone is degenerate across blocks; together they split them
+        p = [blk.projector for blk in ref.decomposition().blocks]
+        return ref, [p[0] + p[1], p[0] + p[2]]
+    return ref, list(ref.basis)
+
+
+class TestSpectralSolve:
+    @pytest.mark.parametrize("name, blocks, kind", SPECTRAL_CASES)
+    def test_recovers_generated_blocks(self, name, blocks, kind):
+        ref, gens = _spectral_generators(blocks, kind)
+        alg = algebra_from_generators(gens, ref.d)
+        dec = alg.decomposition()
+        assert sorted(zip(dec.n_vec, dec.d_vec)) == sorted(blocks)
+        assert alg.dim == ref.dim
+        assert algebras_equal(alg, krylov_closure(gens, ref.d))
+        # the same algebra given by a bare basis: its basis elements are the letters
+        bare = strip_structure(alg).decomposition()
+        assert sorted(zip(bare.n_vec, bare.d_vec)) == sorted(blocks)
+
+    def test_degenerate_element_is_refused_for_generators(self, monkeypatch):
+        import manlab.algebras as mod
+
+        gens = [factor_m2x1().project(random_matrix(4, s)) for s in (1, 2)]
+        monkeypatch.setattr(mod, "_generic_element", lambda alg, gen: np.eye(alg.d))
+        with pytest.raises(DecompositionError, match="not of the form"):
+            algebra_from_generators(gens, 4)
+
+
 def _intersection_pairs():
     pairs = [(name, a, b) for name, a, b in concordance_pairs()]
     pairs += [(name + ":comm", a, b.commutant_algebra()) for name, a, b in concordance_pairs()]
@@ -228,8 +277,9 @@ class TestCommutantFromBlocks:
     def test_too_large_center_is_refused(self, monkeypatch):
         import manlab.algebras as mod
 
-        # a center equal to A itself (non-abelian A) must not pass the checks
-        monkeypatch.setattr(mod, "_center_in_algebra", lambda alg: alg)
+        # a degenerate generic element (the identity) merges every block into
+        # one eigenspace; that must not pass the checks
+        monkeypatch.setattr(mod, "_generic_element", lambda alg, gen: np.eye(alg.d))
         with pytest.raises(DecompositionError):
             strip_structure(factor_m2x1()).decomposition()
         with pytest.raises(DecompositionError):

@@ -122,6 +122,15 @@ class TestSpecIO:
             spec_from_dict({"dim": 2, "kind": "masa",
                             "unitary": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]})
 
+    def test_overflowing_unitary_is_refused(self):
+        # finite entries whose U^dag U overflows to inf - inf = NaN
+        big = [[[1e200, 0], [1e200, 0]], [[1e200, 0], [-1e200, 0]]]
+        for field, payload in (("unitary", {"dim": 2, "kind": "masa"}),
+                               ("basis_change", {"dim": 2, "kind": "structural",
+                                                 "blocks": [[1, 2]]})):
+            with pytest.raises(SpecFileError, match=field):
+                spec_from_dict(dict(payload, **{field: big}))
+
     def test_lattice_region_out_of_range(self):
         with pytest.raises(SpecFileError):
             spec_from_dict({"dim": 4, "kind": "lattice", "site_dims": [2, 2], "region": [3]})
@@ -138,6 +147,30 @@ class TestSpecIO:
         assert u.shape == (4, 4)
         with pytest.raises(SpecFileError):
             parse_matrix_file(str(specdir / "swap_u.json"), expected_dim=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["matrices[0]", "basis_change", "unitary", "matrix"])
+    def test_non_finite_entries_are_refused(self, specdir, tmp_path, capsys, field, bad):
+        # json reads the NaN and Infinity tokens; every matrix field refuses them
+        mat = _matrix_payload(np.eye(2))
+        mat[1][0][1] = bad
+        payload = {
+            "matrices[0]": {"dim": 2, "kind": "generators", "matrices": [mat]},
+            "basis_change": {"dim": 2, "kind": "structural", "blocks": [[1, 2]],
+                             "basis_change": mat},
+            "unitary": {"dim": 2, "kind": "masa", "unitary": mat},
+            "matrix": {"dim": 2, "matrix": mat},
+        }[field]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        if field == "matrix":
+            argv = ["aotoc", str(specdir / "full2.json"), "--unitary", str(path)]
+        else:
+            argv = ["man", str(path), str(specdir / "full2.json")]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"manlab: {path}: field '{field}': matrix entries must be finite\n"
 
 
 class TestCliCommands:
@@ -427,6 +460,21 @@ class TestCliErrors:
         assert captured.out == ""
         assert captured.err == f"manlab: ValueError: {message}\n"
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
+    def test_ill_conditioned_choi_shots(self, tmp_path, capsys, seed):
+        # exact S is 0, but at d = 64 the denominator d(A)/d^2 = 1/4096 sits far
+        # inside the shot noise of 1000 shots
+        specs = []
+        for kind in ("trivial", "full"):
+            path = tmp_path / f"{kind}64.json"
+            path.write_text(json.dumps({"dim": 64, "kind": kind}))
+            specs.append(str(path))
+        assert run(["protocol", "choi", *specs, "--shots", "1000", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("manlab: IllConditionedEstimatorError: ")
+        assert captured.err.count("\n") == 1 and "std errors" in captured.err
+
     def test_dimension_guardrail_cli(self, tmp_path, capsys):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"dim": 81, "kind": "trivial"}))
@@ -510,6 +558,62 @@ class TestKrylovClosureMemory:
         assert abs(result["S"] - want) <= 1e-9
 
 
+_PEAK_RSS_RUNNER = (
+    "import contextlib, io, json, resource, sys\n"
+    "from manlab import cli\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = cli.run(sys.argv[1:])\n"
+    "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+    "print(json.dumps({'code': code, 'report': out.getvalue(), 'peak_rss_mib': rss}))\n"
+)
+
+
+def _peak_rss_cli(args):
+    """Run the CLI in a capped child with one BLAS thread: (report, peak RSS in MiB)."""
+    src = os.path.dirname(os.path.dirname(manlab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_RUNNER, *args],
+        env=env, capture_output=True, text=True, timeout=600,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    usage = json.loads(proc.stdout)
+    assert usage["code"] == 0, proc.stderr
+    return json.loads(usage["report"]), usage["peak_rss_mib"]
+
+
+class TestCenterMemory:
+    # sampled self mode projects onto Z(A); taken as A intersected with A', the
+    # center of the trivial d = 64 algebra built A' = M_64, a 268 MiB basis
+    def test_d64_sampled_self_mode_stays_small(self, tmp_path):
+        spec = tmp_path / "triv64.json"
+        spec.write_text(json.dumps({"dim": 64, "kind": "trivial"}))
+        report, rss = _peak_rss_cli(["protocol", "stochastic", str(spec), "--samples", "20"])
+        assert abs(report["result"]["estimate"]) <= 1e-12
+        assert rss < 100, rss
+
+
+class TestSpectralSolveFrontier:
+    # generators specs beyond the reach of a closure: at d = 64 (dim 1280) the
+    # closure and the center system took 16 s and 889 MiB for one selfman
+    @pytest.mark.parametrize("d, blocks", [(64, ((1, 32), (2, 16))), (128, ((2, 32), (4, 16)))])
+    def test_generators_selfman_and_man(self, d, blocks, tmp_path):
+        spec = tmp_path / f"gens{d}.json"
+        _generators_spec(spec, blocks, d)
+        want = 1.0 - sum(n / dj for n, dj in blocks) / d
+        for argv in (["selfman", str(spec)], ["man", str(spec), str(spec)]):
+            proc = _capped_cli(argv + ["--allow-large"])
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            assert abs(report["result"]["S"] - want) <= 1e-9, argv
+            if d == 64:
+                # parse, solve and engine; about 0.1-0.2 s on one core
+                assert report["wall_time_s"] < 1.0, argv
+
+
 class TestProtocolChoiMemory:
     # d = 64 collinear pair in Haar position: two d^2 x d^2 Choi states need
     # about 1.1 GiB peak RSS; the block overlap needs only d x d objects
@@ -522,31 +626,12 @@ class TestProtocolChoiMemory:
                 "basis_change": _matrix_payload(haar_unitary(64, RngStream(seed))),
             }))
             specs.append(str(path))
-        code = (
-            "import contextlib, io, json, resource, sys\n"
-            "from manlab import cli\n"
-            "out = io.StringIO()\n"
-            "with contextlib.redirect_stdout(out):\n"
-            "    code = cli.run(sys.argv[1:])\n"
-            "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-            "print(json.dumps({'code': code, 'report': out.getvalue(), 'peak_rss_mib': rss}))\n"
-        )
-        src = os.path.dirname(os.path.dirname(manlab.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "protocol", "choi", *specs],
-            env=env, capture_output=True, text=True, timeout=600,
-            preexec_fn=_cap_address_space,
-        )
-        assert proc.returncode == 0, proc.stderr
-        usage = json.loads(proc.stdout)
-        assert usage["code"] == 0, proc.stderr
-        result = json.loads(usage["report"])["result"]
+        report, rss = _peak_rss_cli(["protocol", "choi", *specs])
+        result = report["result"]
         a = structural_algebra([(4, 4)] * 4, haar_unitary(64, RngStream(1)))
         b = structural_algebra([(16, 2), (8, 4)], haar_unitary(64, RngStream(2)))
         assert abs(result["estimate"] - man_omega(a, b).S) <= 1e-9
-        assert usage["peak_rss_mib"] < 100, usage
+        assert rss < 100, rss
 
 
 class TestCsv:

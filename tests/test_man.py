@@ -480,9 +480,6 @@ class TestAOtoc:
         # U(A') of an algebra with no cached structure: its blocks are A's with
         # the factors swapped, so only A itself is ever decomposed
         ref = structural_algebra([(2, 4), (4, 2)], basis_change=random_unitary(16, 1601))
-        alg = algebra_from_generators([ref.project(random_matrix(16, s)) for s in (3, 4)], 16)
-        assert alg.dim == ref.dim
-        u = random_unitary(16, 1602)
         solves = []
         original = algebras._compute_decomposition
 
@@ -491,8 +488,11 @@ class TestAOtoc:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(algebras, "_compute_decomposition", counted)
+        alg = algebra_from_generators([ref.project(random_matrix(16, s)) for s in (3, 4)], 16)
+        assert alg.dim == ref.dim
+        u = random_unitary(16, 1602)
         got = a_otoc(alg, u).S
-        assert solves == [alg]
+        assert len(solves) == 1
         want = man_projection(ref, ref.commutant_algebra().conjugated(u)).S
         assert abs(got - want) <= 1e-9
         evolved_dec = alg.commutant_algebra().conjugated(u).decomposition()
