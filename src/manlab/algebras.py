@@ -59,7 +59,8 @@ EQUALITY_TOL = 1e-8
 
 # Fixed streams for the randomness internal to decompose() (the generic
 # element) and to the generating pair of compute_commutant(); constants keep
-# both reproducible without threading a seed through every call.
+# both reproducible without threading a seed through every call.  Both read
+# RngStream.normals, so neither loads numpy.random.
 _DECOMPOSE_RNG = RngStream(seed=0x5CA1AB1E, stream=911)
 _COMMUTANT_RNG = RngStream(seed=0x5CA1AB1E, stream=912)
 
@@ -393,10 +394,9 @@ def compute_commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
 
 def _generating_pair(alg: OperatorAlgebra) -> list[np.ndarray]:
     """Two generic hermitian elements of unit HS norm; they generate the algebra."""
-    gen = _COMMUTANT_RNG.generator(0)
     pair = []
-    for _ in range(2):
-        h = _random_hermitian(alg.basis, gen)
+    for coeffs in _coefficients(_COMMUTANT_RNG, 0, 2, alg.dim):
+        h = _hermitian_combination(alg.basis, coeffs)
         pair.append(h / np.linalg.norm(h))
     return pair
 
@@ -446,7 +446,8 @@ def decompose(alg: OperatorAlgebra, rng: Optional[RngStream] = None) -> Structur
 def _compute_decomposition(alg: _Letters, rng, max_attempts: int = 12) -> StructuralDecomposition:
     """Blocks from the spectral solve, accepted only when every letter proves them.
 
-    Attempt i (_decompose_attempt) draws from rng.generator(i).  Its blocks
+    Attempt i (_decompose_attempt) takes its generic coefficients from
+    rng.normals(i, ...), a counter hash that needs no numpy.random.  Its blocks
     are accepted when they fill the space, match dim(A) when it is known,
     and every letter reads sum_J 1_{n_J} (x) X_J in their coordinates with
     nothing between blocks.  Then A lies in sum_J 1_{n_J} (x) M_{d_J}; the
@@ -457,9 +458,9 @@ def _compute_decomposition(alg: _Letters, rng, max_attempts: int = 12) -> Struct
     d = alg.d
     last_failure = "no attempt made"
     for attempt in range(max_attempts):
-        gen = rng.generator(attempt)
+        draw = _coefficients(rng, attempt, 3, len(alg.letters))
         try:
-            blocks = _decompose_attempt(alg, gen)
+            blocks = _decompose_attempt(alg, draw)
         except _RetryDraw as exc:
             last_failure = str(exc)
             continue
@@ -483,7 +484,7 @@ def _compute_decomposition(alg: _Letters, rng, max_attempts: int = 12) -> Struct
     )
 
 
-def _decompose_attempt(alg: _Letters, gen) -> tuple[Block, ...]:
+def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[Block, ...]:
     """Candidate blocks from the eigenspaces of one generic hermitian h in A.
 
     The eigenspaces Q_a of h have dimension n_J, d_J of them per block.  Two
@@ -493,7 +494,7 @@ def _decompose_attempt(alg: _Letters, gen) -> tuple[Block, ...]:
     b is the polar factor of (Q_a R_a)^dag l Q_b for its parent a and the
     strongest letter l on the edge; the frames Q_a R_a are the columns of V_J.
     """
-    evals, evecs = np.linalg.eigh(_generic_element(alg, gen))
+    evals, evecs = np.linalg.eigh(_generic_element(alg, draw))
     clusters = _cluster_indices(evals)  # contiguous runs of the sorted spectrum
     starts = [c[0] for c in clusters]
     compressed = dagger(evecs) @ alg.letters @ evecs  # the letters in h's eigenbasis
@@ -543,8 +544,9 @@ def _letter_residuals(letters: np.ndarray, dec: StructuralDecomposition) -> tupl
                  for m in (~within, within))
 
 
-def _generic_element(alg: _Letters, gen) -> np.ndarray:
-    """A generic hermitian element of A, drawn from gen.
+def _generic_element(alg: _Letters, draw: np.ndarray) -> np.ndarray:
+    """A generic hermitian element of A from draw, three rows of random
+    complex coefficients over the letters.
 
     Letters that are a basis span A, so a random combination of them is
     generic.  Generators span A only with their products, so the element
@@ -552,21 +554,27 @@ def _generic_element(alg: _Letters, gen) -> np.ndarray:
     combinations x, y, z of the letters.
     """
     if alg.dim is not None:
-        return _random_hermitian(alg.letters, gen)
-    m = word = _random_combination(alg.letters, gen)
-    for _ in range(2):
-        word = word @ _random_combination(alg.letters, gen)
+        return _hermitian_combination(alg.letters, draw[0])
+    m = word = _combination(alg.letters, draw[0])
+    for coeffs in draw[1:3]:
+        word = word @ _combination(alg.letters, coeffs)
         m = m + word
     return (m + dagger(m)) / 2
 
 
-def _random_combination(letters, gen) -> np.ndarray:
-    coeffs = gen.standard_normal(len(letters)) + 1j * gen.standard_normal(len(letters))
+def _coefficients(rng: RngStream, counter: int, rows: int, k: int) -> np.ndarray:
+    """rows x k complex Gaussian coefficients from rng.normals(counter, ...);
+    row r takes 2k normals, the real parts first."""
+    z = rng.normals(counter, 2 * rows * k).reshape(rows, 2, k)
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def _combination(letters, coeffs: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, np.asarray(letters), axes=1)
 
 
-def _random_hermitian(basis, gen):
-    m = _random_combination(basis, gen)
+def _hermitian_combination(basis, coeffs: np.ndarray) -> np.ndarray:
+    m = _combination(basis, coeffs)
     return (m + dagger(m)) / 2
 
 

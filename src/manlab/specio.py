@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from math import prod
+from math import isfinite, prod
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -42,13 +43,24 @@ KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 MAX_AMBIENT_DIM = 64
 
 
+def _integer(value, path, field) -> int:
+    """An integer field: integers (not bools) and integral finite floats are
+    read, anything else is refused with the field named."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and isfinite(value) and value.is_integer():
+        return int(value)
+    shown = repr(value) if isinstance(value, (float, int, str)) else type(value).__name__
+    raise SpecFileError(f"expected an integer, got {shown[:40]}", path, field)
+
+
 def _decode_matrix(data, dim: int, path, field) -> tuple:
     try:
         rows = []
         for row in data:
             rows.append(tuple((float(re), float(im)) for re, im in row))
         mat = tuple(rows)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFileError(f"matrix entries must be [re, im] pairs ({exc})", path, field)
     if len(mat) != dim or any(len(row) != dim for row in mat):
         raise SpecFileError(f"matrix must be {dim}x{dim}", path, field)
@@ -127,10 +139,7 @@ class AlgebraSpec:
 def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraSpec:
     if not isinstance(data, dict):
         raise SpecFileError("top level must be a JSON object", path)
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise SpecFileError("missing or non-integer 'dim'", path, "dim")
+    dim = _dim(data, path)
     if dim < 1:
         raise SpecFileError("dim must be positive", path, "dim")
     if dim > MAX_AMBIENT_DIM and not allow_large:
@@ -155,10 +164,9 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
         blocks = data.get("blocks")
         if not isinstance(blocks, list) or not blocks:
             raise SpecFileError("'blocks' must be a nonempty list of [n, d] pairs", path, "blocks")
-        try:
-            parsed = tuple((int(n), int(dj)) for n, dj in blocks)
-        except (TypeError, ValueError):
+        if not all(isinstance(b, list) and len(b) == 2 for b in blocks):
             raise SpecFileError("'blocks' entries must be [n, d] integer pairs", path, "blocks")
+        parsed = tuple(tuple(_integer(x, path, "blocks") for x in b) for b in blocks)
         if any(n < 1 or dj < 1 for n, dj in parsed):
             raise SpecFileError("block dimensions must be positive", path, "blocks")
         if sum(n * dj for n, dj in parsed) != dim:
@@ -184,10 +192,7 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
         region = data.get("region")
         if not isinstance(site_dims, list) or not site_dims:
             raise SpecFileError("'site_dims' must be a nonempty list", path, "site_dims")
-        try:
-            sites = tuple(int(x) for x in site_dims)
-        except (TypeError, ValueError):
-            raise SpecFileError("'site_dims' must contain integers", path, "site_dims")
+        sites = tuple(_integer(x, path, "site_dims") for x in site_dims)
         if any(x < 1 for x in sites):
             raise SpecFileError("site dimensions must be positive", path, "site_dims")
         if prod(sites) != dim:
@@ -196,7 +201,7 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
             )
         if not isinstance(region, list):
             raise SpecFileError("'region' must be a list of site indices", path, "region")
-        reg = tuple(sorted(set(int(x) for x in region)))
+        reg = tuple(sorted({_integer(x, path, "region") for x in region}))
         for r in reg:
             if r < 0 or r >= len(sites):
                 raise SpecFileError(f"region index {r} out of range", path, "region")
@@ -215,15 +220,29 @@ def _check_unitary_payload(mat: tuple, path, field) -> None:
         raise SpecFileError("matrix is not unitary (columns not orthonormal)", path, field)
 
 
-def parse_spec(path: str, allow_large: bool = False) -> AlgebraSpec:
+def _dim(data: dict, path) -> int:
+    if "dim" not in data:
+        raise SpecFileError("missing 'dim'", path, "dim")
+    return _integer(data["dim"], path, "dim")
+
+
+def _load_json(path: str):
+    """The JSON document in the file; every way it can fail is a SpecFileError."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read file: {exc}", path)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"malformed JSON at line {exc.lineno}: {exc.msg}", path)
-    return spec_from_dict(data, path=path, allow_large=allow_large)
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"not UTF-8 text (invalid byte at offset {exc.start})", path)
+    except RecursionError:
+        raise SpecFileError("JSON nested too deeply", path)
+
+
+def parse_spec(path: str, allow_large: bool = False) -> AlgebraSpec:
+    return spec_from_dict(_load_json(path), path=path, allow_large=allow_large)
 
 
 def serialize_spec(spec: AlgebraSpec) -> str:
@@ -237,17 +256,10 @@ def write_spec(spec: AlgebraSpec, path: str) -> None:
 
 def parse_matrix_file(path: str, expected_dim: Optional[int] = None) -> np.ndarray:
     """Read a bare matrix file {"dim": d, "matrix": [[[re,im], ...], ...]}."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError(f"cannot read file: {exc}", path)
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"malformed JSON at line {exc.lineno}: {exc.msg}", path)
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise SpecFileError("missing or non-integer 'dim'", path, "dim")
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise SpecFileError("top level must be a JSON object", path)
+    dim = _dim(data, path)
     if expected_dim is not None and dim != expected_dim:
         raise SpecFileError(f"matrix dim {dim} does not match algebra dim {expected_dim}", path)
     if "matrix" not in data:

@@ -482,6 +482,56 @@ class TestCliErrors:
         assert run(["analyze", str(big), "--allow-large"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("field, payload", [
+        ("dim", {"dim": 2.7, "kind": "full"}),
+        ("dim", {"dim": True, "kind": "full"}),
+        ("dim", {"dim": "4", "kind": "full"}),
+        ("dim", {"dim": None, "kind": "full"}),
+        ("region", {"dim": 4, "kind": "lattice", "site_dims": [2, 2], "region": [0.9]}),
+        ("site_dims", {"dim": 4, "kind": "lattice", "site_dims": [2, "2"], "region": [0]}),
+        ("blocks", {"dim": 4, "kind": "structural", "blocks": [[1.5, 2], [1, 2]]}),
+        ("blocks", {"dim": 2, "kind": "structural", "blocks": [[1, False]]}),
+    ])
+    def test_integer_fields_take_integers_only(self, tmp_path, capsys, field, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"manlab: {path}: field '{field}': expected an integer")
+
+    def test_integral_floats_are_integers(self):
+        spec = spec_from_dict({"dim": 4.0, "kind": "structural", "blocks": [[1.0, 2], [2, 1]]})
+        assert spec == spec_from_dict({"dim": 4, "kind": "structural", "blocks": [[1, 2], [2, 1]]})
+        assert all(type(x) is int for x in (spec.dim, *spec.blocks[0], *spec.blocks[1]))
+
+    @pytest.mark.parametrize("content, message", [
+        ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+        ('{"dim": 1e999, "kind": "full"}', "field 'dim': expected an integer, got inf"),
+        ('{"dim": 2, "kind": "full", "label": "\xe9"}'.encode("latin-1"), "not UTF-8 text"),
+    ], ids=["deep", "overflow", "latin-1"])
+    @pytest.mark.parametrize("role", ["spec", "unitary"])
+    def test_unreadable_files_exit_2(self, specdir, tmp_path, capsys, content, message, role):
+        path = tmp_path / "bad.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        if role == "spec":
+            argv = ["analyze", str(path)]
+        else:
+            argv = ["aotoc", str(specdir / "full2.json"), "--unitary", str(path)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"manlab: {path}: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_entry_too_large_for_a_float_is_refused(self):
+        mat = [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]
+        with pytest.raises(SpecFileError, match="unitary"):
+            spec_from_dict({"dim": 2, "kind": "masa", "unitary": mat})
+
     def test_allocation_failure_is_one_line(self, specdir, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 4.00 GiB")
@@ -612,6 +662,43 @@ class TestSpectralSolveFrontier:
             if d == 64:
                 # parse, solve and engine; about 0.1-0.2 s on one core
                 assert report["wall_time_s"] < 1.0, argv
+
+
+def _imported_modules(args):
+    """Modules a child `python -X importtime ARGS` imports, read from its stderr."""
+    src = os.path.dirname(os.path.dirname(manlab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestColdImports:
+    # numpy.random costs a fresh process more than a whole structure solve, and
+    # the protocol simulators are not needed by commands that do not sample.
+    # numpy 1.x imports numpy.random with numpy itself, hence the baseline.
+    SAMPLING = {"numpy.random", "manlab.protocols"}
+
+    def test_exact_commands_import_no_sampler(self, specdir, tmp_path):
+        sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+        gens = tmp_path / "gens.json"
+        gens.write_text(json.dumps({"dim": 4, "kind": "generators", "matrices": [
+            _matrix_payload(np.kron(sx, np.eye(2))), _matrix_payload(np.kron(sz, np.eye(2)))]}))
+        baseline = _imported_modules(["-c", "import numpy"]) & self.SAMPLING
+        g, s = str(gens), str(specdir / "sym2.json")
+        argvs = [["analyze", g], ["selfman", g], ["man", g, g], ["man", s, s],
+                 ["lattice", str(specdir / "lat01.json"), str(specdir / "lat12.json")],
+                 ["masa", str(specdir / "diag2.json"), str(specdir / "had2.json")]]
+        for argv in argvs:
+            loaded = _imported_modules(["-m", "manlab.cli", *argv]) & self.SAMPLING
+            assert loaded <= baseline, (argv, loaded - baseline)
+        # the check sees a sampler when one is loaded
+        mc = _imported_modules(["-m", "manlab.cli", "man", s, s, "--method", "mc",
+                                "--samples", "10"])
+        assert self.SAMPLING <= mc
 
 
 class TestProtocolChoiMemory:

@@ -327,6 +327,51 @@ class TestRngStream:
             RngStream(1).generator(-1)
 
 
+class TestHashNormals:
+    # RngStream.normals: the counter hash behind the structure solve's draws
+    def test_determinism(self):
+        a = RngStream(123, 4).normals(9, 17)
+        b = RngStream(123, 4).normals(9, 17)
+        assert a.shape == (17,) and a.dtype == np.float64
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_prefix_stability(self, n):
+        s = RngStream(5, 1)
+        assert np.array_equal(s.normals(3, 65)[:n], s.normals(3, n))
+
+    def test_counters_streams_and_seeds_differ(self):
+        draws = [
+            RngStream(123, 4).normals(0, 8),
+            RngStream(123, 4).normals(1, 8),
+            RngStream(123, 5).normals(0, 8),
+            RngStream(124, 4).normals(0, 8),
+            RngStream(123, 4).normals(2**64, 8),
+            RngStream(123).substream(4).normals(0, 8),
+        ]
+        for i in range(len(draws)):
+            for j in range(i):
+                assert not np.allclose(draws[i], draws[j]), (i, j)
+
+    def test_negative_counter_rejected(self):
+        with pytest.raises(ValueError):
+            RngStream(1).normals(-1, 4)
+
+    def test_large_keys_stay_quiet(self):
+        # key mixing runs in masked Python ints; numpy scalar uint64 overflow
+        # would raise a RuntimeWarning, an error under this suite
+        z = RngStream(-1, 2**70).normals(2**100, 5)
+        assert np.isfinite(z).all()
+
+    def test_first_two_moments(self):
+        n = 100_000
+        z = RngStream(0x5CA1AB1E, 911).normals(0, n)
+        assert np.isfinite(z).all()
+        # se of the mean is 1/sqrt(n); of the variance, sqrt(2/n)
+        assert abs(z.mean()) <= 5 / np.sqrt(n)
+        assert abs(z.var() - 1.0) <= 5 * np.sqrt(2 / n)
+
+
 class TestSwapComposition:
     def test_multisite_full_region_is_plain_swap(self):
         # swapping every factor of a product space equals the swap of the
