@@ -1,29 +1,21 @@
 """Hermitian-closed unital operator algebras and their block structure.
 
-An algebra is stored as an HS-orthonormal basis of d x d matrices.  Its
-structure is the central-block data (n_J, d_J, V_J): the ambient space splits
-into blocks C^{n_J} (x) C^{d_J} on which the algebra acts as 1_{n_J} (x)
-M_{d_J}; the commutant acts as M_{n_J} (x) 1_{d_J}.  Everything downstream
-(omega operators, projection maps, protocol simulators) is driven by this data.
+An algebra's structure is the central-block data (n_J, d_J, V_J): the ambient
+space splits into blocks C^{n_J} (x) C^{d_J} on which the algebra acts as
+1_{n_J} (x) M_{d_J}; the commutant acts as M_{n_J} (x) 1_{d_J}.  Every route
+downstream reads this data.
 
-Every named algebra (full, trivial, masa, structural, lattice), every
-commutant and every center is born from its blocks in _algebra_from_blocks:
-the basis is built from the isometries and the decomposition is cached at
-once.  Generators, and an algebra given by a bare basis, reach their blocks
-through the spectral solve (_compute_decomposition): the eigenspaces of one
-generic hermitian element, linked by the letters (the unit-norm generators and
-their adjoints, or the basis elements), give the blocks, polar factors along
-a spanning tree give the isometries, and every letter is checked to read
-sum_J 1_{n_J} (x) X_J.  No closure, center system or per-element restriction
-is formed.  Intersections come from principal angles between the two bases.
-compute_commutant and the HS projectors (projection_superoperator,
-algebras_equal) stay as cross-check oracles.
+Named algebras, generators, commutants and centers are born from their blocks
+(_algebra_from_blocks): dim(A) and the decomposition are set at birth, and
+the dim(A) x d x d orthonormal basis is built on first access, by oracles
+only.  Generators, and an algebra given by a bare basis, reach their blocks
+through the spectral solve (_compute_decomposition): eigenspaces of one
+generic element, linked by the letters, polar factors along a spanning tree,
+and a check that every letter reads sum_J 1_{n_J} (x) X_J.  dim(A n B')
+comes from the same solve (commutant_intersection_dim).
 
-Values are immutable after construction.  The lazy caches are write-once and
-idempotent, so algebras are safe to share read-only across workers:
-decomposition (set at birth for block-born algebras, solved on first request
-otherwise), commutant (built from the blocks on first request, and linked
-back so A'' is A) and block bases.
+Values are immutable; the lazy caches (basis, decomposition, commutant, block
+bases) are write-once, so algebras can be shared read-only across workers.
 """
 
 from __future__ import annotations
@@ -63,6 +55,8 @@ EQUALITY_TOL = 1e-8
 # RngStream.normals, so neither loads numpy.random.
 _DECOMPOSE_RNG = RngStream(seed=0x5CA1AB1E, stream=911)
 _COMMUTANT_RNG = RngStream(seed=0x5CA1AB1E, stream=912)
+# The generic elements of A' and B whose algebra gives dim(A n B').
+_INTERSECTION_RNG = RngStream(seed=0x5CA1AB1E, stream=913)
 
 
 class _RetryDraw(Exception):
@@ -135,17 +129,42 @@ class OperatorAlgebra:
             raise AlgebraError("algebra dimension out of range")
         basis.setflags(write=False)
         self.d = int(d)
-        self.basis = basis
+        self._basis: Optional[np.ndarray] = basis
+        self._dim = basis.shape[0]
+        self._born_from_blocks = False
         self._decomposition: Optional[StructuralDecomposition] = None
         self._commutant: Optional["OperatorAlgebra"] = None
         self._block_bases: Optional[BlockBases] = None
 
+    @classmethod
+    def _from_decomposition(cls, dec: "StructuralDecomposition") -> "OperatorAlgebra":
+        """The algebra of the blocks: dim and structure set now, the basis on first access."""
+        alg = cls.__new__(cls)
+        alg.d = dec.dim
+        alg._basis = None
+        alg._dim = dec.algebra_dim
+        alg._born_from_blocks = True
+        alg._decomposition = dec
+        alg._commutant = None
+        alg._block_bases = None
+        return alg
+
     # -- basic geometry ----------------------------------------------------
+
+    @property
+    def basis(self) -> np.ndarray:
+        """HS-orthonormal basis, (dim, d, d); built from the blocks on first access
+        when the algebra was born from them.  Oracles read it, production does not."""
+        if self._basis is None:
+            basis = _block_algebra_basis(self._decomposition.blocks)
+            basis.setflags(write=False)
+            self._basis = basis
+        return self._basis
 
     @property
     def dim(self) -> int:
         """d(A), the linear dimension of the algebra."""
-        return self.basis.shape[0]
+        return self._dim
 
     def __repr__(self) -> str:
         return f"OperatorAlgebra(d={self.d}, dim={self.dim})"
@@ -191,7 +210,7 @@ class OperatorAlgebra:
         """A' = sum_J M_{n_J} (x) 1_{d_J}, built from A's blocks with the factors swapped."""
         if self._commutant is None:
             blocks = [
-                Block(b.d, b.n, b.projector, b.isometry @ _factor_swap(b.n, b.d).T)
+                Block(b.d, b.n, b.projector, _swap_factors(b.isometry, b.n, b.d))
                 for b in self.decomposition().blocks
             ]
             _link_commutants(self, _algebra_from_blocks(self.d, blocks))
@@ -209,8 +228,14 @@ class OperatorAlgebra:
         return self._block_bases
 
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
-        """The image algebra U A U^dag, carrying the decomposition along."""
+        """The image algebra U A U^dag, carrying the decomposition along.
+
+        A block-born algebra moves only its isometries and projectors.
+        """
         _check_unitary(u)
+        if self._born_from_blocks:
+            return OperatorAlgebra._from_decomposition(
+                _conjugate_decomposition(self._decomposition, u))
         out = OperatorAlgebra(self.d, u @ self.basis @ dagger(u))
         if self._decomposition is not None:
             out._decomposition = _conjugate_decomposition(self._decomposition, u)
@@ -294,10 +319,9 @@ def structural_algebra(
 
 
 def _algebra_from_blocks(d: int, blocks: Sequence[Block]) -> OperatorAlgebra:
-    """The algebra sum_J V_J (1_{n_J} (x) M_{d_J}) V_J^dag, with its blocks cached."""
-    alg = OperatorAlgebra(d, _block_algebra_basis(blocks))
-    alg._decomposition = StructuralDecomposition(d, _canonical_block_order(d, tuple(blocks)))
-    return alg
+    """The algebra sum_J V_J (1_{n_J} (x) M_{d_J}) V_J^dag, born from its blocks."""
+    return OperatorAlgebra._from_decomposition(
+        StructuralDecomposition(d, _canonical_block_order(d, tuple(blocks))))
 
 
 def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
@@ -317,13 +341,9 @@ def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
     return out
 
 
-def _factor_swap(n: int, d: int) -> np.ndarray:
-    """Permutation C^n (x) C^d -> C^d (x) C^n sending |p>|l> to |l>|p>."""
-    p = np.zeros((n * d, n * d))
-    for pp in range(n):
-        for l in range(d):
-            p[l * n + pp, pp * d + l] = 1.0
-    return p
+def _swap_factors(iso: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The isometry read on C^d (x) C^n: column l n + p is column p d + l of iso."""
+    return iso.reshape(-1, n, d).transpose(0, 2, 1).reshape(-1, n * d)
 
 
 def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> OperatorAlgebra:
@@ -422,6 +442,40 @@ def algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlge
     residual = qa - (qa @ qb.conj().T) @ qb
     coeffs = nullspace(residual.T, scale=1.0)
     return OperatorAlgebra(a.d, (coeffs @ qa).reshape(-1, a.d, a.d))
+
+
+def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
+    """dim(A n B') from block data, in O(d^3) time and d^2 memory.
+
+    A n B' = (A' u B)': two generic hermitian elements of A' and two of B,
+    each built from the blocks, generate the algebra C = A' v B, and the
+    spectral solve gives its blocks, so dim(A n B') = dim C' = sum_J n_J^2.
+    algebra_intersection(a, b.commutant_algebra()) is the oracle.
+    """
+    if a.d != b.d:
+        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    a_comm = [(blk.d, blk.n, _swap_factors(blk.isometry, blk.n, blk.d))
+              for blk in a.decomposition().blocks]
+    b_own = [(blk.n, blk.d, blk.isometry) for blk in b.decomposition().blocks]
+    letters = []
+    for counter, blocks in enumerate((a_comm, a_comm, b_own, b_own)):
+        h = _block_hermitian(blocks, _INTERSECTION_RNG, counter)
+        letters.append(h / np.linalg.norm(h))
+    dec = _compute_decomposition(_Letters(a.d, np.stack(letters), None), _DECOMPOSE_RNG)
+    return dec.commutant_dim
+
+
+def _block_hermitian(blocks, rng: RngStream, counter: int) -> np.ndarray:
+    """sum_J V_J (1_{n_J} (x) H_J) V_J^dag for the (n_J, d_J, V_J) blocks, with
+    H_J the hermitian parts of complex Gaussian matrices from rng at counter."""
+    z = _coefficients(rng, counter, 1, sum(dj * dj for _, dj, _ in blocks))[0]
+    h, offset = 0.0, 0
+    for n, dj, v in blocks:
+        x = z[offset: offset + dj * dj].reshape(dj, dj)
+        offset += dj * dj
+        core = (v.reshape(-1, dj) @ ((x + dagger(x)) / 2)).reshape(v.shape)
+        h = h + core @ dagger(v)
+    return h
 
 
 def center(alg: OperatorAlgebra) -> OperatorAlgebra:

@@ -5,13 +5,19 @@ norm between unitaries of the two algebras, normalized to [0, 1]:
 
 * ``man_omega``        - 1 - Tr(S Omega_A Omega_B)/d, block by block in O(d^3);
   ``omega_operator`` builds the d^2 x d^2 Omega explicitly as the cross-check
-* ``man_projection``   - 1 - sum_a ||P_B'(e_a)||^2 / d over A's block basis
+* ``man_projection``   - 1 - sum_a ||P_B'(e_a)||^2 / d over A's block basis,
+  P_B' applied block by block as a partial trace on B's blocks
 * ``man_collinear``    - 1 - Tr_HS(P_A P_B')/d(A), A collinear only; the
   overlap comes block by block in O(d^3), from the same per-pair core as
   man_omega's trace under another weight
 * ``entropy_decomposition_man`` - average linear-entropy production of the
-  per-block compression maps of B under P_A'
+  per-block compression maps of B under P_A', P_A' again as partial traces
 * ``self_man``         - structural formula for S(A:A)
+
+The projection and entropy routes evaluate their defining sums over matrix
+units (_unit_compressions), not through man_omega's per-pair core, so they
+stay independent cross-checks of it.  The intersection bound reads
+dim(A n B') from commutant_intersection_dim.
 
 The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 """
@@ -26,12 +32,13 @@ import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
-    algebra_intersection,
+    algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
+    commutant_intersection_dim,
     interleaved_block_swap,
     is_collinear,
 )
 from .errors import AlgebraError, NonCollinearError, NumericalConsistencyError
-from .linalg import dagger, swap_perm, vec
+from .linalg import dagger, swap_perm
 
 CLAMP_MARGIN = 1e-9
 FORMULA_TOL = 1e-9
@@ -236,6 +243,31 @@ def _iso_blocks(alg: OperatorAlgebra) -> list[tuple[int, int, np.ndarray]]:
     return [(b.n, b.d, b.isometry) for b in alg.decomposition().blocks]
 
 
+def _unit_compressions(x_blocks, y_blocks, d: int):
+    """Partial traces of matrix units, summed, for every block pair.
+
+    For the matrix units E_lm = X (1_{n_x} (x) |l><m|) X^dag of each block
+    (n_x, d_x, X) and each block (n_y, d_y, Y), yields (n_x, d_x, n_y, d_y,
+    hs, ident) with hs = sum_{l,m} ||Tr_{d_y}[Y^dag E_lm Y]||_F^2 and ident =
+    ||Tr_{d_y}[Y^dag (sum_l E_ll) Y]||_F^2.  With M = Y^dag X read as
+    (n_y, d_y, n_x, d_x), row (l, q) of F = M regrouped to (d_x n_y) x
+    (d_y n_x) holds the entries M[q, s, p, l], so Tr_{d_y}[Y^dag E_lm Y] is the
+    (l, m) block of F F^dag.  That Gram is formed a few rows at a time, each
+    chunk at most d^2 entries, so its d_x^2 n_y^2 entries never coexist.
+    """
+    for n_x, d_x, x in x_blocks:
+        for n_y, d_y, y in y_blocks:
+            m = (dagger(y) @ x).reshape(n_y, d_y, n_x, d_x)
+            f = m.transpose(3, 0, 1, 2).reshape(d_x * n_y, d_y * n_x)
+            f_dag = dagger(f)
+            step = max(1, d * d // len(f))
+            hs = sum(float(np.sum(np.abs(f[i: i + step] @ f_dag) ** 2))
+                     for i in range(0, len(f), step))
+            c = m.reshape(n_y, -1)
+            ident = float(np.sum(np.abs(c @ dagger(c)) ** 2))
+            yield n_x, d_x, n_y, d_y, hs, ident
+
+
 def _pair_bounds(d, summary_a, summary_b, intersection_dim=None, a_collinear=False):
     bounds = {
         "commutant_bound": 1.0 - max(summary_a.d_comm, summary_b.d_comm) / d**2,
@@ -271,21 +303,20 @@ def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> 
 def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN through the conditional expectation onto B'.
 
-    Sums ||P_B'(e_a)||^2 over A's block basis; P_B' is built from the
-    orthonormal basis of the commutant, which comes from B's blocks.
+    Sums ||P_B'(e_a)||^2 over A's block basis e_(J,l,m) = V_J (1 (x) |l><m|)
+    V_J^dag / sqrt(d_J); P_B' acts as a partial trace on each block of B, and
+    the units are batched per block pair (_unit_compressions).
     """
     _check_same_ambient(a, b)
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
-    b_comm = b.commutant_algebra()
-    comm_rows = b_comm.basis.reshape(b_comm.dim, -1).conj()
-    purity_sum = 0.0
-    for e in a.block_bases().e:
-        coeffs = comm_rows @ vec(e)
-        purity_sum += float(np.sum(np.abs(coeffs) ** 2))
+    # P_B'(X) = sum_K W_K (Tr_{d_K}[W_K^dag X W_K] (x) 1/d_K) W_K^dag, so
+    # ||P_B'(X)||^2 = sum_K ||Tr_{d_K}[...]||^2 / d_K, and e_a carries 1/sqrt(d_J)
+    pairs = _unit_compressions(_iso_blocks(a), _iso_blocks(b), a.d)
+    purity_sum = sum(hs / (d_j * d_k) for _, d_j, _, d_k, hs, _ in pairs)
     s = clamp_unit(1.0 - purity_sum / a.d)
     coll, _ = is_collinear(a.decomposition())
-    inter = algebra_intersection(a, b_comm).dim if coll else None
+    inter = commutant_intersection_dim(a, b) if coll else None
     return ManReport(
         S=s,
         S2=log_man(s, log_base),
@@ -317,7 +348,7 @@ def man_collinear(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0)
                 f"distance form {s_dist} disagrees with overlap form {s}"
             )
         extras["distance_form"] = s_dist
-    inter = algebra_intersection(a, b.commutant_algebra()).dim
+    inter = commutant_intersection_dim(a, b)
     return ManReport(
         S=s,
         S2=log_man(s, log_base),
@@ -394,9 +425,9 @@ def man_bounds(
     }
     coll, _ = is_collinear(a.decomposition())
     if coll:
-        inter = algebra_intersection(a, b.commutant_algebra())
-        record["intersection_bound"] = 1.0 - inter.dim / sa.d_alg
-        record["intersection_dim"] = inter.dim
+        inter = commutant_intersection_dim(a, b)
+        record["intersection_bound"] = 1.0 - inter / sa.d_alg
+        record["intersection_dim"] = inter
     for name in ("commutant_bound", "weak_bound", "intersection_bound"):
         if name in record and s_value > record[name] + CLAMP_MARGIN:
             raise NumericalConsistencyError(
@@ -590,34 +621,25 @@ def entropy_decomposition_man(
     ambient space; S(A:B) is a weighted combination of the Haar-averaged
     linear entropy of T_J on pure states (computed exactly through the
     two-design identity) and its entropy on the maximally mixed state.
+    P_A' acts as a partial trace on each block of A, batched over the matrix
+    units per block pair (_unit_compressions).
     """
     _check_same_ambient(a, b)
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
-    a_comm = a.commutant_algebra()
-    comm_rows = a_comm.basis.reshape(a_comm.dim, -1).conj()
-
-    def proj_norm_sq(x: np.ndarray) -> float:
-        return float(np.sum(np.abs(comm_rows @ vec(x)) ** 2))
-
     d = a.d
-    dec_b = b.decomposition()
+    blocks_a = _iso_blocks(a)
     total = 0.0
     per_block = []
-    for blk in dec_b.blocks:
-        n, dj, iso = blk.n, blk.d, blk.isometry
-        eye_n = np.eye(n) / n
-
-        def compress(x: np.ndarray) -> float:
-            return proj_norm_sq(iso @ np.kron(eye_n, x) @ dagger(iso))
-
-        hs_sq = 0.0
-        for l in range(dj):
-            for m in range(dj):
-                unit = np.zeros((dj, dj), dtype=complex)
-                unit[l, m] = 1.0
-                hs_sq += compress(unit)
-        id_sq = compress(np.eye(dj, dtype=complex))
+    for blk in b.decomposition().blocks:
+        n, dj = blk.n, blk.d
+        # T(X) = W (1_n/n (x) X) W^dag, and ||P_A'(Y)||^2 is
+        # sum_J ||Tr_{d_J}[V_J^dag Y V_J]||^2 / d_J: hs_sq sums it over the
+        # units X = |l><m|, id_sq takes X = 1
+        hs_sq = id_sq = 0.0
+        for _, _, _, d_j, hs, ident in _unit_compressions([(n, dj, blk.isometry)], blocks_a, d):
+            hs_sq += hs / (n * n * d_j)
+            id_sq += ident / (n * n * d_j)
         mean_pure_purity = (id_sq + hs_sq) / (dj * (dj + 1))
         e_slin = 1.0 - mean_pure_purity
         slin_mixed = 1.0 - id_sq / dj**2

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,8 @@ import numpy as np
 from .algebras import (
     OperatorAlgebra,
     _haar_algebra_unitaries,
-    center,
+    _swap_factors,
+    center,  # noqa: F401  (perfbench/tracer.py patches this name here)
     haar_algebra_unitary,  # noqa: F401  (perfbench/tracer.py patches this name here)
     is_collinear,
 )
@@ -240,9 +242,11 @@ def protocol_stochastic(
     """Random-state protocol: paired purity/overlap averages over Haar states.
 
     samples=None evaluates both expectations exactly (two-design identity);
-    sampled mode reuses the same state draws for numerator and denominator.
-    The b=None self variant replaces the numerator by the center's average
-    state purity.
+    sampled mode reuses the same state draws for numerator and denominator:
+    x = <P_A rho, P_T rho> and y = ||P_A rho||^2, with T = B', or T = Z(A) in
+    the b=None self variant.  Both projections act on each state from block
+    data (manlab.purestates); no basis, commutant or center algebra is
+    built.
     """
     self_mode = _self_mode(a, b)
     if shots is not None and shots < 1:
@@ -265,16 +269,19 @@ def protocol_stochastic(
         raise ValueError("sampled mode needs samples >= 2")
     if rng is None:
         raise ValueError("sampled mode needs an RngStream")
-    target = center(a) if self_mode else b.commutant_algebra()
+    from .purestates import BlockCoordinates, PairOverlaps, center_overlaps
+
+    if self_mode:
+        overlaps = partial(center_overlaps, BlockCoordinates(_iso_blocks(a)))
+    else:
+        # B' reads M_{n_K} (x) 1_{d_K} on B's blocks, 1_{d_K} (x) M_{n_K} once the factors swap
+        overlaps = PairOverlaps(
+            _iso_blocks(a), [(dk, nk, _swap_factors(w, nk, dk)) for nk, dk, w in _iso_blocks(b)])
     rng_states = rng.substream(_STREAM_STATES)
     xy = np.empty((samples, 2))
     for start, stop in _chunks(samples, d * d):
         phi = _haar_states(_normal_rows(rng_states, start, stop, 2 * d), d)
-        rho = phi[:, :, None] * phi.conj()[:, None, :]
-        pa = a.project(rho).reshape(stop - start, -1)
-        pt = target.project(rho).reshape(stop - start, -1)
-        xy[start:stop, 0] = np.real(np.sum(pa.conj() * pt, axis=1))
-        xy[start:stop, 1] = np.real(np.sum(pa.conj() * pa, axis=1))
+        xy[start:stop] = overlaps(phi)
     if shots is not None:
         # one shot stream, drawn in the order x_0, y_0, x_1, y_1, ...
         shot_gen = rng.substream(_STREAM_SHOTS).generator(0)
@@ -289,11 +296,9 @@ def protocol_stochastic(
         )
     num = mean_x - offset
     ratio = num / den
-    cov = float(np.cov(xs, ys, ddof=1)[0, 1]) if samples > 1 else 0.0
-    var_ratio = (
-        np.var(xs, ddof=1) + ratio**2 * np.var(ys, ddof=1) - 2 * ratio * cov
-    ) / (samples * den**2)
-    se = math.sqrt(max(var_ratio, 0.0))
+    # delta method: Var(x - ratio y) / (samples den^2), taken on the residuals
+    # themselves, so x = y sample by sample gives exactly zero
+    se = math.sqrt(float(np.var(xs - ratio * ys, ddof=1)) / samples) / abs(den)
     return EstimatorResult(
         estimate=1.0 - ratio, std_error=se, samples=samples,
         method="protocol.stochastic", seed=rng.seed, stream=rng.stream,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from math import isfinite, prod
 from numbers import Integral
 from typing import Optional
@@ -37,9 +36,10 @@ from .errors import SpecFileError
 KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 
 # Refuse larger ambients unless explicitly overridden.  No command builds a
-# d^2 x d^2 superoperator any more: protocol choi reads its overlaps from block
-# data, and only the oracles (algebras_equal, algebra_state) are d^4.  Dense
-# algebra bases still take dim(A) d^2 entries, d^4 for the full algebra.
+# d^2 x d^2 superoperator or a dense algebra basis: every route reads block
+# data, and only the oracles (algebras_equal, algebra_state, the bases that
+# OperatorAlgebra builds on first access) are d^4.  The largest production
+# objects are d x d, but the spec files themselves grow as d^2 entries.
 MAX_AMBIENT_DIM = 64
 
 
@@ -54,25 +54,53 @@ def _integer(value, path, field) -> int:
     raise SpecFileError(f"expected an integer, got {shown[:40]}", path, field)
 
 
-def _decode_matrix(data, dim: int, path, field) -> tuple:
+class SpecMatrix:
+    """A decoded spec matrix: a read-only complex array, compared and hashed by value."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        array.setflags(write=False)
+        self.array = array
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SpecMatrix) and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.array + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0, as == does
+
+    def to_list(self) -> list:
+        """The [re, im] pair rows of the schema."""
+        return np.stack([self.array.real, self.array.imag], axis=-1).tolist()
+
+
+def _decode_matrix(data, dim: int, path, field) -> np.ndarray:
+    """A dim x dim matrix of [re, im] pairs as a complex array, decoded in one pass.
+
+    Anything that is not a (dim, dim, 2) array of finite floats goes to
+    _matrix_error, which names what is wrong.
+    """
     try:
-        rows = []
-        for row in data:
-            rows.append(tuple((float(re), float(im)) for re, im in row))
-        mat = tuple(rows)
+        pairs = np.ascontiguousarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    # json accepts the NaN and Infinity tokens, and numpy reads null as NaN
+    if pairs is None or pairs.shape != (dim, dim, 2) or not np.isfinite(pairs).all():
+        _matrix_error(data, dim, path, field)
+    return pairs.view(complex)[..., 0]
+
+
+def _matrix_error(data, dim: int, path, field):
+    """Raise the SpecFileError that says why data is not a dim x dim matrix of finite pairs."""
+    try:
+        rows = [[(float(re), float(im)) for re, im in row] for row in data]
     except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFileError(f"matrix entries must be [re, im] pairs ({exc})", path, field)
-    if len(mat) != dim or any(len(row) != dim for row in mat):
+    if len(rows) != dim or any(len(row) != dim for row in rows):
         raise SpecFileError(f"matrix must be {dim}x{dim}", path, field)
-    # json accepts the NaN and Infinity tokens; float() lets them through
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(mat)), float, 2 * dim * dim)
-    if not np.isfinite(flat).all():
+    if not all(isfinite(x) for row in rows for pair in row for x in pair):
         raise SpecFileError("matrix entries must be finite", path, field)
-    return mat
-
-
-def _matrix_to_array(mat: tuple) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in mat])
+    raise SpecFileError("matrix entries must be [re, im] pairs", path, field)
 
 
 @dataclass(frozen=True)
@@ -81,25 +109,23 @@ class AlgebraSpec:
 
     dim: int
     kind: str
-    matrices: Optional[tuple] = None
+    matrices: Optional[tuple[SpecMatrix, ...]] = None
     blocks: Optional[tuple] = None
-    basis_change: Optional[tuple] = None
-    unitary: Optional[tuple] = None
+    basis_change: Optional[SpecMatrix] = None
+    unitary: Optional[SpecMatrix] = None
     site_dims: Optional[tuple] = None
     region: Optional[tuple] = None
 
     def to_dict(self) -> dict:
         out = {"dim": self.dim, "kind": self.kind}
         if self.matrices is not None:
-            out["matrices"] = [
-                [[[re, im] for re, im in row] for row in m] for m in self.matrices
-            ]
+            out["matrices"] = [m.to_list() for m in self.matrices]
         if self.blocks is not None:
             out["blocks"] = [list(b) for b in self.blocks]
         if self.basis_change is not None:
-            out["basis_change"] = [[[re, im] for re, im in row] for row in self.basis_change]
+            out["basis_change"] = self.basis_change.to_list()
         if self.unitary is not None:
-            out["unitary"] = [[[re, im] for re, im in row] for row in self.unitary]
+            out["unitary"] = self.unitary.to_list()
         if self.site_dims is not None:
             out["site_dims"] = list(self.site_dims)
         if self.region is not None:
@@ -108,14 +134,12 @@ class AlgebraSpec:
 
     def to_algebra(self) -> OperatorAlgebra:
         if self.kind == "generators":
-            return algebra_from_generators(
-                [_matrix_to_array(m) for m in self.matrices], self.dim
-            )
+            return algebra_from_generators([m.array for m in self.matrices], self.dim)
         if self.kind == "structural":
-            change = _matrix_to_array(self.basis_change) if self.basis_change else None
+            change = None if self.basis_change is None else self.basis_change.array
             return structural_algebra(list(self.blocks), basis_change=change)
         if self.kind == "masa":
-            return masa_from_unitary(_matrix_to_array(self.unitary))
+            return masa_from_unitary(self.unitary.array)
         if self.kind == "lattice":
             return lattice_algebra(list(self.site_dims), list(self.region))
         if self.kind == "full":
@@ -133,7 +157,7 @@ class AlgebraSpec:
         """The basis unitary of a masa spec, as a complex array."""
         if self.kind != "masa":
             raise SpecFileError(f"spec of kind {self.kind!r} carries no basis unitary")
-        return _matrix_to_array(self.unitary)
+        return self.unitary.array
 
 
 def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraSpec:
@@ -156,7 +180,7 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
         if not isinstance(mats, list):
             raise SpecFileError("'matrices' must be a list", path, "matrices")
         matrices = tuple(
-            _decode_matrix(m, dim, path, f"matrices[{i}]") for i, m in enumerate(mats)
+            SpecMatrix(_decode_matrix(m, dim, path, f"matrices[{i}]")) for i, m in enumerate(mats)
         )
         return AlgebraSpec(dim=dim, kind=kind, matrices=matrices)
 
@@ -176,15 +200,15 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
             )
         change = None
         if data.get("basis_change") is not None:
-            change = _decode_matrix(data["basis_change"], dim, path, "basis_change")
-            _check_unitary_payload(change, path, "basis_change")
+            change = SpecMatrix(_decode_matrix(data["basis_change"], dim, path, "basis_change"))
+            _check_unitary_payload(change.array, path, "basis_change")
         return AlgebraSpec(dim=dim, kind=kind, blocks=parsed, basis_change=change)
 
     if kind == "masa":
         if data.get("unitary") is None:
             raise SpecFileError("masa spec needs a 'unitary' matrix", path, "unitary")
-        unitary = _decode_matrix(data["unitary"], dim, path, "unitary")
-        _check_unitary_payload(unitary, path, "unitary")
+        unitary = SpecMatrix(_decode_matrix(data["unitary"], dim, path, "unitary"))
+        _check_unitary_payload(unitary.array, path, "unitary")
         return AlgebraSpec(dim=dim, kind=kind, unitary=unitary)
 
     if kind == "lattice":
@@ -210,8 +234,7 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
     return AlgebraSpec(dim=dim, kind=kind)
 
 
-def _check_unitary_payload(mat: tuple, path, field) -> None:
-    arr = _matrix_to_array(mat)
+def _check_unitary_payload(arr: np.ndarray, path, field) -> None:
     d = arr.shape[0]
     # unitary entries have modulus <= 1; checked first, it keeps the product finite,
     # and the negated comparisons refuse a NaN
@@ -264,4 +287,4 @@ def parse_matrix_file(path: str, expected_dim: Optional[int] = None) -> np.ndarr
         raise SpecFileError(f"matrix dim {dim} does not match algebra dim {expected_dim}", path)
     if "matrix" not in data:
         raise SpecFileError("missing 'matrix'", path, "matrix")
-    return _matrix_to_array(_decode_matrix(data["matrix"], dim, path, "matrix"))
+    return _decode_matrix(data["matrix"], dim, path, "matrix")

@@ -201,6 +201,39 @@ def ref_hs_overlap(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
     return float(np.sum(np.abs(ra.conj() @ rb.T) ** 2))
 
 
+def ref_projection_purity(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
+    """sum_a ||P_B'(e_a)||^2 over A's block basis, P_B' from the dense basis of B'.
+
+    The dense form man_projection evaluated before it worked on block data.
+    """
+    b_comm = b.commutant_algebra()
+    rows = b_comm.basis.reshape(b_comm.dim, -1).conj()
+    return sum(float(np.sum(np.abs(rows @ e.reshape(-1)) ** 2)) for e in a.block_bases().e)
+
+
+def ref_entropy_man(a: OperatorAlgebra, b: OperatorAlgebra) -> tuple[float, list]:
+    """entropy_decomposition_man's sum, unclamped, with P_A' from the dense basis of A',
+    and per block of B its (mean pure, mixed) linear entropies."""
+    a_comm = a.commutant_algebra()
+    rows = a_comm.basis.reshape(a_comm.dim, -1).conj()
+    total, per_block = 0.0, []
+    for blk in b.decomposition().blocks:
+        n, dj, iso = blk.n, blk.d, blk.isometry
+
+        def compress(x):
+            y = iso @ np.kron(np.eye(n) / n, x) @ iso.conj().T
+            return float(np.sum(np.abs(rows @ y.reshape(-1)) ** 2))
+
+        hs_sq = sum(compress(np.outer(np.eye(dj)[l], np.eye(dj)[m]))
+                    for l in range(dj) for m in range(dj))
+        id_sq = compress(np.eye(dj))
+        e_slin, slin_mixed = 1.0 - (id_sq + hs_sq) / (dj * (dj + 1)), 1.0 - id_sq / dj**2
+        p_j, a_j, b_j = n * dj / a.d, n * (dj + 1) / dj, 1.0 - n / dj
+        total += p_j * (a_j * e_slin - n * slin_mixed + b_j)
+        per_block.append((e_slin, slin_mixed))
+    return total, per_block
+
+
 # -- per-sample reference loops ------------------------------------------------
 #
 # The Monte-Carlo estimators run on stacks of samples.  These loops are the

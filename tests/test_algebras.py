@@ -11,6 +11,7 @@ from manlab.algebras import (
     algebras_equal,
     block_bases,
     center,
+    commutant_intersection_dim,
     compute_commutant,
     diagonal_masa,
     full_algebra,
@@ -240,6 +241,53 @@ class TestPrincipalAngleIntersection:
                 assert algebras_equal(got, want), name
                 flat = got.basis.reshape(got.dim, -1)
                 assert np.linalg.norm(flat.conj() @ flat.T - np.eye(got.dim)) < 1e-10, name
+
+
+class TestCommutantIntersectionDim:
+    # dim(A n B') from the algebra generated by A' and B, against the
+    # principal-angle oracle and closed forms
+    @staticmethod
+    def _check(a, b, label):
+        want = algebra_intersection(a, b.commutant_algebra()).dim
+        assert commutant_intersection_dim(a, b) == want, label
+
+    def test_fixture_pairs(self):
+        for name, a, b in concordance_pairs():
+            self._check(a, b, name)
+            self._check(b, a, name + ", swapped")
+
+    @pytest.mark.parametrize("blocks_a, blocks_b", [
+        ([(2, 2), (2, 2)], [(1, 2), (1, 2), (2, 2)]),
+        ([(1, 3), (1, 3)], [(1, 2), (1, 4)]),
+        ([(2, 4)], [(1, 4), (1, 4)]),
+        ([(2, 2), (1, 4)], [(4, 1), (2, 2)]),
+    ])
+    def test_rotated_collinear_pairs(self, blocks_a, blocks_b):
+        # both structures in one rotated basis, so the intersection is not C1
+        d = sum(n * dj for n, dj in blocks_a)
+        w = random_unitary(d, 1201)
+        a, b = structural_algebra(blocks_a, w), structural_algebra(blocks_b, w)
+        for x, y in ((a, b), (b, a)):
+            self._check(x, y, f"{blocks_a}|{blocks_b}")
+        for x in (a, b):
+            assert commutant_intersection_dim(x, x) == x.decomposition().d_Z
+            assert commutant_intersection_dim(x, x.commutant_algebra()) == x.dim
+            u = random_unitary(d, 1202)
+            self._check(x, x.commutant_algebra().conjugated(u), "rotated commutant")
+
+    def test_lattice_closed_form(self):
+        sites = range(3)
+        regions = [{s for s in sites if mask >> s & 1} for mask in range(8)]
+        for r1 in regions:
+            for r2 in regions:
+                a, b = lattice_algebra([2, 2, 2], r1), lattice_algebra([2, 2, 2], r2)
+                assert commutant_intersection_dim(a, b) == (2 ** len(r1 - r2)) ** 2, (r1, r2)
+        a, b = lattice_algebra([2, 3, 2], {0, 1}), lattice_algebra([2, 3, 2], {0, 2})
+        assert commutant_intersection_dim(a, b) == 9
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(AlgebraError):
+            commutant_intersection_dim(full_algebra(2), full_algebra(3))
 
 
 class TestCommutantFromBlocks:

@@ -378,11 +378,13 @@ class TestNoCommutantSolveInProduction:
 
 
 class TestOneBasisPerAlgebra:
-    # every named algebra is born from its blocks; A' is built only when read
+    # every algebra a command builds is born from its blocks, and no command
+    # reads a dense basis: not A's or B's, not A''s, not the center's, and
+    # neither the block bases nor an HS projection
     def test_commands_build_no_commutant_basis(self, specdir, tmp_path, capsys, monkeypatch):
         import manlab.algebras as mod
 
-        built = []
+        built, dense = [], []
         block_basis = mod._block_algebra_basis
 
         def counting(blocks):
@@ -390,20 +392,44 @@ class TestOneBasisPerAlgebra:
             built.append(len(basis))
             return basis
 
+        def recording(name, original):
+            def wrapper(*args, **kwargs):
+                dense.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
         monkeypatch.setattr(mod, "_block_algebra_basis", counting)
+        monkeypatch.setattr(mod, "block_bases", recording("block_bases", mod.block_bases))
+        monkeypatch.setattr(mod.OperatorAlgebra, "project",
+                            recording("project", mod.OperatorAlgebra.project))
         rot = tmp_path / "rot4.json"
         rot.write_text(json.dumps({"dim": 4, "kind": "structural", "blocks": [[1, 2], [2, 1]],
                                    "basis_change": _matrix_payload(random_unitary(4, 61))}))
+        sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+        gens = tmp_path / "m2x1_gens.json"
+        gens.write_text(json.dumps({"dim": 4, "kind": "generators", "matrices": [
+            _matrix_payload(np.kron(sx, np.eye(2))), _matrix_payload(np.kron(sz, np.eye(2)))]}))
         specs = [str(specdir / name) for name in ("full4.json", "triv4.json", "bell4.json",
-                                                  "m2x1.json")] + [str(rot)]
+                                                  "m2x1.json")] + [str(rot), str(gens)]
         pairs = list(zip(specs, specs[1:] + specs[:1]))
+        collinear = [(a, b) for a, b in pairs if a != str(rot)]
+        swap_u = str(specdir / "swap_u.json")
         argvs = [["analyze", s] for s in specs] + [["selfman", s] for s in specs]
-        argvs += [["man", a, b] for a, b in pairs]
-        argvs += [["orbit-avg", a, b, "--samples", "20"] for a, b in pairs]
+        argvs += [["aotoc", s, "--unitary", swap_u] for s in specs]
+        for a, b in pairs:
+            argvs += [["man", a, b, "--method", m] for m in ("omega", "projection", "entropy")]
+            argvs += [["man", a, b, "--method", "mc", "--samples", "20"], ["bounds", a, b],
+                      ["orbit-avg", a, b], ["orbit-avg", a, b, "--samples", "20"]]
+        for a, b in collinear:
+            argvs.append(["man", a, b, "--method", "collinear"])
+            for pair in ([a, b], [a]):
+                argvs += [["protocol", "choi", *pair], ["protocol", "stochastic", *pair],
+                          ["protocol", "stochastic", *pair, "--samples", "20"]]
         for argv in argvs:
             built.clear()
-            report = _run_json(capsys, argv)
-            assert sum(built) == sum(entry["d_alg"] for entry in report["inputs"]), argv
+            _run_json(capsys, argv)
+            assert sum(built) == 0, argv
+            assert dense == [], (argv, dense)
 
 
 class TestCliErrors:
@@ -662,6 +688,58 @@ class TestSpectralSolveFrontier:
             if d == 64:
                 # parse, solve and engine; about 0.1-0.2 s on one core
                 assert report["wall_time_s"] < 1.0, argv
+
+
+class TestLargeAmbientMemory:
+    # d = 256 with --allow-large: a dense basis of M_256 alone is 64 GiB, so
+    # these commands run only because no route builds one
+    D = 256
+
+    @pytest.fixture(scope="class")
+    def specs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("d256")
+        files = {
+            "full": {"dim": self.D, "kind": "full"},
+            "structural": {"dim": self.D, "kind": "structural", "blocks": [[2, 64], [1, 128]],
+                           "basis_change": _matrix_payload(random_unitary(self.D, 2561))},
+            "lat_a": {"dim": self.D, "kind": "lattice", "site_dims": [2] * 8,
+                      "region": [0, 1, 2, 3]},
+            "lat_b": {"dim": self.D, "kind": "lattice", "site_dims": [2] * 8,
+                      "region": [2, 3, 4, 5, 6]},
+        }
+        # the cyclic shift by four of eight qubits: it maps A_{4..7} onto A_{0..3}
+        idx = np.arange(self.D)
+        shift = np.zeros((self.D, self.D))
+        shift[((idx << 4) | (idx >> 4)) & (self.D - 1), idx] = 1.0
+        files["shift"] = {"dim": self.D, "matrix": _matrix_payload(shift)}
+        files["eye"] = {"dim": self.D, "matrix": _matrix_payload(np.eye(self.D))}
+        paths = {}
+        for name, payload in files.items():
+            paths[name] = root / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+        return {name: str(path) for name, path in paths.items()}
+
+    def test_d256_commands_under_cap(self, specs):
+        d2 = self.D**2
+        comm_dim = {"full": 1, "structural": 2 * 2 + 1, "lat_a": 16**2, "lat_b": 8**2}
+        self_s = {"full": 1 - 1 / d2, "structural": 1 - (2 / 64 + 1 / 128) / self.D,
+                  "lat_a": 1 - 1 / self.D, "lat_b": 1 - (8 / 32) / self.D}
+        pair_s = {("full", "structural"): 1 - 5 / d2, ("structural", "full"): 1 - 5 / d2,
+                  ("lat_a", "lat_b"): 1 - 2.0 ** (-2 * 2)}
+        runs = [(["selfman", specs[name]], "S", want) for name, want in self_s.items()]
+        for (a, b), want in pair_s.items():
+            orbit = ((1 - comm_dim[a] / d2) * (1 - comm_dim[b] / d2) / (1 - 1 / d2))
+            runs += [(["man", specs[a], specs[b]], "S", want),
+                     (["orbit-avg", specs[a], specs[b]], "value", orbit)]
+        # S(A : U A' U^dag): A' = C1 for M_d, A' itself under the identity, and
+        # the shift takes the commutant of A_{0..3} onto A_{0..3}
+        runs += [(["aotoc", specs["full"], "--unitary", specs["shift"]], "S", 0.0),
+                 (["aotoc", specs["structural"], "--unitary", specs["eye"]], "S", 0.0),
+                 (["aotoc", specs["lat_a"], "--unitary", specs["shift"]], "S", 1 - 2.0**-8)]
+        for argv, key, want in runs:
+            report, rss = _peak_rss_cli(argv + ["--allow-large"])
+            assert abs(report["result"][key] - want) <= 1e-9, (argv, report["result"][key], want)
+            assert rss < 512, (argv, rss)
 
 
 def _imported_modules(args):

@@ -43,7 +43,7 @@ from manlab.man import (
     quantumness,
     self_man,
 )
-from manlab.protocols import mc_orbit_averaged_man
+from manlab.protocols import mc_orbit_averaged_man, protocol_stochastic
 from manlab.rng import RngStream
 
 from helpers import (
@@ -57,7 +57,10 @@ from helpers import (
     fourier_basis,
     random_matrix,
     random_unitary,
+    ref_entropy_man,
     ref_hs_overlap,
+    ref_projection_purity,
+    ref_stochastic,
     symmetric_operator_algebra,
 )
 
@@ -237,6 +240,51 @@ class TestScale:
         u = random_unitary(64, 6403)
         evolved = a.commutant_algebra().conjugated(u)
         assert abs(a_otoc(a, u).S - man_projection(a, evolved).S) <= 1e-9
+        # the block routes against the dense forms they replaced
+        purity = ref_projection_purity(a, b)
+        assert abs(man_projection(a, b).extras["purity_sum"] - purity) <= 1e-12 * purity
+        assert abs(entropy_decomposition_man(a, b).S - ref_entropy_man(a, b)[0]) <= 1e-12
+        c = structural_algebra([(1, 4)] * 3 + [(2, 8), (3, 12)], random_unitary(64, 6404))
+        for target, other in ((b.commutant_algebra(), b), (algebras.center(c), None)):
+            res = protocol_stochastic(c, other, samples=20, rng=RngStream(6405))
+            ref = ref_stochastic(c, target, 20, None, RngStream(6405))
+            for key in ("mean_numerator", "mean_denominator"):
+                assert abs(res.extras[key] - ref[key]) <= 1e-12, key
+            assert abs(res.estimate - ref["estimate"]) <= 1e-12
+
+
+class TestBlockRoutesAgainstDense:
+    # man_projection and entropy_decomposition_man sum partial traces of
+    # matrix units; the dense forms read the bases of B' and A'
+    @staticmethod
+    def _check_entropy(a, b, label):
+        report = entropy_decomposition_man(a, b)
+        total, per_block = ref_entropy_man(a, b)
+        assert abs(report.S - clamp_unit(total)) <= 1e-12, label
+        for got, (e_slin, slin_mixed) in zip(report.extras["per_block"], per_block):
+            assert abs(got["mean_pure_linear_entropy"] - e_slin) <= 1e-12, label
+            assert abs(got["mixed_linear_entropy"] - slin_mixed) <= 1e-12, label
+
+    def test_fixture_pairs(self):
+        pairs = concordance_pairs() + [("sym22:sym22", symmetric_operator_algebra(),
+                                        symmetric_operator_algebra())]
+        for name, a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                purity = ref_projection_purity(x, y)
+                report = man_projection(x, y)
+                assert abs(report.extras["purity_sum"] - purity) <= 1e-12 * max(1.0, purity), name
+                assert abs(report.S - clamp_unit(1.0 - purity / x.d)) <= 1e-12, name
+                self._check_entropy(x, y, name)
+
+    def test_generators_algebras(self):
+        ref_a = structural_algebra([(1, 2), (2, 2)], basis_change=random_unitary(6, 903))
+        ref_b = structural_algebra([(2, 1), (1, 4)], basis_change=random_unitary(6, 904))
+        a = algebra_from_generators([ref_a.project(random_matrix(6, s)) for s in (5, 6)], 6)
+        b = algebra_from_generators([ref_b.project(random_matrix(6, s)) for s in (7, 8)], 6)
+        for x, y in ((a, b), (b, a)):
+            purity = ref_projection_purity(x, y)
+            assert abs(man_projection(x, y).extras["purity_sum"] - purity) <= 1e-12 * purity
+            self._check_entropy(x, y, "generators")
 
 
 class TestGeneratorsSpecs:
