@@ -131,7 +131,6 @@ class OperatorAlgebra:
         self.d = int(d)
         self._basis: Optional[np.ndarray] = basis
         self._dim = basis.shape[0]
-        self._born_from_blocks = False
         self._decomposition: Optional[StructuralDecomposition] = None
         self._commutant: Optional["OperatorAlgebra"] = None
         self._block_bases: Optional[BlockBases] = None
@@ -143,7 +142,6 @@ class OperatorAlgebra:
         alg.d = dec.dim
         alg._basis = None
         alg._dim = dec.algebra_dim
-        alg._born_from_blocks = True
         alg._decomposition = dec
         alg._commutant = None
         alg._block_bases = None
@@ -230,16 +228,14 @@ class OperatorAlgebra:
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
         """The image algebra U A U^dag, carrying the decomposition along.
 
-        A block-born algebra moves only its isometries and projectors.
+        A known decomposition fixes the algebra, so only its isometries and
+        projectors move; a bare basis not yet solved is conjugated as it is.
         """
         _check_unitary(u)
-        if self._born_from_blocks:
+        if self._decomposition is not None:
             return OperatorAlgebra._from_decomposition(
                 _conjugate_decomposition(self._decomposition, u))
-        out = OperatorAlgebra(self.d, u @ self.basis @ dagger(u))
-        if self._decomposition is not None:
-            out._decomposition = _conjugate_decomposition(self._decomposition, u)
-        return out
+        return OperatorAlgebra(self.d, u @ self.basis @ dagger(u))
 
 
 # -- construction -----------------------------------------------------------

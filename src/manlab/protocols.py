@@ -269,10 +269,10 @@ def protocol_stochastic(
         raise ValueError("sampled mode needs samples >= 2")
     if rng is None:
         raise ValueError("sampled mode needs an RngStream")
-    from .purestates import BlockCoordinates, PairOverlaps, center_overlaps
+    from .purestates import BlockFrame, PairOverlaps, center_overlaps
 
     if self_mode:
-        overlaps = partial(center_overlaps, BlockCoordinates(_iso_blocks(a)))
+        overlaps = partial(center_overlaps, BlockFrame(_iso_blocks(a)))
     else:
         # B' reads M_{n_K} (x) 1_{d_K} on B's blocks, 1_{d_K} (x) M_{n_K} once the factors swap
         overlaps = PairOverlaps(

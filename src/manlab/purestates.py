@@ -6,135 +6,94 @@ or T = Z(A).  Both come from the blocks (n_J, d_J, V_J): no basis, commutant
 or center algebra is built.  protocols imports this module only when
 protocol_stochastic samples, so the other estimators do not load it.
 
-Every product and sum runs over one state's own entries (per-state matrix
-products, elementwise products, sums along a state's last axis), so a
-state's values do not depend on how many others share its chunk.
+A state's values do not depend on how many others share its chunk: the
+amplitudes are one (1, d) product per state (a plain (c, d) product with
+c = 1 takes a vector kernel that rounds differently), the frame cores of all
+states are stacked as (c d, d) rows against one fixed matrix, and every sum
+runs along a state's own axes.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .linalg import dagger
 
-# Largest cross Gram of two block bases that PairOverlaps keeps (1 MiB).
-GRAM_ENTRIES = 1 << 16
 
+class BlockFrame:
+    """A block-born algebra's frame V = [V_1 ... V_m], a d x d unitary.
 
-class BlockCoordinates:
-    """A block-born algebra's frame and the index maps of its projection.
-
-    The frame V puts the isometries V_J side by side; it is a d x d unitary,
-    since the blocks fill the space.  For a pure state with amplitudes
-    a = V^dag phi, P(rho) = sum_k alpha_k e_k in the orthonormal block basis
-    e_(J,l,m) = V_J (1_{n_J} (x) |l><m|) V_J^dag / sqrt(n_J), with
-    alpha_(J,l,m) = R_J[l, m] / sqrt(n_J) and R_J = Tr_{n_J}[V_J^dag rho V_J]:
-    a gather of the products a_(J,r,l) conj(a_(J,r,m)) and a segment sum over
-    r.  In the frame, V^dag P(rho) V = sum_J 1_{n_J}/n_J (x) R_J, a scatter
-    of the same numbers.  Both maps are fixed per algebra, so a chunk costs a
-    few array operations whatever the number of blocks.
+    For a pure state with amplitudes a = V^dag phi, read a_J as (n_J, d_J),
+    P(rho) = sum_J V_J (1_{n_J}/n_J (x) R_J) V_J^dag with
+    R_J = Tr_{n_J}[V_J^dag rho V_J] = a_J^T conj(a_J), and
+    ||P(rho)||^2 = sum_J ||R_J||^2 / n_J.
     """
 
     def __init__(self, blocks):
+        self.shapes = [(n, dj) for n, dj, _ in blocks]
         self.frame = np.concatenate([v for _, _, v in blocks], axis=1)
-        d = self.frame.shape[0]
-        rows, cols, starts, dest, spread, scale, offsets = [], [], [], [], [], [], []
-        offset = segment = gathered = 0
-        for n, dj, _ in blocks:
-            col = offset + np.arange(n * dj).reshape(n, dj)  # frame column of (J, r, l)
-            # segment (l, m) runs over r: entries ((J, r, l), (J, r, m))
-            rows.append(np.broadcast_to(col.T[:, None, :], (dj, dj, n)).ravel())
-            cols.append(np.broadcast_to(col.T[None, :, :], (dj, dj, n)).ravel())
-            starts.append(gathered + n * np.arange(dj * dj))
-            dest.append((col[:, :, None] * d + col[:, None, :]).ravel())
-            spread.append(np.tile(segment + np.arange(dj * dj), n))
-            scale.append(np.full(dj * dj, 1.0 / math.sqrt(n)))
-            offsets.append(offset)
+        self._frame_conj = self.frame.conj()
+
+    def reduced(self, phi: np.ndarray) -> list[np.ndarray]:
+        """R_J for each block, each (c, d_J, d_J), for a (c, d) stack of states."""
+        amp = (phi[:, None, :] @ self._frame_conj)[:, 0]
+        out, offset = [], 0
+        for n, dj in self.shapes:
+            a = amp[:, offset:offset + n * dj].reshape(-1, n, dj)
+            out.append(np.einsum("crl,crm->clm", a, a.conj()))
             offset += n * dj
-            segment += dj * dj
-            gathered += n * dj * dj
-        self.rows, self.cols = np.concatenate(rows), np.concatenate(cols)
-        self.starts, self.scale = np.concatenate(starts), np.concatenate(scale)
-        self.dest, self.spread = np.concatenate(dest), np.concatenate(spread)
-        self.offsets = np.array(offsets)
-        self.sizes = np.array([n * dj for n, dj, _ in blocks], dtype=float)
+        return out
 
-    def amplitudes(self, phi: np.ndarray) -> np.ndarray:
-        """V^dag phi for each state of a (c, d) stack."""
-        return (phi[:, None, :] @ self.frame.conj())[:, 0]
+    def purity(self, reduced: list[np.ndarray]) -> np.ndarray:
+        """||P(rho)||^2 per state."""
+        return sum(np.real(np.einsum("clm,clm->c", r, r.conj())) / n
+                   for (n, _), r in zip(self.shapes, reduced))
 
-    def coefficients(self, amp: np.ndarray) -> np.ndarray:
-        """alpha = R_J[l, m] / sqrt(n_J) for every (J, l, m), as (c, dim A)."""
-        products = amp[:, self.rows] * amp[:, self.cols].conj()
-        return np.add.reduceat(products, self.starts, axis=1) * self.scale
-
-    def core(self, alpha: np.ndarray) -> np.ndarray:
-        """V^dag P(rho) V = sum_J 1_{n_J}/n_J (x) R_J, flattened to (c, d^2)."""
-        out = np.zeros((len(alpha), self.frame.shape[0] ** 2), dtype=complex)
-        out[:, self.dest] = (alpha * self.scale)[:, self.spread]
+    def core(self, reduced: list[np.ndarray]) -> np.ndarray:
+        """V^dag P(rho) V = sum_J 1_{n_J}/n_J (x) R_J, as (c, d, d)."""
+        c, d = len(reduced[0]), self.frame.shape[0]
+        out = np.zeros((c, d, d), dtype=complex)
+        offset = 0
+        for (n, dj), r in zip(self.shapes, reduced):
+            block = out[:, offset:offset + n * dj, offset:offset + n * dj]
+            # the (r, r) diagonal blocks of the (n_J, d_J, n_J, d_J) view, written in place
+            np.einsum("crlrm->crlm", block.reshape(c, n, dj, n, dj))[...] = (r / n)[:, None]
+            offset += n * dj
         return out
 
 
 class PairOverlaps:
     """(<P_A rho, P_T rho>, ||P_A rho||^2) for stacks of pure states, from block data.
 
-    With alpha and beta the coefficients of P_A rho and P_T rho in the two
-    orthonormal block bases e and f, the purity is ||alpha||^2 and the
-    overlap is alpha^dag G beta, G_kb = <e_k, f_b> the cross Gram: dim A
-    dim T work per state.  G is kept when that is less than d^3 and fits in
-    GRAM_ENTRIES; otherwise (A = M_d against B = C1 has dim A dim T = d^4)
-    the overlap is taken in A's frame, <C_A, U C_T U^dag> with the frame
-    cores C and U = V^dag W: about 2 d^3 work per state and d^2 memory.
+    The overlap is taken in A's frame: with C_A and C_T the frame cores and
+    U = V^dag W, V^dag P_T(rho) V = U C_T U^dag, so
+    x = Tr(C_A U C_T U^dag) = sum_ij (C_A U)_ij (C_T U^dag)_ji.  About 2 d^3
+    work per state and d^2 memory, whatever dim A and dim T are.
     """
 
     def __init__(self, blocks_a, blocks_t):
-        self.a, self.t = BlockCoordinates(blocks_a), BlockCoordinates(blocks_t)
+        self.a, self.t = BlockFrame(blocks_a), BlockFrame(blocks_t)
         self.u = dagger(self.a.frame) @ self.t.frame
-        dim_a, dim_t = len(self.a.scale), len(self.t.scale)
-        small = dim_a * dim_t <= min(self.u.shape[0] ** 3, GRAM_ENTRIES)
-        self.gram_t = cross_gram(blocks_a, blocks_t).T if small else None
+        self.u_dag = dagger(self.u)
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        alpha = self.a.coefficients(self.a.amplitudes(phi))
-        beta = self.t.coefficients(self.t.amplitudes(phi))
-        if self.gram_t is not None:
-            g_beta = (beta[:, None, :] @ self.gram_t)[:, 0]
-            x = np.sum(alpha.conj() * g_beta, axis=1)
-        else:
-            c, d = phi.shape
-            core_t = self.u @ self.t.core(beta).reshape(c, d, d) @ dagger(self.u)
-            x = np.sum(self.a.core(alpha).conj() * core_t.reshape(c, -1), axis=1)
-        return np.stack([np.real(x), np.real(np.sum(alpha.conj() * alpha, axis=1))], axis=1)
+        c, d = phi.shape
+        core_a = self.a.core(self.a.reduced(phi))
+        left = (core_a.reshape(c * d, d) @ self.u).reshape(c, d, d)
+        right = (self.t.core(self.t.reduced(phi)).reshape(c * d, d) @ self.u_dag).reshape(c, d, d)
+        x = np.einsum("cij,cji->c", left, right)
+        # y = Tr(C_A C_A) by the same sum, so T = A in the same frame gives x = y exactly
+        y = np.einsum("cij,cji->c", core_a, core_a)
+        return np.stack([np.real(x), np.real(y)], axis=1)
 
 
-def cross_gram(blocks_a, blocks_t) -> np.ndarray:
-    """<e_(J,l,m), f_(K,s,t)> for the orthonormal block bases of A and T, (dim A, dim T).
-
-    With M = V_J^dag W_K read as (n_J, d_J, n_K, d_K), the entry is
-    sum_{p,q} M[p, l, q, s] conj(M[p, m, q, t]) / sqrt(n_J n_K).
-    """
-    rows = []
-    for n, dj, v in blocks_a:
-        row = []
-        for nk, dk, w in blocks_t:
-            m = (dagger(v) @ w).reshape(n, dj, nk, dk)
-            g = np.einsum("plqs,pmqt->lmst", m, m.conj()) / math.sqrt(n * nk)
-            row.append(g.reshape(dj * dj, dk * dk))
-        rows.append(np.concatenate(row, axis=1))
-    return np.concatenate(rows, axis=0)
-
-
-def center_overlaps(coords: BlockCoordinates, phi: np.ndarray) -> np.ndarray:
+def center_overlaps(frame: BlockFrame, phi: np.ndarray) -> np.ndarray:
     """(<P_A rho, P_Z rho>, ||P_A rho||^2) per state, as a (c, 2) stack.
 
-    P_Z rho = sum_J P_J t_J/(n_J d_J) with t_J = Tr(P_J rho), the weight of
-    the state's amplitudes on block J; P_J lies in A, so the overlap is
-    sum_J t_J^2/(n_J d_J).
+    P_Z rho = sum_J P_J t_J/(n_J d_J) with t_J = Tr(P_J rho) = Tr R_J; P_J
+    lies in A, so the overlap is sum_J t_J^2/(n_J d_J).
     """
-    amp = coords.amplitudes(phi)
-    t = np.add.reduceat(np.abs(amp) ** 2, coords.offsets, axis=1)
-    alpha = coords.coefficients(amp)
-    return np.stack([np.sum(t**2 / coords.sizes, axis=1),
-                     np.real(np.sum(alpha.conj() * alpha, axis=1))], axis=1)
+    reduced = frame.reduced(phi)
+    x = sum(np.real(np.einsum("cll->c", r)) ** 2 / (n * dj)
+            for (n, dj), r in zip(frame.shapes, reduced))
+    return np.stack([x, frame.purity(reduced)], axis=1)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from manlab import protocols, purestates
+from manlab import protocols
 from manlab.algebras import (
     _haar_algebra_unitaries,
     center,
@@ -489,12 +489,9 @@ class TestCounterSemantics:
                 assert abs(res.extras[key] - ref[key]) <= 1e-12, key
             assert abs(res.estimate - ref["estimate"]) <= 1e-12
 
-    @pytest.mark.parametrize("gram_entries", [0, purestates.GRAM_ENTRIES])
-    def test_stochastic_overlap_routes(self, pairs, monkeypatch, gram_entries):
-        # the pair mode takes <P_A rho, P_B' rho> from the cross Gram of the two
-        # block bases or, past GRAM_ENTRIES, in A's frame: both against the
-        # loop, and neither changed by the chunking
-        monkeypatch.setattr(purestates, "GRAM_ENTRIES", gram_entries)
+    def test_stochastic_overlap_routes(self, pairs, monkeypatch):
+        # the pair mode takes <P_A rho, P_B' rho> in A's frame: against the
+        # loop, and not changed by the chunking
         cases = [pairs["d4"], pairs["d8"], pairs["d16"][::-1], (factor_m2x1(), bell_masa())]
         for k, (a, b) in enumerate(cases):
             res = protocol_stochastic(a, b, samples=60, rng=RngStream(55, k))
