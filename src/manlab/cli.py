@@ -5,9 +5,9 @@ produced by exactly one engine operation, named in the ``method`` tag next to
 it.  ``--csv`` additionally appends one tabular row per case.
 
 The Monte-Carlo and protocol simulators (``protocols``) are imported only by
-the commands that sample, and ``numpy.random`` only by the commands that
-simulate shot noise (``--shots``), so no command pays for what it does not
-run.
+the commands that sample, so no command pays for what it does not run.  No
+command imports ``numpy.random``: every draw, the ``--shots`` noise included,
+comes from the counter hash in ``rng``.
 """
 
 from __future__ import annotations

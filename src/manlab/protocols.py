@@ -13,10 +13,12 @@ chunking.  The estimators work on stacks: the normals of a chunk of samples
 come from one vectorized counter-hash call per stream
 (``RngStream.normal_rows``, whose row i - start is ``normals(i, width)``),
 and the linear algebra (QR, commutators, projections, block traces,
-eigenvalues) then runs once per chunk on the whole stack.  Only the binomial
-shot noise of ``shots`` draws from Philox, so only it loads
-``numpy.random``.  Chunks hold at most ``_CHUNK_ELEMENTS`` stacked matrix
-entries, which keeps memory flat; the chunk size never changes a result,
+eigenvalues) then runs once per chunk on the whole stack.  The binomial shot
+noise of ``shots`` comes from the same hash (``RngStream.uniform_rows``):
+swap-test value j draws at counter j of its own stream, by inversion at small
+means and by Hormann's BTRS otherwise.  Chunks hold at most
+``_CHUNK_ELEMENTS`` stacked matrix entries, which keeps memory flat; the
+chunk size never changes a result,
 because each sample is computed from its own counter and the per-sample
 values are reduced only after all chunks are done.
 """
@@ -165,13 +167,124 @@ def _self_mode(a: OperatorAlgebra, b: Optional[OperatorAlgebra]) -> bool:
     return False
 
 
-def _swap_tests(values: np.ndarray, shots: int, gen: np.random.Generator):
+# Shot counts: values with a mean shots * min(p, 1 - p) below _INVERSION_MEAN
+# invert one uniform; the others run BTRS on _BTRS_PAIRS candidate pairs per
+# block of words, and _SHOT_CHUNK values at a time keep the arrays small.
+_INVERSION_MEAN = 10.0
+_BTRS_PAIRS = 6
+_SHOT_CHUNK = 1024
+# log k! - (k + 1/2) log(k + 1) + k + 1 - log(2 pi)/2, the Stirling tail, for k < 10
+_STIRLING_TAIL = np.array([math.lgamma(k + 1) - (k + 0.5) * math.log(k + 1) + k + 1
+                           - 0.5 * math.log(2 * math.pi) for k in range(10)])
+
+
+def _stirling_tail(k: np.ndarray) -> np.ndarray:
+    x2 = (k + 1.0) ** 2
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * x2)) / x2) / x2) / (k + 1.0)
+    return np.where(k < 10, _STIRLING_TAIL[np.minimum(k, 9).astype(np.intp)], series)
+
+
+def _inversion(n: float, q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Binomial(n, q) counts by inverting u, walking the pmf up from k = 0."""
+    ratio = q / (1.0 - q)
+    pmf = np.exp(n * np.log1p(-q))
+    cdf = pmf.copy()
+    k = np.zeros_like(q)
+    # stop where the cdf passes u, at k = n, or where the pmf tail underflows
+    walk = np.flatnonzero(u > cdf)
+    while walk.size:
+        kw = k[walk]
+        pmf[walk] *= (n - kw) / (kw + 1.0) * ratio[walk]
+        k[walk] = kw + 1.0
+        cdf[walk] += pmf[walk]
+        walk = walk[(u[walk] > cdf[walk]) & (pmf[walk] > 0.0)]
+    return k
+
+
+def _btrs(n: float, q: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hormann's BTRS on the candidate pairs (u, v) = words (2i, 2i + 1) of each row.
+
+    q is a column with q <= 1/2 and n q >= 10.  Returns each row's first
+    accepted count and whether the row accepted any.
+    """
+    u, v = words[:, 0::2], words[:, 1::2]
+    spq = np.sqrt(n * q * (1.0 - q))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * q
+    us = np.maximum(0.5 - np.abs(u - 0.5), 2.0**-54)
+    k = np.floor((2.0 * a / us + b) * (u - 0.5) + n * q + 0.5)
+    accept = (k >= 0.0) & (k <= n)
+    squeeze = accept & (us >= 0.07) & (v <= 0.92 - 4.2 / b)
+    # the full test only for the candidates before a row's first squeeze
+    last = np.where(squeeze.any(axis=1), squeeze.argmax(axis=1), u.shape[1])
+    accept &= ~squeeze & (np.arange(u.shape[1]) < last[:, None])
+    r, c = np.nonzero(accept)
+    qr, kr, usr = q[r, 0], k[r, c], us[r, c]
+    # log pmf(k)/pmf(m) in terms that stay accurate up to n = 2**53
+    m = np.floor((n + 1.0) * qr)
+    dk = kr - m
+    log_ratio = (dk * np.log(qr * (n - kr + 1.0) / ((1.0 - qr) * (kr + 1.0)))
+                 - (m + 0.5) * np.log1p(dk / (m + 1.0))
+                 - (n - m + 0.5) * np.log1p(-dk / (n - m + 1.0))
+                 + _stirling_tail(m) + _stirling_tail(n - m)
+                 - _stirling_tail(kr) - _stirling_tail(n - kr))
+    br = b[r, 0]
+    hat = v[r, c] * (2.83 + 5.1 / br) * spq[r, 0] / (a[r, 0] / usr**2 + br)
+    accept[r, c] = np.log(hat) <= log_ratio
+    accept |= squeeze
+    first = accept.argmax(axis=1)
+    rows = np.arange(len(first))
+    return k[rows, first], accept[rows, first]
+
+
+def _binomial(shots: int, p: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Exact Binomial(shots, p_j) counts; value j draws from counter j of rng alone.
+
+    The count of value j does not depend on the other values or on chunking.
+    A value whose BTRS block accepts no pair takes the next block of words
+    of its own counter.  shots is at most 2**53, so every count is exact.
+    """
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("swap-test probabilities must lie in [0, 1]")
+    n = float(shots)
+    flip = p > 0.5
+    q = np.where(flip, 1.0 - p, p)
+    small = n * q < _INVERSION_MEAN
+    width = 2 * _BTRS_PAIRS
+    counts = np.empty(p.size)
+    for start in range(0, p.size, _SHOT_CHUNK):
+        stop = min(start + _SHOT_CHUNK, p.size)
+        words = rng.uniform_rows(start, stop, width)
+        inv = np.flatnonzero(small[start:stop])
+        counts[start + inv] = _inversion(n, q[start + inv], words[inv, 0])
+        big = np.flatnonzero(~small[start:stop])
+        qb = q[start + big, None]
+        k, hit = _btrs(n, qb, words[big])
+        for i in np.flatnonzero(~hit):
+            j = start + int(big[i])
+            block = 1
+            while not hit[i]:
+                block += 1
+                w = rng.uniform_rows(j, j + 1, block * width)[:, -width:]
+                (k[i],), (hit[i],) = _btrs(n, qb[i:i + 1], w)
+        counts[start + big] = k
+    return np.where(flip, n - counts, counts)
+
+
+def _check_shots(shots: int) -> None:
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    if shots > 2**53:
+        raise ValueError("shots must be at most 2**53, where float64 counts stop being exact")
+
+
+def _swap_tests(values: np.ndarray, shots: int, rng: RngStream):
     """Simulated swap tests: binomial draws on p = (1 + value)/2 over N shots each.
 
-    One draw per value, in the order given, all from `gen`; returns the
-    estimates and their standard errors.
+    Value j of `values` draws at counter j of `rng`; returns the estimates
+    and their standard errors.
     """
-    p_hat = gen.binomial(shots, (1.0 + values) / 2.0) / shots
+    p_hat = _binomial(shots, (1.0 + values) / 2.0, rng) / shots
     se = 2.0 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 1.0 / (4 * shots)) / shots)
     return 2.0 * p_hat - 1.0, se
 
@@ -215,10 +328,9 @@ def protocol_choi(
         )
     if rng is None:
         raise ValueError("shot-noise mode needs an RngStream")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    gen = rng.substream(_STREAM_SHOTS).generator(0)
-    (num_hat, den_hat), (num_se, den_se) = _swap_tests(np.array([num, den]), shots, gen)
+    _check_shots(shots)
+    (num_hat, den_hat), (num_se, den_se) = _swap_tests(
+        np.array([num, den]), shots, rng.substream(_STREAM_SHOTS))
     num_hat, den_hat = float(num_hat), float(den_hat)
     if abs(den_hat) <= 3.0 * den_se:
         raise IllConditionedEstimatorError(
@@ -251,8 +363,8 @@ def protocol_stochastic(
     built.
     """
     self_mode = _self_mode(a, b)
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1")
+    if shots is not None:
+        _check_shots(shots)
     d = a.d
     offset = 1.0 / (d + 1)
     if samples is None:
@@ -285,9 +397,8 @@ def protocol_stochastic(
         phi = _haar_states(rng_states.normal_rows(start, stop, 2 * d), d)
         xy[start:stop] = overlaps(phi)
     if shots is not None:
-        # one shot stream, drawn in the order x_0, y_0, x_1, y_1, ...
-        shot_gen = rng.substream(_STREAM_SHOTS).generator(0)
-        xy = _swap_tests(xy.reshape(-1), shots, shot_gen)[0].reshape(samples, 2)
+        # value j of x_0, y_0, x_1, y_1, ... draws at counter j of the shot stream
+        xy = _swap_tests(xy.reshape(-1), shots, rng.substream(_STREAM_SHOTS))[0].reshape(samples, 2)
     xs, ys = np.ascontiguousarray(xy.T)
     mean_x, se_x = _mean_and_se(xs)
     mean_y, se_y = _mean_and_se(ys)

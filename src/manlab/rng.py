@@ -10,11 +10,12 @@ draws and the structure solve's generic coefficients.  ``normals`` hashes
 (seed, stream, counter, index) with the SplitMix64 finalizer (Steele, Lea &
 Flood, OOPSLA 2014) and applies Box-Muller, in plain numpy arithmetic.
 ``normal_rows`` draws many counters at once: the per-counter keys, the hash
-words and the Box-Muller step run as whole arrays, with no Python loop over
-counters, and row ``i - start`` is bit for bit ``normals(i, n)``.  Loading
-``numpy.random`` costs a fresh process more than a whole structure solve, so
-only a command that simulates shot noise imports it: Philox (``generator``)
-is kept for the binomial swap-test outcomes alone.
+words and the Box-Muller step run as whole arrays, in place, with no Python
+loop over counters, and row ``i - start`` is bit for bit ``normals(i, n)``.
+``uniform_rows`` returns the same words as uniforms; the binomial shot noise
+of the swap tests is drawn from them.  Loading ``numpy.random`` costs a fresh
+process more than a whole structure solve, and no command imports it:
+Philox (``generator``) is kept as public API only.
 """
 
 from __future__ import annotations
@@ -45,10 +46,15 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """The same finalizer on a uint64 array; array arithmetic wraps silently."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The same finalizer on a uint64 array, in place; array arithmetic wraps silently."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _check_counters(start: int, stop: int) -> None:
@@ -68,7 +74,8 @@ class RngStream:
     def generator(self, counter: int = 0) -> np.random.Generator:
         """Philox generator positioned at `counter`; same arguments, same draws.
 
-        Only the binomial shot noise of the swap tests uses it.
+        No estimator uses it: every draw in the package comes from the counter
+        hash.  Calling it imports ``numpy.random``.
         """
         _check_counters(counter, counter + 1)
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
@@ -88,27 +95,48 @@ class RngStream:
 
     def normal_rows(self, start: int, stop: int, n: int) -> np.ndarray:
         """(stop - start, n) normals whose row i - start is normals(i, n)."""
+        pairs = (n + 1) // 2
+        u = self.uniform_rows(start, stop, 2 * pairs)
+        # log and cos/sin keep contiguous outputs: their SIMD paths depend on strides
+        radius = np.log(u[:, 0::2])
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = np.multiply(u[:, 1::2], 2.0 * np.pi)
+        trig = np.cos(angle)
+        np.multiply(radius, trig, out=u[:, 0::2])
+        np.sin(angle, out=trig)
+        np.multiply(radius, trig, out=u[:, 1::2])
+        return u[:, :n]
+
+    def uniform_rows(self, start: int, stop: int, n: int) -> np.ndarray:
+        """(stop - start, n) uniforms in (0, 1]; entry j of row i - start is word j of counter i.
+
+        The words of ``normals(i, n)``: the top 53 bits of each, offset by half
+        a step, so never 0 (and 1 only once in 2**53 words).
+        """
         _check_counters(start, stop)
         rows = max(stop - start, 0)
         key = 0  # seed and stream are shared by every row: mixed once, in Python ints
         for word in (self.seed, self.stream):
             key = _mix64(((key + _GOLDEN) & _MASK64) ^ (word & _MASK64))
         first = np.uint64(start & _MASK64)
-        low = np.arange(rows, dtype=np.uint64) + first  # wraps past 2**64 ...
-        high = (low < first).astype(np.uint64) + np.uint64(start >> 64)  # ... and carries
-        keys = _mix64_array(np.uint64((key + _GOLDEN) & _MASK64) ^ low)
-        keys = _mix64_array((keys + np.uint64(_GOLDEN)) ^ high)
-        pairs = (n + 1) // 2
-        steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        words = _mix64_array(steps + keys[:, None])
-        # the top 53 bits, offset by half a step: never 0, never 1
-        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-        angle = 2.0 * np.pi * u[:, 1::2]
-        out = np.empty((rows, 2 * pairs))
-        out[:, 0::2] = radius * np.cos(angle)
-        out[:, 1::2] = radius * np.sin(angle)
-        return out[:, :n]
+        keys = np.arange(rows, dtype=np.uint64)
+        keys += first  # wraps past 2**64 ...
+        high = (keys < first).astype(np.uint64)
+        high += np.uint64(start >> 64)  # ... and carries
+        keys ^= np.uint64((key + _GOLDEN) & _MASK64)
+        keys = _mix64_array(keys)
+        keys += np.uint64(_GOLDEN)
+        keys ^= high
+        keys = _mix64_array(keys)
+        words = np.arange(1, n + 1, dtype=np.uint64)
+        words *= np.uint64(_GOLDEN)
+        words = _mix64_array(words + keys[:, None])
+        words >>= np.uint64(11)
+        u = words.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        return u
 
     def substream(self, index: int) -> "RngStream":
         """Derived independent stream (for distinct roles inside one task)."""

@@ -23,6 +23,7 @@ from manlab.linalg import (
     orthonormalize_hs,
     swap_operator,
 )
+from manlab import protocols
 from manlab.man import _block_swap_trace, _iso_blocks
 from manlab.protocols import (
     _STREAM_ORBIT,
@@ -302,8 +303,51 @@ def _ref_project(alg, x: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, alg.basis, axes=1)
 
 
-def _ref_swap_test(value: float, shots: int, gen: np.random.Generator) -> float:
-    hits = gen.binomial(shots, (1.0 + value) / 2.0)
+def ref_binomial(shots: int, p: float, rng: RngStream, counter: int) -> int:
+    """The shot sampler one value at a time: Binomial(shots, p) from `counter` alone.
+
+    Inversion of word 0 below a mean of 10, else BTRS one candidate pair at a
+    time through the blocks of words, with log-factorials from math.lgamma.
+    """
+    q = min(p, 1.0 - p)
+    n = shots
+    width = 2 * protocols._BTRS_PAIRS
+    if n * q < protocols._INVERSION_MEAN:
+        u = rng.uniform_rows(counter, counter + 1, 1)[0, 0]
+        k, pmf = 0, math.exp(n * math.log1p(-q))
+        cdf = pmf
+        while u > cdf and pmf > 0.0:
+            pmf *= (n - k) / (k + 1.0) * (q / (1.0 - q))
+            k += 1
+            cdf += pmf
+    else:
+        spq = math.sqrt(n * q * (1.0 - q))
+        b = 1.15 + 2.53 * spq
+        a = -0.0873 + 0.0248 * b + 0.01 * q
+        m = math.floor((n + 1.0) * q)
+        k, block = None, 0
+        while k is None:
+            block += 1
+            words = rng.uniform_rows(counter, counter + 1, block * width)[0, -width:]
+            for u, v in zip(words[0::2], words[1::2]):
+                us = max(0.5 - abs(u - 0.5), 2.0**-54)
+                cand = math.floor((2.0 * a / us + b) * (u - 0.5) + n * q + 0.5)
+                if not 0 <= cand <= n:
+                    continue
+                if us >= 0.07 and v <= 0.92 - 4.2 / b:
+                    k = cand
+                    break
+                log_ratio = (math.lgamma(m + 1) + math.lgamma(n - m + 1)
+                             - math.lgamma(cand + 1) - math.lgamma(n - cand + 1)
+                             + (cand - m) * math.log(q / (1.0 - q)))
+                if math.log(v * (2.83 + 5.1 / b) * spq / (a / us**2 + b)) <= log_ratio:
+                    k = cand
+                    break
+    return n - k if p > 0.5 else k
+
+
+def _ref_swap_test(value: float, shots: int, rng: RngStream, counter: int) -> float:
+    hits = ref_binomial(shots, (1.0 + value) / 2.0, rng, counter)
     return 2.0 * (hits / shots) - 1.0
 
 
@@ -311,7 +355,7 @@ def ref_stochastic(a, target, samples: int, shots, rng: RngStream) -> dict:
     """Per-sample x, y of the random-state protocol (target = B' or the center)."""
     d = a.d
     rng_states = rng.substream(_STREAM_STATES)
-    shot_gen = rng.substream(_STREAM_SHOTS).generator(0) if shots else None
+    rng_shots = rng.substream(_STREAM_SHOTS)
     xs = np.empty(samples)
     ys = np.empty(samples)
     for i in range(samples):
@@ -322,8 +366,9 @@ def ref_stochastic(a, target, samples: int, shots, rng: RngStream) -> dict:
         x = float(np.real(np.sum(pa.conj() * pt)))
         y = float(np.real(np.sum(pa.conj() * pa)))
         if shots:
-            x = _ref_swap_test(x, shots, shot_gen)
-            y = _ref_swap_test(y, shots, shot_gen)
+            # x_i and y_i are values 2i and 2i + 1 of the shot stream
+            x = _ref_swap_test(x, shots, rng_shots, 2 * i)
+            y = _ref_swap_test(y, shots, rng_shots, 2 * i + 1)
         xs[i] = x
         ys[i] = y
     offset = 1.0 / (d + 1)

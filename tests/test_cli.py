@@ -522,6 +522,15 @@ class TestCliErrors:
         assert captured.out == ""
         assert captured.err == f"manlab: ValueError: {message}\n"
 
+    @pytest.mark.parametrize("mode", [["choi"], ["stochastic", "--samples", "20"]])
+    def test_shots_beyond_exact_float64_are_refused(self, specdir, capsys, mode):
+        argv = ["protocol", mode[0], str(specdir / "m2x1.json"), str(specdir / "bell4.json"),
+                *mode[1:], "--shots", str(2**53 + 1)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("manlab: ValueError: shots must be at most 2**53")
+
     @pytest.mark.parametrize("seed", ["1", "2", "3", "4", "5"])
     def test_ill_conditioned_choi_shots(self, tmp_path, capsys, seed):
         # exact S is 0, but at d = 64 the denominator d(A)/d^2 = 1/4096 sits far
@@ -810,22 +819,20 @@ class TestColdImports:
             loaded = _imported_modules(["-m", "manlab.cli", *argv]) & self.SAMPLING
             assert loaded <= baseline, (argv, loaded - baseline)
 
-    def test_only_shot_noise_loads_numpy_random(self, specdir):
-        # every draw but the binomial shots comes from the counter hash
+    def test_sampling_commands_load_no_numpy_random(self, specdir):
+        # every draw, the binomial shots included, comes from the counter hash
         baseline = _imported_modules(["-c", "import numpy"]) & self.SAMPLING
         s, m = str(specdir / "sym2.json"), str(specdir / "m2x1.json")
         argvs = [["man", s, s, "--method", "mc", "--samples", "10"],
                  ["orbit-avg", s, s, "--samples", "10"],
                  ["protocol", "stochastic", m, s, "--samples", "10"],
                  ["markov-check", s, s, "--epsilon", "0.5", "--samples", "10"],
-                 ["protocol", "choi", m, s], ["protocol", "stochastic", m, s]]
+                 ["protocol", "choi", m, s], ["protocol", "stochastic", m, s],
+                 ["protocol", "choi", m, s, "--shots", "100"],
+                 ["protocol", "stochastic", m, s, "--samples", "10", "--shots", "100"]]
         for argv in argvs:
             loaded = _imported_modules(["-m", "manlab.cli", *argv]) & self.SAMPLING
             assert loaded - baseline == {"manlab.protocols"}, (argv, loaded - baseline)
-        # the check sees numpy.random when shot noise loads it
-        shots = _imported_modules(["-m", "manlab.cli", "protocol", "choi", m, s,
-                                   "--shots", "100"])
-        assert self.SAMPLING <= shots
 
 
 class TestProtocolChoiMemory:

@@ -48,6 +48,7 @@ from helpers import (
     ref_mc_man_direct,
     ref_mc_orbit,
     ref_restricted_distance,
+    ref_binomial,
     ref_stochastic,
     symmetric_operator_algebra,
 )
@@ -191,6 +192,100 @@ class TestProtocolStochastic:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             protocol_stochastic(full_algebra(2), samples=1, rng=RNG)
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    k = np.arange(n + 1)
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                           for i in k])
+    return np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _chi_square_z(counts: np.ndarray, n: int, p: float) -> float:
+    """Wilson-Hilferty z of Pearson's chi-square against the exact pmf.
+
+    Bins with expectation below 5 are pooled into their neighbour toward the mode.
+    """
+    expected = _binomial_pmf(n, p) * counts.size
+    observed = np.bincount(counts.astype(np.intp), minlength=n + 1).astype(float)
+    mode = int(np.argmax(expected))
+    for side in (range(n, mode, -1), range(0, mode)):
+        for i in side:
+            if expected[i] < 5:
+                j = i - 1 if i > mode else i + 1
+                expected[j] += expected[i]
+                observed[j] += observed[i]
+                expected[i] = observed[i] = 0.0
+    keep = expected > 0
+    chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
+    dof = int(np.count_nonzero(keep)) - 1
+    return ((chi2 / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+
+
+class TestShotSampler:
+    # protocols._binomial: exact Binomial(shots, p) counts from the counter hash
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("shots, p", [
+        (1, 0.3),                    # a single shot
+        (20, 0.4),                   # inversion, mean 8
+        (25, 0.39), (25, 0.41),      # either side of the switch at a mean of 10
+        (1000, 0.5),                 # BTRS
+        (2000, 0.9), (2000, 0.997),  # p > 1/2: BTRS and inversion on 1 - p
+    ])
+    def test_chi_square_against_exact_pmf(self, shots, p):
+        counts = protocols._binomial(shots, np.full(self.DRAWS, p), RngStream(61, shots))
+        assert np.array_equal(counts, np.round(counts))
+        assert _chi_square_z(counts, shots, p) < 5.0
+
+    @pytest.mark.parametrize("shots, p", [(200_000, 0.37), (2**53, 0.5)])
+    def test_mean_and_variance(self, shots, p):
+        counts = protocols._binomial(shots, np.full(self.DRAWS, p), RngStream(62))
+        var = shots * p * (1 - p)
+        assert abs(counts.mean() - shots * p) <= 5 * math.sqrt(var / self.DRAWS)
+        assert abs(counts.var(ddof=1) - var) <= 5 * var * math.sqrt(2 / (self.DRAWS - 1))
+
+    @pytest.mark.parametrize("shots", [1, 500, 10**12, 2**53])
+    def test_certain_outcomes(self, shots):
+        # RuntimeWarnings are errors in this suite
+        counts = protocols._binomial(shots, np.array([0.0, 1.0, 0.0]), RngStream(63))
+        assert counts.tolist() == [0, shots, 0]
+
+    @pytest.mark.parametrize("pairs", [6, 1])
+    def test_value_j_draws_from_counter_j_alone(self, monkeypatch, pairs):
+        # one pair per block makes the next-block path common
+        monkeypatch.setattr(protocols, "_BTRS_PAIRS", pairs)
+        rng = RngStream(64, 3)
+        p = np.concatenate([np.linspace(0.0, 1.0, 101), [0.5, 1e-9, 1 - 1e-9, 0.011]])
+        for shots in (1, 40, 500, 10**9):
+            want = [ref_binomial(shots, float(pj), rng, j) for j, pj in enumerate(p)]
+            for chunk in (1, 7, 1024):
+                monkeypatch.setattr(protocols, "_SHOT_CHUNK", chunk)
+                assert protocols._binomial(shots, p, rng).tolist() == want, (shots, chunk)
+
+    def test_golden_counts(self):
+        # pinned (seed, stream, counter j, shots, p_j) -> count, so a change of
+        # numpy that moves the hash or the sampler's float arithmetic shows up
+        rng = RngStream(2024, 7)
+        p = np.array([0.2, 0.5, 0.93, 0.999, 0.004])
+        golden = {
+            30: [9, 15, 29, 30, 0],
+            2000: [432, 1003, 1865, 1996, 9],
+            200_000: [40319, 100481, 186047, 199780, 811],
+            2**53: [1801439918710278, 4503599729436682, 8376695316946333,
+                    8998192051354437, 36028799412235],
+        }
+        for shots, want in golden.items():
+            assert protocols._binomial(shots, p, rng).astype(np.int64).tolist() == want, shots
+
+    def test_shot_counts_are_bounded(self):
+        a, b = factor_m2x1(), bell_masa()
+        for shots in (0, 2**53 + 1):
+            with pytest.raises(ValueError, match="shots must be"):
+                protocol_choi(a, b, shots=shots, rng=RNG)
+            with pytest.raises(ValueError, match="shots must be"):
+                protocol_stochastic(a, b, samples=10, shots=shots, rng=RNG)
+        assert protocol_choi(a, b, shots=2**53, rng=RNG).shots_per_swap == 2**53
 
 
 class TestRestrictedDistance:

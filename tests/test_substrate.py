@@ -401,6 +401,20 @@ class TestNormalRows:
         with pytest.raises(ValueError):
             s.normal_rows(-1, 2, 3)
 
+    @pytest.mark.parametrize("s", STREAMS)
+    def test_uniform_rows_are_the_hash_words(self, s):
+        # the shot sampler's uniforms: the words behind normals, before Box-Muller
+        start = 2**64 - 2
+        rows = s.uniform_rows(start, start + 4, 7)
+        assert rows.shape == (4, 7) and rows.dtype == np.float64
+        for i in range(start, start + 4):
+            key = 0
+            for word in (s.seed, s.stream, i & _MASK64, i >> 64):
+                key = _ref_mix64(((key + _GOLDEN) & _MASK64) ^ (word & _MASK64))
+            words = [_ref_mix64((key + (j + 1) * _GOLDEN) & _MASK64) for j in range(7)]
+            want = (np.array([w >> 11 for w in words], dtype=np.float64) + 0.5) * 2.0**-53
+            assert np.array_equal(rows[i - start], want), i
+
     def test_empty_shapes(self):
         s = RngStream(7)
         assert s.normal_rows(4, 4, 3).shape == (0, 3)
