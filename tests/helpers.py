@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from manlab import protocols
 from manlab.algebras import (
     OperatorAlgebra,
     algebra_from_generators,
@@ -23,7 +24,6 @@ from manlab.linalg import (
     orthonormalize_hs,
     swap_operator,
 )
-from manlab import protocols
 from manlab.man import _block_swap_trace, _iso_blocks
 from manlab.protocols import (
     _STREAM_ORBIT,

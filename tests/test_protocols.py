@@ -278,6 +278,12 @@ class TestShotSampler:
         for shots, want in golden.items():
             assert protocols._binomial(shots, p, rng).astype(np.int64).tolist() == want, shots
 
+    @pytest.mark.parametrize("p", [-1e-3, 1.5, np.nan])
+    def test_probabilities_outside_the_unit_interval_are_refused(self, p):
+        # a NaN would never pass BTRS's acceptance test
+        with pytest.raises(ValueError, match="must lie in"):
+            protocols._binomial(100, np.array([0.5, p]), RngStream(65))
+
     def test_shot_counts_are_bounded(self):
         a, b = factor_m2x1(), bell_masa()
         for shots in (0, 2**53 + 1):
