@@ -2,8 +2,10 @@
 
 An algebra's structure is the central-block data (n_J, d_J, V_J): the ambient
 space splits into blocks C^{n_J} (x) C^{d_J} on which the algebra acts as
-1_{n_J} (x) M_{d_J}; the commutant acts as M_{n_J} (x) 1_{d_J}.  Every route
-downstream reads this data.
+1_{n_J} (x) M_{d_J}; the commutant acts as M_{n_J} (x) 1_{d_J}.  A Block is
+exactly that record, and every route downstream unpacks it directly; the
+central projector V_J V_J^dag is never stored, and the commutant's blocks are
+A's with the two factors swapped (_commutant_blocks).
 
 Named algebras, generators, commutants and centers are born from their blocks
 (_algebra_from_blocks): dim(A) and the decomposition are set at birth, and
@@ -71,14 +73,17 @@ class _Letters(NamedTuple):
     dim: Optional[int]
 
 
-@dataclass(frozen=True)
-class Block:
-    """One central block: algebra acts as 1_n (x) M_d on range(projector)."""
+class Block(NamedTuple):
+    """One central block (n_J, d_J, V_J): the algebra acts as 1_n (x) M_d on range(V_J)."""
 
     n: int
     d: int
-    projector: np.ndarray  # ambient x ambient central projection
-    isometry: np.ndarray   # ambient x (n*d); column p*d + l is |p> (x) |l>
+    isometry: np.ndarray  # ambient x (n*d); column p*d + l is |p> (x) |l>
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The central projector P_J = V_J V_J^dag, formed on each read; for oracles and tests."""
+        return self.isometry @ dagger(self.isometry)
 
 
 @dataclass(frozen=True)
@@ -206,10 +211,7 @@ class OperatorAlgebra:
     def commutant_algebra(self) -> "OperatorAlgebra":
         """A' = sum_J M_{n_J} (x) 1_{d_J}, built from A's blocks with the factors swapped."""
         if self._commutant is None:
-            blocks = [
-                Block(b.d, b.n, b.projector, _swap_factors(b.isometry, b.n, b.d))
-                for b in self.decomposition().blocks
-            ]
+            blocks = _commutant_blocks(self.decomposition().blocks)
             _link_commutants(self, _algebra_from_blocks(self.d, blocks))
         return self._commutant
 
@@ -227,8 +229,8 @@ class OperatorAlgebra:
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
         """The image algebra U A U^dag, carrying the decomposition along.
 
-        A known decomposition fixes the algebra, so only its isometries and
-        projectors move; a bare basis not yet solved is conjugated as it is.
+        A known decomposition fixes the algebra, so only its isometries move;
+        a bare basis not yet solved is conjugated as it is.
         """
         _check_unitary(u)
         if self._decomposition is not None:
@@ -262,13 +264,11 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
-    eye = np.eye(d, dtype=complex)
-    return _algebra_from_blocks(d, [Block(1, d, eye, eye)])
+    return _algebra_from_blocks(d, [Block(1, d, np.eye(d, dtype=complex))])
 
 
 def trivial_algebra(d: int) -> OperatorAlgebra:
-    eye = np.eye(d, dtype=complex)
-    return _algebra_from_blocks(d, [Block(d, 1, eye, eye)])
+    return _algebra_from_blocks(d, [Block(d, 1, np.eye(d, dtype=complex))])
 
 
 def masa_from_unitary(u: np.ndarray) -> OperatorAlgebra:
@@ -276,8 +276,7 @@ def masa_from_unitary(u: np.ndarray) -> OperatorAlgebra:
     u = np.asarray(u, dtype=complex)
     _check_unitary(u)
     d = u.shape[0]
-    blocks = [Block(1, 1, np.outer(u[:, i], u[:, i].conj()), u[:, i: i + 1]) for i in range(d)]
-    return _algebra_from_blocks(d, blocks)
+    return _algebra_from_blocks(d, [Block(1, 1, u[:, i: i + 1]) for i in range(d)])
 
 
 def diagonal_masa(d: int) -> OperatorAlgebra:
@@ -307,9 +306,8 @@ def structural_algebra(
     blocks = []
     offset = 0
     for n, dj in block_dims:
-        iso = basis_change[:, offset: offset + n * dj]
+        blocks.append(Block(n, dj, basis_change[:, offset: offset + n * dj]))
         offset += n * dj
-        blocks.append(Block(n, dj, iso @ dagger(iso), iso))
     return _algebra_from_blocks(d, blocks)
 
 
@@ -336,9 +334,11 @@ def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
     return out
 
 
-def _swap_factors(iso: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The isometry read on C^d (x) C^n: column l n + p is column p d + l of iso."""
-    return iso.reshape(-1, n, d).transpose(0, 2, 1).reshape(-1, n * d)
+def _commutant_blocks(blocks: Sequence[Block]) -> tuple[Block, ...]:
+    """A' = sum_J M_{n_J} (x) 1_{d_J} as blocks (d_J, n_J, V_J'), in the given order:
+    V_J' is V_J read on C^{d_J} (x) C^{n_J}, column l n + p being column p d + l."""
+    return tuple(Block(b.d, b.n, b.isometry.reshape(-1, b.n, b.d).transpose(0, 2, 1)
+                       .reshape(-1, b.n * b.d)) for b in blocks)
 
 
 def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> OperatorAlgebra:
@@ -359,7 +359,7 @@ def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> Operator
     n = prod(site_dims[i] for i in comp)
     dj = prod(site_dims[i] for i in region)
     iso = _site_order_unitary(site_dims, comp + region)
-    return _algebra_from_blocks(d, [Block(n, dj, np.eye(d, dtype=complex), iso)])
+    return _algebra_from_blocks(d, [Block(n, dj, iso)])
 
 
 def _site_order_unitary(site_dims, order):
@@ -449,9 +449,8 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
     """
     if a.d != b.d:
         raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
-    a_comm = [(blk.d, blk.n, _swap_factors(blk.isometry, blk.n, blk.d))
-              for blk in a.decomposition().blocks]
-    b_own = [(blk.n, blk.d, blk.isometry) for blk in b.decomposition().blocks]
+    a_comm = _commutant_blocks(a.decomposition().blocks)
+    b_own = b.decomposition().blocks
     letters = []
     for counter, blocks in enumerate((a_comm, a_comm, b_own, b_own)):
         h = _block_hermitian(blocks, _INTERSECTION_RNG, counter)
@@ -475,7 +474,7 @@ def _block_hermitian(blocks, rng: RngStream, counter: int) -> np.ndarray:
 
 def center(alg: OperatorAlgebra) -> OperatorAlgebra:
     """Z(A) = sum_J C P_J, born from A's blocks as the scalar blocks (n_J d_J, 1) on V_J."""
-    blocks = [Block(b.n * b.d, 1, b.projector, b.isometry) for b in alg.decomposition().blocks]
+    blocks = [Block(b.n * b.d, 1, b.isometry) for b in alg.decomposition().blocks]
     return _algebra_from_blocks(alg.d, blocks)
 
 
@@ -570,7 +569,7 @@ def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[Block, ...]:
         # column p d_J + l is column p of the l-th frame
         iso = np.stack([evecs[:, clusters[a]] @ f for a, f in zip(tree, frames)], axis=2)
         iso = iso.reshape(alg.d, -1)
-        blocks.append(Block(len(frames[0]), len(tree), iso @ dagger(iso), iso))
+        blocks.append(Block(len(frames[0]), len(tree), iso))
     return tuple(blocks)
 
 
@@ -645,19 +644,18 @@ def _cluster_indices(evals: np.ndarray) -> list[list[int]]:
 def _canonical_block_order(d: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
     # The ordering of blocks is a free choice; sort on (d_J, n_J, Tr(P_J R))
     # with the fixed diagonal reference R = diag(r) so reports and caches are
-    # reproducible.  Tr(P_J R) = sum_i r_i (P_J)_ii reads only the diagonal.
+    # reproducible.  Tr(P_J R) = sum_i r_i (P_J)_ii, and (P_J)_ii is the
+    # squared norm of row i of V_J.
     ref = np.arange(d) / max(d - 1, 1)
 
     def key(b: Block):
-        return (b.d, b.n, round(float(np.real(np.diagonal(b.projector)) @ ref), 9))
+        return (b.d, b.n, round(float(np.sum(np.abs(b.isometry) ** 2, axis=1) @ ref), 9))
 
     return tuple(sorted(blocks, key=key))
 
 
 def _conjugate_decomposition(dec: StructuralDecomposition, u: np.ndarray) -> StructuralDecomposition:
-    blocks = tuple(
-        Block(b.n, b.d, u @ b.projector @ dagger(u), u @ b.isometry) for b in dec.blocks
-    )
+    blocks = tuple(Block(b.n, b.d, u @ b.isometry) for b in dec.blocks)
     return StructuralDecomposition(dec.dim, blocks)
 
 

@@ -88,6 +88,18 @@ def _load(args, *paths: str) -> tuple[list[OperatorAlgebra], list[dict], str]:
     return list(algs), list(inputs), "|".join(labels)
 
 
+def _load_specs(args, kind: str) -> tuple[list[AlgebraSpec], list[dict], str]:
+    """The two specs of a closed-form command, checked to be of `kind`, with their
+    input entries and the "A|B" case label; no algebra is built."""
+    paths = (args.spec_a, args.spec_b)
+    specs = [parse_spec(path, allow_large=args.allow_large) for path in paths]
+    for spec, path in zip(specs, paths):
+        if spec.kind != kind:
+            raise SpecFileError(f"{args.command} subcommand needs kind={kind} specs", path, "kind")
+    inputs = [_input_entry(path, spec, None) for path, spec in zip(paths, specs)]
+    return specs, inputs, "|".join(spec.label() for spec in specs)
+
+
 def _csv_row(case: str, result: dict, seed: int) -> dict:
     bounds = result.get("bounds", {})
     return {
@@ -261,34 +273,22 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
         return result, inputs, [_csv_row(case, {"method": "man.orbit", "S": value}, seed)]
 
     if cmd == "lattice":
-        spec_a = parse_spec(args.spec_a, allow_large=args.allow_large)
-        spec_b = parse_spec(args.spec_b, allow_large=args.allow_large)
-        for spec, path in ((spec_a, args.spec_a), (spec_b, args.spec_b)):
-            if spec.kind != "lattice":
-                raise SpecFileError("lattice subcommand needs kind=lattice specs", path, "kind")
+        (spec_a, spec_b), inputs, case = _load_specs(args, "lattice")
         if spec_a.site_dims != spec_b.site_dims:
             raise SpecFileError("the two lattice specs must share site_dims", args.spec_b)
         result = man_engine.lattice_man(
             list(spec_a.site_dims), list(spec_a.region), list(spec_b.region), base
         ).to_dict()
-        inputs = [_input_entry(args.spec_a, spec_a, None), _input_entry(args.spec_b, spec_b, None)]
-        case = f"{spec_a.label()}|{spec_b.label()}"
         return result, inputs, [_csv_row(case, result, seed)]
 
     if cmd in ("masa", "quantumness"):
-        spec_a = parse_spec(args.spec_a, allow_large=args.allow_large)
-        spec_b = parse_spec(args.spec_b, allow_large=args.allow_large)
-        for spec, path in ((spec_a, args.spec_a), (spec_b, args.spec_b)):
-            if spec.kind != "masa":
-                raise SpecFileError(f"{cmd} subcommand needs kind=masa specs", path, "kind")
+        (spec_a, spec_b), inputs, case = _load_specs(args, "masa")
         u1 = spec_a.unitary_matrix()
         u2 = spec_b.unitary_matrix()
         if cmd == "masa":
             result = man_engine.masa_man(u1, u2, base).to_dict()
         else:
             result = {"method": "man.quantumness", **man_engine.quantumness(u1, u2).to_dict()}
-        inputs = [_input_entry(args.spec_a, spec_a, None), _input_entry(args.spec_b, spec_b, None)]
-        case = f"{spec_a.label()}|{spec_b.label()}"
         return result, inputs, [_csv_row(case, result, seed)]
 
     if cmd == "aotoc":

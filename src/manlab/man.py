@@ -77,6 +77,13 @@ def clamp_unit(x: float, margin: float = CLAMP_MARGIN) -> float:
     return float(x)
 
 
+def _check_within(s: float, bounds: dict[str, float]) -> None:
+    """Raise when S exceeds any of the upper bounds beyond the clamp margin."""
+    for name, bound in bounds.items():
+        if s > bound + CLAMP_MARGIN:
+            raise NumericalConsistencyError(f"S = {s} exceeds {name} = {bound}")
+
+
 def log_man(s: float, base: float = 2.0) -> float:
     """S2 = -log(1 - S); +inf sentinel at S = 1."""
     if s >= 1.0:
@@ -134,11 +141,7 @@ class ManReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, bound in self.bounds.items():
-            if self.S > bound + CLAMP_MARGIN:
-                raise NumericalConsistencyError(
-                    f"S = {self.S} exceeds {name} = {bound}"
-                )
+        _check_within(self.S, self.bounds)
         expected = log_man(self.S, self.log_base)
         if math.isfinite(expected) and abs(self.S2 - expected) > FORMULA_TOL:
             raise NumericalConsistencyError(
@@ -234,13 +237,9 @@ def _projection_overlap(
     if b is None:
         d_z = a.decomposition().d_Z
         return float(d_z), d_z
-    cores = _block_pair_cores(_iso_blocks(a), _iso_blocks(b))
+    cores = _block_pair_cores(a.decomposition().blocks, b.decomposition().blocks)
     overlap = float(sum(c / (n_j * d_k) for n_j, _, _, d_k, c in cores))
     return overlap, b.decomposition().commutant_dim
-
-
-def _iso_blocks(alg: OperatorAlgebra) -> list[tuple[int, int, np.ndarray]]:
-    return [(b.n, b.d, b.isometry) for b in alg.decomposition().blocks]
 
 
 def _unit_compressions(x_blocks, y_blocks, d: int):
@@ -288,7 +287,7 @@ def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> 
     _check_same_ambient(a, b)
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
-    raw = 1.0 - float(_block_swap_trace(_iso_blocks(a), _iso_blocks(b))) / a.d
+    raw = 1.0 - float(_block_swap_trace(a.decomposition().blocks, b.decomposition().blocks)) / a.d
     s = clamp_unit(raw)
     return ManReport(
         S=s,
@@ -312,7 +311,7 @@ def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0
     sb = StructuralSummary.from_algebra(b)
     # P_B'(X) = sum_K W_K (Tr_{d_K}[W_K^dag X W_K] (x) 1/d_K) W_K^dag, so
     # ||P_B'(X)||^2 = sum_K ||Tr_{d_K}[...]||^2 / d_K, and e_a carries 1/sqrt(d_J)
-    pairs = _unit_compressions(_iso_blocks(a), _iso_blocks(b), a.d)
+    pairs = _unit_compressions(a.decomposition().blocks, b.decomposition().blocks, a.d)
     purity_sum = sum(hs / (d_j * d_k) for _, d_j, _, d_k, hs, _ in pairs)
     s = clamp_unit(1.0 - purity_sum / a.d)
     coll, _ = is_collinear(a.decomposition())
@@ -415,24 +414,21 @@ def man_bounds(
         s_value = man_omega(a, b, log_base).S
     d = a.d
     logb = math.log(log_base)
+    coll, _ = is_collinear(a.decomposition())
+    inter = commutant_intersection_dim(a, b) if coll else None
+    bounds = _pair_bounds(d, sa, sb, intersection_dim=inter, a_collinear=coll)
+    _check_within(s_value, bounds)
     record = {
         "S": s_value,
         "S2": log_man(s_value, log_base),
-        "commutant_bound": 1.0 - max(sa.d_comm, sb.d_comm) / d**2,
-        "weak_bound": 1.0 - 1.0 / min(sa.d_alg, sb.d_alg),
+        "commutant_bound": bounds.pop("commutant_bound"),
+        "weak_bound": bounds.pop("weak_bound"),
         "commutant_bound_S2": (math.log(d**2) - math.log(max(sa.d_comm, sb.d_comm))) / logb,
         "weak_bound_S2": math.log(min(sa.d_alg, sb.d_alg)) / logb,
+        **bounds,
     }
-    coll, _ = is_collinear(a.decomposition())
     if coll:
-        inter = commutant_intersection_dim(a, b)
-        record["intersection_bound"] = 1.0 - inter / sa.d_alg
         record["intersection_dim"] = inter
-    for name in ("commutant_bound", "weak_bound", "intersection_bound"):
-        if name in record and s_value > record[name] + CLAMP_MARGIN:
-            raise NumericalConsistencyError(
-                f"S = {s_value} exceeds {name} = {record[name]}"
-            )
     return record
 
 
@@ -523,6 +519,14 @@ def _check_orthonormal_columns(u: np.ndarray, tol: float = 1e-8) -> int:
     return d
 
 
+def _masa_overlaps(basis_1: np.ndarray, basis_2: np.ndarray) -> tuple[int, np.ndarray]:
+    """(d, X) for two checked orthonormal bases, X_ij = |<i|j~>|^2 bistochastic."""
+    d = _check_orthonormal_columns(basis_1)
+    if _check_orthonormal_columns(basis_2) != d:
+        raise AlgebraError("bases have different dimensions")
+    return d, np.abs(dagger(np.asarray(basis_1, dtype=complex)) @ basis_2) ** 2
+
+
 def _masa_summary(d: int) -> StructuralSummary:
     return StructuralSummary(
         d=d, d_alg=d, d_comm=d, d_Z=d,
@@ -538,10 +542,7 @@ def masa_man(
     The i-th probability vector is p_i(j) = |<i|j~>|^2; S averages its linear
     entropy over i and vanishes iff the two bases generate the same algebra.
     """
-    d = _check_orthonormal_columns(basis_1)
-    if _check_orthonormal_columns(basis_2) != d:
-        raise AlgebraError("bases have different dimensions")
-    overlaps = np.abs(dagger(np.asarray(basis_1, dtype=complex)) @ basis_2) ** 2
+    d, overlaps = _masa_overlaps(basis_1, basis_2)
     purity = float(np.sum(overlaps**2)) / d
     s = clamp_unit(1.0 - purity)
     sa = _masa_summary(d)
@@ -582,14 +583,11 @@ def quantumness(basis_1: np.ndarray, basis_2: np.ndarray) -> QuantumnessReport:
     top eigenvalue of (1 - X^T X)/d for the bistochastic overlap matrix
     X_ij = |<i|j~>|^2, and is sandwiched by Q <= S <= d Q.
     """
-    d = _check_orthonormal_columns(basis_1)
-    if _check_orthonormal_columns(basis_2) != d:
-        raise AlgebraError("bases have different dimensions")
-    x = np.abs(dagger(np.asarray(basis_1, dtype=complex)) @ basis_2) ** 2
+    d, x = _masa_overlaps(basis_1, basis_2)
     gram = x.T @ x
     evals = np.linalg.eigvalsh(np.eye(d) - (gram + gram.T) / 2)
     q = clamp_unit(float(evals[-1]) / d, margin=1e-12)
-    s = masa_man(basis_1, basis_2).S
+    s = clamp_unit(1.0 - float(np.sum(x**2)) / d)  # masa_man's S
     return QuantumnessReport(
         Q=q,
         S=s,
@@ -628,7 +626,7 @@ def entropy_decomposition_man(
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
     d = a.d
-    blocks_a = _iso_blocks(a)
+    blocks_a = a.decomposition().blocks
     total = 0.0
     per_block = []
     for blk in b.decomposition().blocks:
@@ -637,7 +635,7 @@ def entropy_decomposition_man(
         # sum_J ||Tr_{d_J}[V_J^dag Y V_J]||^2 / d_J: hs_sq sums it over the
         # units X = |l><m|, id_sq takes X = 1
         hs_sq = id_sq = 0.0
-        for _, _, _, d_j, hs, ident in _unit_compressions([(n, dj, blk.isometry)], blocks_a, d):
+        for _, _, _, d_j, hs, ident in _unit_compressions([blk], blocks_a, d):
             hs_sq += hs / (n * n * d_j)
             id_sq += ident / (n * n * d_j)
         mean_pure_purity = (id_sq + hs_sq) / (dj * (dj + 1))

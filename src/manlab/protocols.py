@@ -34,8 +34,8 @@ import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
+    _commutant_blocks,
     _haar_algebra_unitaries,
-    _swap_factors,
     center,  # noqa: F401  (perfbench/tracer.py patches this name here)
     haar_algebra_unitary,  # noqa: F401  (perfbench/tracer.py patches this name here)
     is_collinear,
@@ -46,7 +46,7 @@ from .errors import (
     NonCollinearError,
 )
 from .linalg import _haar_states, _haar_unitaries, dagger
-from .man import _block_swap_trace, _iso_blocks, _projection_overlap, clamp_unit, man_omega
+from .man import _block_swap_trace, _projection_overlap, clamp_unit, man_omega
 from .rng import RngStream
 
 # Sub-stream roles, so one user seed drives independent draw families.
@@ -385,12 +385,12 @@ def protocol_stochastic(
         raise ValueError("sampled mode needs an RngStream")
     from .purestates import BlockFrame, PairOverlaps, center_overlaps
 
+    blocks_a = a.decomposition().blocks
     if self_mode:
-        overlaps = partial(center_overlaps, BlockFrame(_iso_blocks(a)))
+        overlaps = partial(center_overlaps, BlockFrame(blocks_a))
     else:
-        # B' reads M_{n_K} (x) 1_{d_K} on B's blocks, 1_{d_K} (x) M_{n_K} once the factors swap
-        overlaps = PairOverlaps(
-            _iso_blocks(a), [(dk, nk, _swap_factors(w, nk, dk)) for nk, dk, w in _iso_blocks(b)])
+        # T = B', whose blocks are B's with the two factors swapped
+        overlaps = PairOverlaps(blocks_a, _commutant_blocks(b.decomposition().blocks))
     rng_states = rng.substream(_STREAM_STATES)
     xy = np.empty((samples, 2))
     for start, stop in _chunks(samples, d * d):
@@ -571,7 +571,7 @@ def mc_orbit_averaged_man(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = a.d
-    blocks_a, blocks_b = _iso_blocks(a), _iso_blocks(b)
+    blocks_a, blocks_b = a.decomposition().blocks, b.decomposition().blocks
     rng_orbit = rng.substream(_STREAM_ORBIT)
     vals = np.empty(samples)
     for start, stop in _chunks(samples, d * d):

@@ -24,7 +24,7 @@ from manlab.linalg import (
     orthonormalize_hs,
     swap_operator,
 )
-from manlab.man import _block_swap_trace, _iso_blocks
+from manlab.man import _block_swap_trace
 from manlab.protocols import (
     _STREAM_ORBIT,
     _STREAM_SHOTS,
@@ -288,7 +288,7 @@ def ref_mc_man_direct(a, b, samples: int, rng: RngStream) -> tuple[float, float]
 
 def ref_mc_orbit(a, b, samples: int, rng: RngStream) -> tuple[float, float]:
     d = a.d
-    blocks_a, blocks_b = _iso_blocks(a), _iso_blocks(b)
+    blocks_a, blocks_b = a.decomposition().blocks, b.decomposition().blocks
     rng_orbit = rng.substream(_STREAM_ORBIT)
     vals = np.empty(samples)
     for i in range(samples):

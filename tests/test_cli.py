@@ -751,6 +751,9 @@ class TestLargeAmbientMemory:
                       "region": [0, 1, 2, 3]},
             "lat_b": {"dim": self.D, "kind": "lattice", "site_dims": [2] * 8,
                       "region": [2, 3, 4, 5, 6]},
+            # d blocks: one d x d matrix per block would hold d^3 entries (256 MiB)
+            "masa": {"dim": self.D, "kind": "masa",
+                     "unitary": _matrix_payload(random_unitary(self.D, 2562))},
         }
         # the cyclic shift by four of eight qubits: it maps A_{4..7} onto A_{0..3}
         idx = np.arange(self.D)
@@ -781,6 +784,9 @@ class TestLargeAmbientMemory:
         runs += [(["aotoc", specs["full"], "--unitary", specs["shift"]], "S", 0.0),
                  (["aotoc", specs["structural"], "--unitary", specs["eye"]], "S", 0.0),
                  (["aotoc", specs["lat_a"], "--unitary", specs["shift"]], "S", 1 - 2.0**-8)]
+        # an abelian algebra is its own commutant: S(A:A) = 0
+        runs += [(["selfman", specs["masa"]], "S", 0.0),
+                 (["aotoc", specs["masa"], "--unitary", specs["eye"]], "S", 0.0)]
         for argv, key, want in runs:
             report, rss = _peak_rss_cli(argv + ["--allow-large"])
             assert abs(report["result"][key] - want) <= 1e-9, (argv, report["result"][key], want)
