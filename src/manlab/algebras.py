@@ -55,6 +55,7 @@ EQUALITY_TOL = 1e-8
 # both reproducible without threading a seed through every call.  Both read
 # RngStream.normals, so neither loads numpy.random.
 _DECOMPOSE_RNG = RngStream(seed=0x5CA1AB1E, stream=911)
+_DECOMPOSE_ATTEMPTS = 12  # generic draws before decompose() gives up
 _COMMUTANT_RNG = RngStream(seed=0x5CA1AB1E, stream=912)
 # The generic elements of A' and B whose algebra gives dim(A n B').
 _INTERSECTION_RNG = RngStream(seed=0x5CA1AB1E, stream=913)
@@ -215,10 +216,10 @@ class OperatorAlgebra:
             _link_commutants(self, _algebra_from_blocks(self.d, blocks))
         return self._commutant
 
-    def decomposition(self, rng: Optional[RngStream] = None) -> StructuralDecomposition:
+    def decomposition(self) -> StructuralDecomposition:
         if self._decomposition is None:
             letters = _Letters(self.d, self.basis, self.dim)  # the basis elements are the letters
-            self._decomposition = _compute_decomposition(letters, rng or _DECOMPOSE_RNG)
+            self._decomposition = _compute_decomposition(letters)
         return self._decomposition
 
     def block_bases(self) -> BlockBases:
@@ -259,7 +260,7 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
         if norm > 0:
             letters += [g / norm, dagger(g) / norm]
     stack = np.stack(letters) if letters else np.empty((0, d, d), dtype=complex)
-    dec = _compute_decomposition(_Letters(d, stack, None), _DECOMPOSE_RNG)
+    dec = _compute_decomposition(_Letters(d, stack, None))
     return _algebra_from_blocks(d, dec.blocks)
 
 
@@ -428,8 +429,7 @@ def algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlge
     R = Q_a - (Q_a Q_b^dag) Q_b.  Those c are the conjugated left singular
     vectors of R with zero singular value, the nullspace of R^T.
     """
-    if a.d != b.d:
-        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    _check_same_ambient(a, b)
     if a.dim > b.dim:
         a, b = b, a
     qa = a.basis.reshape(a.dim, -1)
@@ -447,15 +447,14 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
     spectral solve gives its blocks, so dim(A n B') = dim C' = sum_J n_J^2.
     algebra_intersection(a, b.commutant_algebra()) is the oracle.
     """
-    if a.d != b.d:
-        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    _check_same_ambient(a, b)
     a_comm = _commutant_blocks(a.decomposition().blocks)
     b_own = b.decomposition().blocks
     letters = []
     for counter, blocks in enumerate((a_comm, a_comm, b_own, b_own)):
         h = _block_hermitian(blocks, _INTERSECTION_RNG, counter)
         letters.append(h / np.linalg.norm(h))
-    dec = _compute_decomposition(_Letters(a.d, np.stack(letters), None), _DECOMPOSE_RNG)
+    dec = _compute_decomposition(_Letters(a.d, np.stack(letters), None))
     return dec.commutant_dim
 
 
@@ -487,26 +486,28 @@ def algebras_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float = EQUALITY
     return bool(np.linalg.norm(pa - pb) <= tol)
 
 
-def decompose(alg: OperatorAlgebra, rng: Optional[RngStream] = None) -> StructuralDecomposition:
-    return alg.decomposition(rng)
+def decompose(alg: OperatorAlgebra) -> StructuralDecomposition:
+    return alg.decomposition()
 
 
-def _compute_decomposition(alg: _Letters, rng, max_attempts: int = 12) -> StructuralDecomposition:
+def _compute_decomposition(alg: _Letters) -> StructuralDecomposition:
     """Blocks from the spectral solve, accepted only when every letter proves them.
 
-    Attempt i (_decompose_attempt) takes its generic coefficients from
-    rng.normals(i, ...), a counter hash that needs no numpy.random.  Its blocks
-    are accepted when they fill the space, match dim(A) when it is known,
-    and every letter reads sum_J 1_{n_J} (x) X_J in their coordinates with
-    nothing between blocks.  Then A lies in sum_J 1_{n_J} (x) M_{d_J}; the
-    eigenprojections and transports that built the blocks lie in A and give
-    every matrix unit, so the two are equal.  A non-generic draw fails these
+    Attempt i (_decompose_attempt), for i < _DECOMPOSE_ATTEMPTS, takes its
+    generic coefficients from _DECOMPOSE_RNG.normals(i, ...), a counter hash
+    that needs no numpy.random.  The stream is fixed, so the same letters
+    always give the same blocks.  The blocks are accepted when they fill the
+    space, match dim(A) when it is known, and every letter reads
+    sum_J 1_{n_J} (x) X_J in their coordinates with nothing between blocks.
+    Then A lies in sum_J 1_{n_J} (x) M_{d_J}; the eigenprojections and
+    transports that built the blocks lie in A and give every matrix unit, so
+    the two are equal.  A non-generic draw fails these
     checks, and the last failure is reported in DecompositionError.
     """
     d = alg.d
     last_failure = "no attempt made"
-    for attempt in range(max_attempts):
-        draw = _coefficients(rng, attempt, 3, len(alg.letters))
+    for attempt in range(_DECOMPOSE_ATTEMPTS):
+        draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, len(alg.letters))
         try:
             blocks = _decompose_attempt(alg, draw)
         except _RetryDraw as exc:
@@ -528,7 +529,7 @@ def _compute_decomposition(alg: _Letters, rng, max_attempts: int = 12) -> Struct
             continue
         return dec
     raise DecompositionError(
-        f"central decomposition failed after {max_attempts} attempts: {last_failure}"
+        f"central decomposition failed after {_DECOMPOSE_ATTEMPTS} attempts: {last_failure}"
     )
 
 
@@ -657,6 +658,11 @@ def _canonical_block_order(d: int, blocks: tuple[Block, ...]) -> tuple[Block, ..
 def _conjugate_decomposition(dec: StructuralDecomposition, u: np.ndarray) -> StructuralDecomposition:
     blocks = tuple(Block(b.n, b.d, u @ b.isometry) for b in dec.blocks)
     return StructuralDecomposition(dec.dim, blocks)
+
+
+def _check_same_ambient(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
+    if a.d != b.d:
+        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:

@@ -2,7 +2,15 @@
 
 Every subcommand prints one JSON run report to stdout; every number in it is
 produced by exactly one engine operation, named in the ``method`` tag next to
-it.  ``--csv`` additionally appends one tabular row per case.
+it.  A command loads its inputs once: ``lattice``, ``masa`` and
+``quantumness`` read their two specs (``_load_specs``), every other command
+builds the algebras of its spec files (``_load``).
+
+``--csv`` also writes a CSV file: a fixed header, then one row per case
+(``_csv_row``).  ``analyze`` and ``markov-check`` write the header only, a
+sweep writes a row per grid point, and every other command writes one row.
+The S column holds the result's S, else its Monte-Carlo estimate, else the
+exact orbit value of ``orbit-avg``.
 
 The Monte-Carlo and protocol simulators (``protocols``) are imported only by
 the commands that sample, so no command pays for what it does not run.  No
@@ -101,11 +109,13 @@ def _load_specs(args, kind: str) -> tuple[list[AlgebraSpec], list[dict], str]:
 
 
 def _csv_row(case: str, result: dict, seed: int) -> dict:
-    bounds = result.get("bounds", {})
+    """One CSV row of a result: S is its S, else its estimate, else its (orbit) value;
+    the bounds come from its "bounds" entry, or from the result itself when flat."""
+    bounds = result.get("bounds", result)
     return {
         "case": case,
         "method": result.get("method", ""),
-        "S": result.get("S", result.get("estimate", "")),
+        "S": result.get("S", result.get("estimate", result.get("value", ""))),
         "S2": result.get("S2", ""),
         "commutant_bound": bounds.get("commutant_bound", ""),
         "weak_bound": bounds.get("weak_bound", ""),
@@ -215,91 +225,65 @@ def _is_sampling(args) -> bool:
 
 def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict]]:
     """Returns (result payload, input entries, csv rows)."""
-    rng = RngStream(seed)
     cmd = args.command
+    if cmd == "sweep":
+        return _sweep(args, seed, base)
+    rng = RngStream(seed)
+    if cmd in ("lattice", "masa", "quantumness"):
+        kind = "lattice" if cmd == "lattice" else "masa"
+        (spec_a, spec_b), inputs, case = _load_specs(args, kind)
+    else:
+        paths = [getattr(args, name, None) for name in ("spec", "spec_a", "spec_b")]
+        algs, inputs, case = _load(args, *[p for p in paths if p is not None])
+        a, b = (algs + [None])[:2]
 
     if cmd == "analyze":
-        (alg,), inputs, _ = _load(args, args.spec)
-        summary = StructuralSummary.from_algebra(alg)
         result = {
             "method": "algebra.analyze",
-            **summary.to_dict(),
-            "blocks": [{"n": b.n, "d": b.d} for b in alg.decomposition().blocks],
+            **StructuralSummary.from_algebra(a).to_dict(),
+            "blocks": [{"n": blk.n, "d": blk.d} for blk in a.decomposition().blocks],
         }
-        return result, inputs, []
+    elif cmd == "man" and args.method == "mc":
+        from . import protocols
 
-    if cmd == "man":
-        (a, b), inputs, case = _load(args, args.spec_a, args.spec_b)
-        if args.method == "mc":
-            from . import protocols
-
-            est = protocols.mc_man_direct(
-                a, b, 10_000 if args.samples is None else args.samples, rng
-            )
-            result = est.to_dict()
-        else:
-            fn = {
-                "omega": man_engine.man_omega,
-                "projection": man_engine.man_projection,
-                "collinear": man_engine.man_collinear,
-                "entropy": man_engine.entropy_decomposition_man,
-            }[args.method]
-            result = fn(a, b, base).to_dict()
-        return result, inputs, [_csv_row(case, result, seed)]
-
-    if cmd == "selfman":
-        (alg,), inputs, case = _load(args, args.spec)
-        result = man_engine.self_man(alg, base).to_dict()
-        return result, inputs, [_csv_row(case, result, seed)]
-
-    if cmd == "bounds":
-        (a, b), inputs, case = _load(args, args.spec_a, args.spec_b)
-        record = man_engine.man_bounds(a, b, base)
-        result = {"method": "man.bounds", **record}
-        row = _csv_row(case, {"method": "man.bounds", "S": record["S"], "S2": record["S2"],
-                              "bounds": record}, seed)
-        return result, inputs, [row]
-
-    if cmd == "orbit-avg":
-        (a, b), inputs, case = _load(args, args.spec_a, args.spec_b)
-        value = man_engine.orbit_averaged_man(a, b)
-        result = {"method": "man.orbit", "value": value}
+        samples = 10_000 if args.samples is None else args.samples
+        result = protocols.mc_man_direct(a, b, samples, rng).to_dict()
+    elif cmd == "man":
+        fn = {
+            "omega": man_engine.man_omega,
+            "projection": man_engine.man_projection,
+            "collinear": man_engine.man_collinear,
+            "entropy": man_engine.entropy_decomposition_man,
+        }[args.method]
+        result = fn(a, b, base).to_dict()
+    elif cmd == "selfman":
+        result = man_engine.self_man(a, base).to_dict()
+    elif cmd == "bounds":
+        result = {"method": "man.bounds", **man_engine.man_bounds(a, b, base)}
+    elif cmd == "orbit-avg":
+        result = {"method": "man.orbit", "value": man_engine.orbit_averaged_man(a, b)}
         if args.samples is not None:
             from . import protocols
 
             result["mc_estimate"] = protocols.mc_orbit_averaged_man(
                 a, b, args.samples, rng
             ).to_dict()
-        return result, inputs, [_csv_row(case, {"method": "man.orbit", "S": value}, seed)]
-
-    if cmd == "lattice":
-        (spec_a, spec_b), inputs, case = _load_specs(args, "lattice")
+    elif cmd == "lattice":
         if spec_a.site_dims != spec_b.site_dims:
             raise SpecFileError("the two lattice specs must share site_dims", args.spec_b)
         result = man_engine.lattice_man(
             list(spec_a.site_dims), list(spec_a.region), list(spec_b.region), base
         ).to_dict()
-        return result, inputs, [_csv_row(case, result, seed)]
-
-    if cmd in ("masa", "quantumness"):
-        (spec_a, spec_b), inputs, case = _load_specs(args, "masa")
-        u1 = spec_a.unitary_matrix()
-        u2 = spec_b.unitary_matrix()
+    elif cmd in ("masa", "quantumness"):
+        u1, u2 = spec_a.unitary_matrix(), spec_b.unitary_matrix()
         if cmd == "masa":
             result = man_engine.masa_man(u1, u2, base).to_dict()
         else:
             result = {"method": "man.quantumness", **man_engine.quantumness(u1, u2).to_dict()}
-        return result, inputs, [_csv_row(case, result, seed)]
-
-    if cmd == "aotoc":
-        (alg,), inputs, case = _load(args, args.spec)
-        u = parse_matrix_file(args.unitary, expected_dim=alg.d)
-        result = man_engine.a_otoc(alg, u, base).to_dict()
-        return result, inputs, [_csv_row(case, result, seed)]
-
-    if cmd == "protocol":
-        algs, inputs, case = _load(args, *[p for p in (args.spec_a, args.spec_b) if p])
-        a, b = (algs + [None])[:2]
+    elif cmd == "aotoc":
+        u = parse_matrix_file(args.unitary, expected_dim=a.d)
+        result = man_engine.a_otoc(a, u, base).to_dict()
+    elif cmd == "protocol":
         if b is a:
             # one file named twice is still the pair variant, which `b is a` would not be
             b = copy.copy(a)
@@ -312,10 +296,7 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
                 a, b, samples=args.samples, shots=args.shots, rng=rng
             )
         result = est.to_dict()
-        return result, inputs, [_csv_row(case, result, seed)]
-
-    if cmd == "markov-check":
-        (a, b), inputs, _ = _load(args, args.spec_a, args.spec_b)
+    elif cmd == "markov-check":
         if args.epsilon is None:
             raise ManlabError("markov-check requires --epsilon")
         from . import protocols
@@ -327,12 +308,10 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
             rng=rng,
         )
         result = {"method": "protocol.markov_check", **report.to_dict()}
-        return result, inputs, []
-
-    if cmd == "sweep":
-        return _sweep(args, seed, base)
-
-    raise ManlabError(f"unknown command {args.command!r}")
+    else:
+        raise ManlabError(f"unknown command {cmd!r}")
+    rows = [] if cmd in ("analyze", "markov-check") else [_csv_row(case, result, seed)]
+    return result, inputs, rows
 
 
 def _sweep(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict]]:

@@ -16,8 +16,9 @@ norm between unitaries of the two algebras, normalized to [0, 1]:
 
 The projection and entropy routes evaluate their defining sums over matrix
 units (_unit_compressions), not through man_omega's per-pair core, so they
-stay independent cross-checks of it.  The intersection bound reads
-dim(A n B') from commutant_intersection_dim.
+stay independent cross-checks of it.  Every pair route ends in _pair_report,
+which adds the summaries and bounds; it reads dim(A n B') from
+commutant_intersection_dim only for the routes that ask and a collinear A.
 
 The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 """
@@ -25,13 +26,15 @@ The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
+    _check_same_ambient,
+    _check_unitary,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
     interleaved_block_swap,
@@ -118,16 +121,7 @@ class StructuralSummary:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "d_alg": self.d_alg,
-            "d_comm": self.d_comm,
-            "d_Z": self.d_Z,
-            "n": list(self.n),
-            "d_blocks": list(self.d_blocks),
-            "collinear": self.collinear,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -149,15 +143,7 @@ class ManReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "S": self.S,
-            "S2": self.S2,
-            "method": self.method,
-            "bounds": dict(self.bounds),
-            "inputs": {k: v.to_dict() for k, v in self.inputs.items()},
-            "log_base": self.log_base,
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -267,36 +253,43 @@ def _unit_compressions(x_blocks, y_blocks, d: int):
             yield n_x, d_x, n_y, d_y, hs, ident
 
 
-def _pair_bounds(d, summary_a, summary_b, intersection_dim=None, a_collinear=False):
+def _pair_bounds(d, summary_a, summary_b, intersection_dim=None):
+    """The commutant and weak bounds; the intersection bound too when dim(A n B') is given."""
     bounds = {
         "commutant_bound": 1.0 - max(summary_a.d_comm, summary_b.d_comm) / d**2,
         "weak_bound": 1.0 - 1.0 / min(summary_a.d_alg, summary_b.d_alg),
     }
-    if intersection_dim is not None and a_collinear:
+    if intersection_dim is not None:
         bounds["intersection_bound"] = 1.0 - intersection_dim / summary_a.d_alg
     return bounds
 
 
-def _check_same_ambient(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
-    if a.d != b.d:
-        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+def _pair_report(a, b, s, method, log_base, extras=None, intersection=False) -> ManReport:
+    """The report of S(A:B) = s by `method`: both summaries, the pair bounds, S2.
+
+    dim(A n B') is solved for the intersection bound only when the route asks
+    for it (`intersection`) and A is collinear; the solve costs far more than
+    man_omega's own trace.
+    """
+    sa = StructuralSummary.from_algebra(a)
+    sb = StructuralSummary.from_algebra(b)
+    inter = commutant_intersection_dim(a, b) if intersection and sa.collinear else None
+    return ManReport(
+        S=s,
+        S2=log_man(s, log_base),
+        method=method,
+        bounds=_pair_bounds(a.d, sa, sb, inter),
+        inputs={"A": sa, "B": sb},
+        log_base=log_base,
+        extras=extras or {},
+    )
 
 
 def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN through the omega operators: S = 1 - Tr(S Omega_A Omega_B)/d."""
     _check_same_ambient(a, b)
-    sa = StructuralSummary.from_algebra(a)
-    sb = StructuralSummary.from_algebra(b)
     raw = 1.0 - float(_block_swap_trace(a.decomposition().blocks, b.decomposition().blocks)) / a.d
-    s = clamp_unit(raw)
-    return ManReport(
-        S=s,
-        S2=log_man(s, log_base),
-        method="man.omega",
-        bounds=_pair_bounds(a.d, sa, sb),
-        inputs={"A": sa, "B": sb},
-        log_base=log_base,
-    )
+    return _pair_report(a, b, clamp_unit(raw), "man.omega", log_base)
 
 
 def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
@@ -307,35 +300,20 @@ def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0
     the units are batched per block pair (_unit_compressions).
     """
     _check_same_ambient(a, b)
-    sa = StructuralSummary.from_algebra(a)
-    sb = StructuralSummary.from_algebra(b)
     # P_B'(X) = sum_K W_K (Tr_{d_K}[W_K^dag X W_K] (x) 1/d_K) W_K^dag, so
     # ||P_B'(X)||^2 = sum_K ||Tr_{d_K}[...]||^2 / d_K, and e_a carries 1/sqrt(d_J)
     pairs = _unit_compressions(a.decomposition().blocks, b.decomposition().blocks, a.d)
     purity_sum = sum(hs / (d_j * d_k) for _, d_j, _, d_k, hs, _ in pairs)
     s = clamp_unit(1.0 - purity_sum / a.d)
-    coll, _ = is_collinear(a.decomposition())
-    inter = commutant_intersection_dim(a, b) if coll else None
-    return ManReport(
-        S=s,
-        S2=log_man(s, log_base),
-        method="man.projection",
-        bounds=_pair_bounds(a.d, sa, sb, intersection_dim=inter, a_collinear=coll),
-        inputs={"A": sa, "B": sb},
-        log_base=log_base,
-        extras={"purity_sum": purity_sum},
-    )
+    return _pair_report(a, b, s, "man.projection", log_base,
+                        extras={"purity_sum": purity_sum}, intersection=True)
 
 
 def man_collinear(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN of a collinear algebra via projector overlap / projector distance."""
     _check_same_ambient(a, b)
-    dec = a.decomposition()
-    coll, _ = is_collinear(dec)
-    if not coll:
+    if not is_collinear(a.decomposition())[0]:
         raise NonCollinearError("man_collinear requires the first algebra to be collinear")
-    sa = StructuralSummary.from_algebra(a)
-    sb = StructuralSummary.from_algebra(b)
     overlap, comm_dim = _projection_overlap(a, b)
     s = clamp_unit(1.0 - overlap / a.dim)
     extras = {"hs_overlap": overlap}
@@ -347,16 +325,7 @@ def man_collinear(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0)
                 f"distance form {s_dist} disagrees with overlap form {s}"
             )
         extras["distance_form"] = s_dist
-    inter = commutant_intersection_dim(a, b)
-    return ManReport(
-        S=s,
-        S2=log_man(s, log_base),
-        method="man.collinear",
-        bounds=_pair_bounds(a.d, sa, sb, intersection_dim=inter, a_collinear=True),
-        inputs={"A": sa, "B": sb},
-        log_base=log_base,
-        extras=extras,
-    )
+    return _pair_report(a, b, s, "man.collinear", log_base, extras=extras, intersection=True)
 
 
 def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
@@ -400,34 +369,24 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     )
 
 
-def man_bounds(
-    a: OperatorAlgebra,
-    b: OperatorAlgebra,
-    log_base: float = 2.0,
-    s_value: Optional[float] = None,
-) -> dict:
-    """All upper bounds on S(A:B), checked against the computed value."""
-    _check_same_ambient(a, b)
-    sa = StructuralSummary.from_algebra(a)
-    sb = StructuralSummary.from_algebra(b)
-    if s_value is None:
-        s_value = man_omega(a, b, log_base).S
-    d = a.d
+def man_bounds(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> dict:
+    """All upper bounds on S(A:B), checked against man_omega's value."""
+    report = man_omega(a, b, log_base)
+    sa, sb = report.inputs["A"], report.inputs["B"]
+    inter = commutant_intersection_dim(a, b) if sa.collinear else None
+    bounds = _pair_bounds(a.d, sa, sb, inter)
+    _check_within(report.S, bounds)
     logb = math.log(log_base)
-    coll, _ = is_collinear(a.decomposition())
-    inter = commutant_intersection_dim(a, b) if coll else None
-    bounds = _pair_bounds(d, sa, sb, intersection_dim=inter, a_collinear=coll)
-    _check_within(s_value, bounds)
     record = {
-        "S": s_value,
-        "S2": log_man(s_value, log_base),
+        "S": report.S,
+        "S2": report.S2,
         "commutant_bound": bounds.pop("commutant_bound"),
         "weak_bound": bounds.pop("weak_bound"),
-        "commutant_bound_S2": (math.log(d**2) - math.log(max(sa.d_comm, sb.d_comm))) / logb,
+        "commutant_bound_S2": (math.log(a.d**2) - math.log(max(sa.d_comm, sb.d_comm))) / logb,
         "weak_bound_S2": math.log(min(sa.d_alg, sb.d_alg)) / logb,
         **bounds,
     }
-    if coll:
+    if inter is not None:
         record["intersection_dim"] = inter
     return record
 
@@ -502,7 +461,7 @@ def lattice_man(
         S=s,
         S2=s2_val,
         method="man.lattice",
-        bounds=_pair_bounds(d, sa, sb, intersection_dim=inter_dim, a_collinear=True),
+        bounds=_pair_bounds(d, sa, sb, inter_dim),
         inputs={"A": sa, "B": sb},
         log_base=log_base,
         extras=extras,
@@ -602,8 +561,7 @@ def a_otoc(alg: OperatorAlgebra, u: np.ndarray, log_base: float = 2.0) -> ManRep
     u = np.asarray(u, dtype=complex)
     if u.shape != (alg.d, alg.d):
         raise AlgebraError(f"unitary shape {u.shape} != ({alg.d}, {alg.d})")
-    if np.linalg.norm(dagger(u) @ u - np.eye(alg.d)) > 1e-8 * alg.d:
-        raise AlgebraError("matrix is not unitary")
+    _check_unitary(u)
     evolved = alg.commutant_algebra().conjugated(u)
     report = man_omega(alg, evolved, log_base)
     return replace(report, method="man.aotoc")
@@ -623,8 +581,6 @@ def entropy_decomposition_man(
     units per block pair (_unit_compressions).
     """
     _check_same_ambient(a, b)
-    sa = StructuralSummary.from_algebra(a)
-    sb = StructuralSummary.from_algebra(b)
     d = a.d
     blocks_a = a.decomposition().blocks
     total = 0.0
@@ -650,13 +606,5 @@ def entropy_decomposition_man(
             {"n": n, "d": dj, "p": p_j, "term": term,
              "mean_pure_linear_entropy": e_slin, "mixed_linear_entropy": slin_mixed}
         )
-    s = clamp_unit(total)
-    return ManReport(
-        S=s,
-        S2=log_man(s, log_base),
-        method="man.entropy",
-        bounds=_pair_bounds(d, sa, sb),
-        inputs={"A": sa, "B": sb},
-        log_base=log_base,
-        extras={"per_block": per_block},
-    )
+    return _pair_report(a, b, clamp_unit(total), "man.entropy", log_base,
+                        extras={"per_block": per_block})

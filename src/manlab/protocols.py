@@ -26,7 +26,7 @@ values are reduced only after all chunks are done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -34,6 +34,7 @@ import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
+    _check_same_ambient,
     _commutant_blocks,
     _haar_algebra_unitaries,
     center,  # noqa: F401  (perfbench/tracer.py patches this name here)
@@ -86,16 +87,7 @@ class EstimatorResult:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "method": self.method,
-            "seed": self.seed,
-            "stream": self.stream,
-            "shots_per_swap": self.shots_per_swap,
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -135,8 +127,7 @@ def mc_man_direct(
     a: OperatorAlgebra, b: OperatorAlgebra, samples: int, rng: RngStream
 ) -> EstimatorResult:
     """Unbiased sampling of the defining average ||[U, V]||^2 / (2d)."""
-    if a.d != b.d:
-        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    _check_same_ambient(a, b)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     dec_a, dec_b = a.decomposition(), b.decomposition()
@@ -162,8 +153,7 @@ def _self_mode(a: OperatorAlgebra, b: Optional[OperatorAlgebra]) -> bool:
         raise NonCollinearError("protocol requires the first algebra to be collinear")
     if b is None or b is a:
         return True
-    if a.d != b.d:
-        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    _check_same_ambient(a, b)
     return False
 
 
@@ -484,21 +474,7 @@ class MarkovCheckReport:
     max_distance: float
 
     def to_dict(self) -> dict:
-        return {
-            "probability": self.probability,
-            "probability_se": self.probability_se,
-            "bound": self.bound,
-            "bound_alt": self.bound_alt,
-            "c_value": self.c_value,
-            "c_value_alt": self.c_value_alt,
-            "epsilon": self.epsilon,
-            "S": self.S,
-            "samples": self.samples,
-            "state_samples": self.state_samples,
-            "seed": self.seed,
-            "violated": self.violated,
-            "max_distance": self.max_distance,
-        }
+        return asdict(self)
 
 
 def markov_bound_check(
@@ -521,8 +497,7 @@ def markov_bound_check(
         raise ValueError("epsilon must be positive")
     if samples < 1 or state_samples < 1:
         raise ValueError("samples and state_samples must be >= 1")
-    if a.d != b.d:
-        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    _check_same_ambient(a, b)
     rng = rng or RngStream(0)
     s_value = man_omega(a, b).S
     dec_a = a.decomposition()
@@ -566,8 +541,7 @@ def mc_orbit_averaged_man(
     a: OperatorAlgebra, b: OperatorAlgebra, samples: int, rng: RngStream
 ) -> EstimatorResult:
     """Monte-Carlo estimate of E_U[S(A : U(B))] over Haar unitaries U."""
-    if a.d != b.d:
-        raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
+    _check_same_ambient(a, b)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = a.d

@@ -898,6 +898,45 @@ class TestCsv:
         assert len(lines) == 1
         assert lines[0].startswith("case,method,S,S2")
 
+    @pytest.mark.parametrize("argv, want", [
+        # flat bounds record, collinear A: all three bound columns filled
+        (["bounds", "m2x1.json", "full4.json"],
+         lambda r: {"S": r["S"], "S2": r["S2"], "commutant_bound": r["commutant_bound"],
+                    "weak_bound": r["weak_bound"],
+                    "intersection_bound": r["intersection_bound"],
+                    "std_error": "", "samples": ""}),
+        # the exact orbit value, not the Monte-Carlo one
+        (["orbit-avg", "m2x1.json", "full4.json", "--samples", "40"],
+         lambda r: {"S": r["value"], "S2": "", "commutant_bound": "", "std_error": "",
+                    "samples": ""}),
+        (["man", "m2x1.json", "full4.json", "--method", "mc", "--samples", "40"],
+         lambda r: {"S": r["estimate"], "S2": "", "std_error": r["std_error"],
+                    "samples": 40}),
+        (["protocol", "stochastic", "m2x1.json", "full4.json", "--samples", "40"],
+         lambda r: {"S": r["estimate"], "std_error": r["std_error"], "samples": 40}),
+        (["masa", "diag2.json", "had2.json"],
+         lambda r: {"S": r["S"], "S2": r["S2"], **r["bounds"], "intersection_bound": "",
+                    "std_error": ""}),
+        (["quantumness", "diag2.json", "had2.json"],
+         lambda r: {"S": r["S"], "S2": "", "commutant_bound": "", "weak_bound": ""}),
+        (["analyze", "m2x1.json"], None),
+        (["markov-check", "m2x1.json", "full4.json", "--epsilon", "0.5", "--samples", "20",
+          "--state-samples", "2"], None),
+    ], ids=["bounds", "orbit-avg", "mc", "stochastic", "masa", "quantumness", "analyze",
+            "markov-check"])
+    def test_row_of_every_command(self, specdir, tmp_path, capsys, argv, want):
+        out = tmp_path / "rows.csv"
+        argv = [str(specdir / x) if x.endswith(".json") else x for x in argv]
+        result = _run_json(capsys, argv + ["--seed", "5", "--csv", str(out)])["result"]
+        if want is None:
+            assert out.read_text().splitlines() == [",".join(cli.CSV_COLUMNS)]
+            return
+        with open(out) as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["method"], row["seed"]) == (result["method"], "5")
+        for column, value in want(result).items():
+            assert row[column] == str(value), column
+
     def test_unwritable_path(self, specdir, capsys):
         code = run(["man", str(specdir / "full2.json"), str(specdir / "full2.json"),
                     "--csv", "/nonexistent-dir/x.csv"])

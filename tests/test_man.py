@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manlab import algebras
+from manlab import man as man_engine
 from manlab.algebras import (
     algebra_from_generators,
     compute_commutant,
@@ -409,6 +410,43 @@ class TestManBounds:
             for key in ("commutant_bound", "weak_bound", "intersection_bound"):
                 if key in record:
                     assert record[key] >= record["S"] - 1e-9, (name, key)
+
+
+class TestIntersectionSolves:
+    # dim(A n B') is solved only by the routes that report the intersection
+    # bound, and only for a collinear A: the solve costs far more than the
+    # omega trace, so a report builder that solved it for every route would
+    # slow man_omega, entropy_decomposition_man and a_otoc down many times
+    @pytest.mark.parametrize("route, collinear, solves", [
+        ("omega", True, 0), ("omega", False, 0),
+        ("entropy", True, 0), ("entropy", False, 0),
+        ("aotoc", True, 0), ("aotoc", False, 0),
+        ("projection", True, 1), ("projection", False, 0),
+        ("bounds", True, 1), ("bounds", False, 0),
+        ("collinear", True, 1),
+    ])
+    def test_solves_per_route(self, monkeypatch, route, collinear, solves):
+        calls = []
+        original = man_engine.commutant_intersection_dim
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(man_engine, "commutant_intersection_dim", counted)
+        a = factor_m2x1() if collinear else structural_algebra([(1, 1), (1, 3)])
+        b = structural_algebra([(2, 1), (1, 2)], basis_change=random_unitary(4, 1701))
+        run = {
+            "omega": lambda: man_omega(a, b).bounds,
+            "entropy": lambda: entropy_decomposition_man(a, b).bounds,
+            "aotoc": lambda: a_otoc(a, random_unitary(4, 1702)).bounds,
+            "projection": lambda: man_projection(a, b).bounds,
+            "bounds": lambda: man_bounds(a, b),
+            "collinear": lambda: man_collinear(a, b).bounds,
+        }[route]
+        bounds = run()
+        assert len(calls) == solves
+        assert ("intersection_bound" in bounds) == bool(solves)
 
 
 class TestOrbitAverage:

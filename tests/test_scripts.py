@@ -24,6 +24,7 @@ def _run_script(name, *args):
 @pytest.mark.parametrize("name, args, marker", [
     ("markov_grid.py", ("--samples", "20", "--state-samples", "2"), "Pr[d >= eps]"),
     ("protocol_accuracy.py", ("--seed", "3"), "direct oracle"),
+    ("lattice_sweep.py", ("--sites", "4"), "log-MAN"),
 ])
 def test_script_exits_cleanly(name, args, marker):
     proc = _run_script(name, *args)
