@@ -21,7 +21,6 @@ comes from the counter hash in ``rng``.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import json
 import math
@@ -284,9 +283,6 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
         u = parse_matrix_file(args.unitary, expected_dim=a.d)
         result = man_engine.a_otoc(a, u, base).to_dict()
     elif cmd == "protocol":
-        if b is a:
-            # one file named twice is still the pair variant, which `b is a` would not be
-            b = copy.copy(a)
         from . import protocols
 
         if args.variant == "choi":

@@ -26,7 +26,7 @@ The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ import numpy as np
 from .algebras import (
     OperatorAlgebra,
     _check_same_ambient,
-    _check_unitary,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
     interleaved_block_swap,
@@ -121,7 +120,7 @@ class StructuralSummary:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class ManReport:
             )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "inputs": {k: v.to_dict() for k, v in self.inputs.items()}}
 
 
 @dataclass(frozen=True)
@@ -561,7 +560,6 @@ def a_otoc(alg: OperatorAlgebra, u: np.ndarray, log_base: float = 2.0) -> ManRep
     u = np.asarray(u, dtype=complex)
     if u.shape != (alg.d, alg.d):
         raise AlgebraError(f"unitary shape {u.shape} != ({alg.d}, {alg.d})")
-    _check_unitary(u)
     evolved = alg.commutant_algebra().conjugated(u)
     report = man_omega(alg, evolved, log_base)
     return replace(report, method="man.aotoc")

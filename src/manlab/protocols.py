@@ -5,7 +5,8 @@ drawn inside each algebra.  The two protocol simulators estimate the same
 quantity the way a laboratory would: swap-test expectations over Choi-type
 "algebra states" (protocol 1) and over projected Haar-random pure states
 (protocol 2).  Shot noise, when requested, is binomial on the swap-test
-outcome probabilities.
+outcome probabilities.  Every estimator reads a state through one block
+reduction, ``purestates.BlockFrame.reduced``, at O(d^2) work per state.
 
 Sample i of every estimator draws from the stream at counter i, so estimates
 are reproducible from (seed, samples) regardless of evaluation order or
@@ -18,15 +19,15 @@ noise of ``shots`` comes from the same hash (``RngStream.uniform_rows``):
 swap-test value j draws at counter j of its own stream, by inversion at small
 means and by Hormann's BTRS otherwise.  Chunks hold at most
 ``_CHUNK_ELEMENTS`` stacked matrix entries, which keeps memory flat; the
-chunk size never changes a result,
-because each sample is computed from its own counter and the per-sample
-values are reduced only after all chunks are done.
+chunk size never changes a result, because each sample is computed from its
+own counter and the per-sample values are reduced only after all chunks are
+done.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .linalg import _haar_states, _haar_unitaries, dagger
 from .man import _block_swap_trace, _projection_overlap, clamp_unit, man_omega
+from .purestates import BlockFrame, PairOverlaps, center_overlaps
 from .rng import RngStream
 
 # Sub-stream roles, so one user seed drives independent draw families.
@@ -87,7 +89,7 @@ class EstimatorResult:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,11 @@ def mc_man_direct(
 
 
 def _self_mode(a: OperatorAlgebra, b: Optional[OperatorAlgebra]) -> bool:
-    """Check a protocol's inputs; True for the self variant (b omitted or b is a)."""
+    """Check a protocol's inputs; True for the self variant (b omitted)."""
     coll, _ = is_collinear(a.decomposition())
     if not coll:
         raise NonCollinearError("protocol requires the first algebra to be collinear")
-    if b is None or b is a:
+    if b is None:
         return True
     _check_same_ambient(a, b)
     return False
@@ -373,8 +375,6 @@ def protocol_stochastic(
         raise ValueError("sampled mode needs samples >= 2")
     if rng is None:
         raise ValueError("sampled mode needs an RngStream")
-    from .purestates import BlockFrame, PairOverlaps, center_overlaps
-
     blocks_a = a.decomposition().blocks
     if self_mode:
         overlaps = partial(center_overlaps, BlockFrame(blocks_a))
@@ -431,29 +431,29 @@ def restricted_distance(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise AlgebraError("state has wrong shape")
-    herm = np.linalg.norm(rho0 - dagger(rho0))
-    if herm > 1e-8 or abs(np.trace(rho0).real - 1.0) > 1e-8:
+    if np.linalg.norm(rho0 - dagger(rho0)) > 1e-8 or abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise AlgebraError("rho0 must be hermitian with unit trace")
-    if np.linalg.eigvalsh((rho0 + dagger(rho0)) / 2).min() < -1e-9:
+    lam, vecs = np.linalg.eigh((rho0 + dagger(rho0)) / 2)
+    if lam.min() < -1e-9:
         raise AlgebraError("rho0 must be positive semi-definite")
-    return float(_restricted_distances(u, v, observer.decomposition().blocks, rho0))
+    # rho = sum_k lam_k |e_k><e_k| with signed lam, and U^dag e_k is row k of e^T conj(U)
+    frame = BlockFrame(observer.decomposition().blocks)
+    psi, chi = vecs.T @ u.conj(), vecs.T @ v.conj()
+    return float(_restricted_distances(frame, psi[None], chi[None], lam[None])[0])
 
 
-def _restricted_distances(u, v, blocks, rho) -> np.ndarray:
-    """restricted_distance without input checks, over stacks.
+def _restricted_distances(frame: BlockFrame, psi, chi, weights) -> np.ndarray:
+    """sum_J ||sum_s w_s (R_J(psi_s) - R_J(chi_s))||_1 per group, without input checks.
 
-    u, v and rho are (..., d, d) stacks that broadcast against each other;
-    the result has their common leading shape.  Meant for unitaries and
-    states the caller drew itself: nothing is re-validated.
+    psi and chi are (g, s, d) stacks of states and weights is (g, s); R_J comes
+    from frame.reduced, which builds it exactly hermitian.
     """
-    delta = dagger(u) @ rho @ u - dagger(v) @ rho @ v
-    lead = delta.shape[:-2]
-    total = 0.0
-    for blk in blocks:
-        g = dagger(blk.isometry) @ delta @ blk.isometry
-        g = g.reshape(*lead, blk.n, blk.d, blk.n, blk.d)
-        m = np.einsum("...plpm->...lm", g)
-        total = total + np.sum(np.abs(np.linalg.eigvalsh((m + dagger(m)) / 2)), axis=-1)
+    g, s, d = psi.shape
+    total = np.zeros(g)
+    for r_psi, r_chi in zip(frame.reduced(psi.reshape(g * s, d)),
+                            frame.reduced(chi.reshape(g * s, d))):
+        gap = np.einsum("gs,gslm->glm", weights, (r_psi - r_chi).reshape(g, s, *r_psi.shape[1:]))
+        total += np.sum(np.abs(np.linalg.eigvalsh(gap)), axis=-1)
     return total
 
 
@@ -474,7 +474,7 @@ class MarkovCheckReport:
     max_distance: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def markov_bound_check(
@@ -512,16 +512,18 @@ def markov_bound_check(
     rng_v = rng.substream(_STREAM_UNITARIES_B)
     rng_s = rng.substream(_STREAM_STATES)
     d = a.d
+    frame = BlockFrame(dec_b.blocks)
     best = np.empty(samples)
     for start, stop in _chunks(samples, state_samples * d * d):
-        u = _haar_algebra_unitaries(dec_a, rng_u, start, stop)[:, None]
-        v = _haar_algebra_unitaries(dec_a, rng_v, start, stop)[:, None]
+        u = _haar_algebra_unitaries(dec_a, rng_u, start, stop)
+        v = _haar_algebra_unitaries(dec_a, rng_v, start, stop)
         # state j of sample i sits at counter i * state_samples + j
         rows = rng_s.normal_rows(start * state_samples, stop * state_samples, 2 * d)
         phi = _haar_states(rows, d).reshape(stop - start, state_samples, d)
-        rho = phi[..., :, None] * phi.conj()[..., None, :]
-        dist = _restricted_distances(u, v, dec_b.blocks, rho)
-        best[start:stop] = dist.max(axis=1)
+        # U^dag |phi><phi| U is the pure state of U^dag phi, the row phi^T conj(U)
+        psi, chi = ((phi @ w.conj()).reshape(-1, 1, d) for w in (u, v))
+        dist = _restricted_distances(frame, psi, chi, np.ones((len(psi), 1)))
+        best[start:stop] = dist.reshape(stop - start, state_samples).max(axis=1)
     hits = int(np.count_nonzero(best >= epsilon))
     overall_max = float(best.max())
     p_hat = hits / samples

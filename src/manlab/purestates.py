@@ -1,10 +1,12 @@
 """Projections of pure states onto block-born algebras, from block data alone.
 
-Sampled protocol_stochastic needs, for each Haar state rho = |phi><phi|, the
-overlap x = <P_A rho, P_T rho> and the purity y = ||P_A rho||^2, with T = B'
-or T = Z(A).  Both come from the blocks (n_J, d_J, V_J): no basis, commutant
-or center algebra is built.  protocols imports this module only when
-protocol_stochastic samples, so the other estimators do not load it.
+Every state estimator in protocols reads a state through one block
+reduction, BlockFrame.reduced: R_J = Tr_{n_J}[V_J^dag rho V_J] from the
+amplitudes of rho = |phi><phi|, O(d^2) work per state.  Sampled
+protocol_stochastic takes from it the overlap x = <P_A rho, P_T rho> and the
+purity y = ||P_A rho||^2, with T = B' or T = Z(A); restricted_distance and
+markov_bound_check take the observer's R_J of rotated states.  No basis,
+commutant, center algebra or d x d density matrix is built.
 
 A state's values do not depend on how many others share its chunk: the
 amplitudes are one (1, d) product per state (a plain (c, d) product with

@@ -34,6 +34,7 @@ from manlab.protocols import (
     protocol_stochastic,
     restricted_distance,
 )
+from manlab.purestates import BlockFrame
 from manlab.rng import RngStream
 
 from helpers import (
@@ -192,6 +193,18 @@ class TestProtocolStochastic:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             protocol_stochastic(full_algebra(2), samples=1, rng=RNG)
+
+
+class TestSelfVariantTrigger:
+    # only an omitted b selects the self variant; an algebra passed twice is
+    # the pair variant, and since A meets A' in Z(A) its S is the same
+    def test_algebra_twice_is_the_pair_variant(self):
+        for a in (factor_m2x1(), structural_algebra([(1, 2), (2, 4)], random_unitary(10, 1500))):
+            pair = [protocol_choi(a, a), protocol_stochastic(a, a, samples=40, rng=RngStream(42))]
+            own = [protocol_choi(a), protocol_stochastic(a, samples=40, rng=RngStream(42))]
+            for p, o in zip(pair, own):
+                assert p.extras["self_mode"] is False and o.extras["self_mode"] is True
+                assert abs(p.estimate - o.estimate) <= 1e-12, (p.method, p.estimate, o.estimate)
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -375,31 +388,54 @@ class TestRestrictedDistanceKernel:
     def test_kernel_equals_public_function(self):
         observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra())
         for tag, observer in enumerate(observers):
-            blocks = observer.decomposition().blocks
+            frame = BlockFrame(observer.decomposition().blocks)
             for k in range(6):
                 u = random_unitary(4, 900 + 10 * tag + k)
                 v = random_unitary(4, 950 + 10 * tag + k)
                 phi = haar_state(4, RngStream(39, tag), k)
                 rho = np.outer(phi, phi.conj())
                 want = restricted_distance(u, v, observer, rho)
-                assert abs(float(_restricted_distances(u, v, blocks, rho)) - want) <= 1e-12
+                psi, chi = (dagger(u) @ phi)[None, None], (dagger(v) @ phi)[None, None]
+                got = _restricted_distances(frame, psi, chi, np.ones((1, 1)))
+                assert abs(float(got[0]) - want) <= 1e-12
                 assert abs(ref_restricted_distance(u, v, observer, rho) - want) <= 1e-12
 
     def test_kernel_broadcasts_over_stacks(self):
-        # (samples, 1, d, d) unitaries against (samples, states, d, d) states
+        # 3 unitary pairs against 5 states each, as 15 groups of one state
         observer = factor_m2x1()
-        blocks = observer.decomposition().blocks
+        frame = BlockFrame(observer.decomposition().blocks)
         us = np.stack([random_unitary(4, 1000 + i) for i in range(3)])
         vs = np.stack([random_unitary(4, 1100 + i) for i in range(3)])
         phis = np.stack([[haar_state(4, RngStream(40, i), j) for j in range(5)]
                          for i in range(3)])
-        rhos = phis[..., :, None] * phis.conj()[..., None, :]
-        got = _restricted_distances(us[:, None], vs[:, None], blocks, rhos)
-        assert got.shape == (3, 5)
+        psi = np.einsum("iba,ijb->ija", us.conj(), phis).reshape(15, 1, 4)
+        chi = np.einsum("iba,ijb->ija", vs.conj(), phis).reshape(15, 1, 4)
+        got = _restricted_distances(frame, psi, chi, np.ones((15, 1)))
+        assert got.shape == (15,)
         for i in range(3):
             for j in range(5):
-                want = restricted_distance(us[i], vs[i], observer, rhos[i, j])
-                assert abs(got[i, j] - want) <= 1e-12
+                rho = np.outer(phis[i, j], phis[i, j].conj())
+                want = restricted_distance(us[i], vs[i], observer, rho)
+                assert abs(got[5 * i + j] - want) <= 1e-12
+
+    def test_mixed_states_match_dense_form(self):
+        # rho0 of rank 1, 2 and 4, and one the guard accepts with an eigenvalue
+        # just below zero: the signed eigenvalue weights give the dense value
+        observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra())
+        gen = RngStream(41).generator(0)
+        spectra = [np.array([1.0, 0, 0, 0])]
+        for rank in (2, 4):
+            w = gen.uniform(0.1, 1.0, rank)
+            spectra.append(np.concatenate([w / w.sum(), np.zeros(4 - rank)]))
+        spectra.append(np.array([0.6, 0.4 + 5e-10, -5e-10, 0.0]))
+        for tag, observer in enumerate(observers):
+            for k, lam in enumerate(spectra):
+                basis = random_unitary(4, 1200 + 10 * tag + k)
+                rho = basis @ np.diag(lam) @ dagger(basis)
+                u = random_unitary(4, 1300 + 10 * tag + k)
+                v = random_unitary(4, 1400 + 10 * tag + k)
+                got = restricted_distance(u, v, observer, rho)
+                assert abs(got - ref_restricted_distance(u, v, observer, rho)) <= 1e-12, (tag, k)
 
 
 def _random_contraction(d, gen):
