@@ -3,22 +3,23 @@
 All routes compute the same quantity S(A:B) = Haar-averaged squared commutator
 norm between unitaries of the two algebras, normalized to [0, 1]:
 
-* ``man_omega``        - 1 - Tr(S Omega_A Omega_B)/d, block by block in O(d^3);
-  ``omega_operator`` builds the d^2 x d^2 Omega explicitly as the cross-check
-* ``man_projection``   - 1 - sum_a ||P_B'(e_a)||^2 / d over A's block basis,
-  P_B' applied block by block as a partial trace on B's blocks
-* ``man_collinear``    - 1 - Tr_HS(P_A P_B')/d(A), A collinear only; the
-  overlap comes block by block in O(d^3), from the same per-pair core as
-  man_omega's trace under another weight
+* ``man_omega``        - 1 - Tr(S Omega_A Omega_B)/d, block by block in O(d^3)
+* ``man_projection``   - 1 - sum_a ||P_B'(e_a)||^2 / d over A's block basis;
+  with P_B' a partial trace on each block of B that sum is Tr(S Omega_A Omega_B)
+* ``man_collinear``    - 1 - Tr_HS(P_A P_B')/d(A), A collinear only
 * ``entropy_decomposition_man`` - average linear-entropy production of the
   per-block compression maps of B under P_A', P_A' again as partial traces
 * ``self_man``         - structural formula for S(A:A)
 
-The projection and entropy routes evaluate their defining sums over matrix
-units (_unit_compressions), not through man_omega's per-pair core, so they
-stay independent cross-checks of it.  Every pair route ends in _pair_report,
-which adds the summaries and bounds; it reads dim(A n B') from
-commutant_intersection_dim only for the routes that ask and a collinear A.
+Every exact pair route (the four above, a_otoc, the orbit Monte-Carlo and the
+exact protocol modes) reads its block pairs from one kernel,
+_block_pair_cores, and weighs the per-pair cores its own way; the routes
+therefore share their arithmetic and check the report plumbing, not the
+kernel.  The kernel's checks are the d^4 oracles (omega_operator, the dense
+references of the test suite) and the direct Monte-Carlo oracle.  Every pair
+route ends in _pair_report, which adds the summaries and bounds; it reads
+dim(A n B') from commutant_intersection_dim only for the routes that ask and
+a collinear A.
 
 The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 """
@@ -34,6 +35,7 @@ import numpy as np
 from .algebras import (
     OperatorAlgebra,
     _check_same_ambient,
+    _check_unitary,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
     interleaved_block_swap,
@@ -161,45 +163,47 @@ class OmegaOperator:
         return float(np.real(np.trace(self.matrix)))
 
 
-def omega_operator(alg: OperatorAlgebra, method: str = "blocks") -> OmegaOperator:
+def omega_operator(alg: OperatorAlgebra) -> OmegaOperator:
     """Build the d^2 x d^2 Omega_A explicitly: the oracle for man_omega's block trace.
 
-    ``blocks`` conjugates 1_n^(x2) (x) S_{d_J} into place per central block;
-    ``bases`` sums e_a (x) e_a^dag directly.  The two agree to 1e-10 and the
-    block route is the cheaper one.
+    Conjugates 1_n^(x2) (x) S_{d_J} / d_J into place per central block.
     """
-    if method not in ("blocks", "bases"):
-        raise ValueError(f"unknown omega construction {method!r}")
     d = alg.d
     omega = np.zeros((d * d, d * d), dtype=complex)
-    if method == "blocks":
-        for b in alg.decomposition().blocks:
-            iso2 = np.kron(b.isometry, b.isometry)
-            core = interleaved_block_swap(b.n, b.d)
-            omega += iso2 @ core @ dagger(iso2) / b.d
-    else:
-        for e in alg.block_bases().e:
-            omega += np.kron(e, dagger(e))
+    for b in alg.decomposition().blocks:
+        iso2 = np.kron(b.isometry, b.isometry)
+        core = interleaved_block_swap(b.n, b.d)
+        omega += iso2 @ core @ dagger(iso2) / b.d
     return OmegaOperator(omega, d)
 
 
-def _block_pair_cores(blocks_a, blocks_b):
-    """||N_JK^dag N_JK||_F^2 for every block J of A and K of B, with the block sizes.
+def _gram_sq(x):
+    """||x x^dag||_F^2 = ||x^dag x||_F^2 per matrix of a stack, from the smaller Gram."""
+    gram = x @ dagger(x) if x.shape[-2] <= x.shape[-1] else dagger(x) @ x
+    return (np.abs(gram) ** 2).sum(axis=(-2, -1))
 
-    Yields (n_J, d_J, n_K, d_K, core) for A's blocks (V_J) and B's (W_K);
-    N_JK is the (n_K d_J) x (d_K n_J) regrouping of W_K^dag V_J, read as
-    (n_K, d_K, n_J, d_J), and the smaller of its two Grams is formed, so no
-    object exceeds d x d.  Isometries may carry leading batch axes (a stack
-    of B's, say); the cores then have the same leading axes.
+
+def _block_pair_cores(blocks_a, blocks_b):
+    """Every block pair of A and B with its core: the one kernel of the exact routes.
+
+    For A's blocks (n_J, d_J, V_J) and B's (n_K, d_K, W_K), yields
+    (n_J, d_J, n_K, d_K, core, m): m is W_K^dag V_J read as (n_K, d_K, n_J, d_J),
+    and core = ||N N^dag||_F^2 for N, m regrouped to (n_K d_J) x (n_J d_K).
+    Up to the order of rows and columns, the (l, m) block of N N^dag is
+    Tr_{d_K}[W_K^dag E_lm W_K] for A's matrix units E_lm, so core is the sum
+    of their squared partial-trace norms; the omega, projection, collinear and
+    entropy routes weigh it per pair.  Only the smaller Gram of N is formed,
+    at most min(n_K d_J, d_K n_J)^2 entries, d^2 over all pairs.  Isometries
+    may carry leading batch axes (a stack of B's, say); m and the cores then
+    have the same leading axes.
     """
     for n_j, d_j, v in blocks_a:
         for n_k, d_k, w in blocks_b:
             m = dagger(w) @ v
             lead = m.shape[:-2]
             m = m.reshape(*lead, n_k, d_k, n_j, d_j)
-            nm = np.moveaxis(m, -1, -3).reshape(*lead, n_k * d_j, d_k * n_j)
-            gram = nm @ dagger(nm) if nm.shape[-2] <= nm.shape[-1] else dagger(nm) @ nm
-            yield n_j, d_j, n_k, d_k, np.sum(np.abs(gram) ** 2, axis=(-2, -1))
+            nm = m.swapaxes(-1, -3).reshape(*lead, n_k * d_j, n_j * d_k)
+            yield n_j, d_j, n_k, d_k, _gram_sq(nm), m
 
 
 def _block_swap_trace(blocks_a, blocks_b):
@@ -207,7 +211,7 @@ def _block_swap_trace(blocks_a, blocks_b):
 
     Each block pair adds its core with weight 1/(d_J d_K).
     """
-    return sum(c / (d_j * d_k) for _, d_j, _, d_k, c in _block_pair_cores(blocks_a, blocks_b))
+    return sum(c / (d_j * d_k) for _, d_j, _, d_k, c, _ in _block_pair_cores(blocks_a, blocks_b))
 
 
 def _projection_overlap(
@@ -223,33 +227,8 @@ def _projection_overlap(
         d_z = a.decomposition().d_Z
         return float(d_z), d_z
     cores = _block_pair_cores(a.decomposition().blocks, b.decomposition().blocks)
-    overlap = float(sum(c / (n_j * d_k) for n_j, _, _, d_k, c in cores))
+    overlap = float(sum(c / (n_j * d_k) for n_j, _, _, d_k, c, _ in cores))
     return overlap, b.decomposition().commutant_dim
-
-
-def _unit_compressions(x_blocks, y_blocks, d: int):
-    """Partial traces of matrix units, summed, for every block pair.
-
-    For the matrix units E_lm = X (1_{n_x} (x) |l><m|) X^dag of each block
-    (n_x, d_x, X) and each block (n_y, d_y, Y), yields (n_x, d_x, n_y, d_y,
-    hs, ident) with hs = sum_{l,m} ||Tr_{d_y}[Y^dag E_lm Y]||_F^2 and ident =
-    ||Tr_{d_y}[Y^dag (sum_l E_ll) Y]||_F^2.  With M = Y^dag X read as
-    (n_y, d_y, n_x, d_x), row (l, q) of F = M regrouped to (d_x n_y) x
-    (d_y n_x) holds the entries M[q, s, p, l], so Tr_{d_y}[Y^dag E_lm Y] is the
-    (l, m) block of F F^dag.  That Gram is formed a few rows at a time, each
-    chunk at most d^2 entries, so its d_x^2 n_y^2 entries never coexist.
-    """
-    for n_x, d_x, x in x_blocks:
-        for n_y, d_y, y in y_blocks:
-            m = (dagger(y) @ x).reshape(n_y, d_y, n_x, d_x)
-            f = m.transpose(3, 0, 1, 2).reshape(d_x * n_y, d_y * n_x)
-            f_dag = dagger(f)
-            step = max(1, d * d // len(f))
-            hs = sum(float(np.sum(np.abs(f[i: i + step] @ f_dag) ** 2))
-                     for i in range(0, len(f), step))
-            c = m.reshape(n_y, -1)
-            ident = float(np.sum(np.abs(c @ dagger(c)) ** 2))
-            yield n_x, d_x, n_y, d_y, hs, ident
 
 
 def _pair_bounds(d, summary_a, summary_b, intersection_dim=None):
@@ -295,14 +274,12 @@ def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0
     """MAN through the conditional expectation onto B'.
 
     Sums ||P_B'(e_a)||^2 over A's block basis e_(J,l,m) = V_J (1 (x) |l><m|)
-    V_J^dag / sqrt(d_J); P_B' acts as a partial trace on each block of B, and
-    the units are batched per block pair (_unit_compressions).
+    V_J^dag / sqrt(d_J).  P_B'(X) = sum_K W_K (Tr_{d_K}[W_K^dag X W_K] (x)
+    1/d_K) W_K^dag, so each block pair adds its core over d_J d_K, the sum
+    Tr(S Omega_A Omega_B) of man_omega.
     """
     _check_same_ambient(a, b)
-    # P_B'(X) = sum_K W_K (Tr_{d_K}[W_K^dag X W_K] (x) 1/d_K) W_K^dag, so
-    # ||P_B'(X)||^2 = sum_K ||Tr_{d_K}[...]||^2 / d_K, and e_a carries 1/sqrt(d_J)
-    pairs = _unit_compressions(a.decomposition().blocks, b.decomposition().blocks, a.d)
-    purity_sum = sum(hs / (d_j * d_k) for _, d_j, _, d_k, hs, _ in pairs)
+    purity_sum = float(_block_swap_trace(a.decomposition().blocks, b.decomposition().blocks))
     s = clamp_unit(1.0 - purity_sum / a.d)
     return _pair_report(a, b, s, "man.projection", log_base,
                         extras={"purity_sum": purity_sum}, intersection=True)
@@ -467,22 +444,14 @@ def lattice_man(
     )
 
 
-def _check_orthonormal_columns(u: np.ndarray, tol: float = 1e-8) -> int:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise AlgebraError("basis must be a square matrix of column vectors")
-    d = u.shape[0]
-    if np.linalg.norm(dagger(u) @ u - np.eye(d)) > tol * d:
-        raise AlgebraError("basis columns are not orthonormal")
-    return d
-
-
 def _masa_overlaps(basis_1: np.ndarray, basis_2: np.ndarray) -> tuple[int, np.ndarray]:
     """(d, X) for two checked orthonormal bases, X_ij = |<i|j~>|^2 bistochastic."""
-    d = _check_orthonormal_columns(basis_1)
-    if _check_orthonormal_columns(basis_2) != d:
+    u1, u2 = np.asarray(basis_1, dtype=complex), np.asarray(basis_2, dtype=complex)
+    _check_unitary(u1)
+    _check_unitary(u2)
+    if u1.shape != u2.shape:
         raise AlgebraError("bases have different dimensions")
-    return d, np.abs(dagger(np.asarray(basis_1, dtype=complex)) @ basis_2) ** 2
+    return len(u1), np.abs(dagger(u1) @ u2) ** 2
 
 
 def _masa_summary(d: int) -> StructuralSummary:
@@ -575,8 +544,7 @@ def entropy_decomposition_man(
     ambient space; S(A:B) is a weighted combination of the Haar-averaged
     linear entropy of T_J on pure states (computed exactly through the
     two-design identity) and its entropy on the maximally mixed state.
-    P_A' acts as a partial trace on each block of A, batched over the matrix
-    units per block pair (_unit_compressions).
+    P_A' acts as a partial trace on each block of A.
     """
     _check_same_ambient(a, b)
     d = a.d
@@ -587,11 +555,12 @@ def entropy_decomposition_man(
         n, dj = blk.n, blk.d
         # T(X) = W (1_n/n (x) X) W^dag, and ||P_A'(Y)||^2 is
         # sum_J ||Tr_{d_J}[V_J^dag Y V_J]||^2 / d_J: hs_sq sums it over the
-        # units X = |l><m|, id_sq takes X = 1
+        # units X = |l><m|, the pair cores; id_sq takes X = 1, whose partial
+        # trace is c c^dag with c = V_J^dag W read as n_J rows
         hs_sq = id_sq = 0.0
-        for _, _, _, d_j, hs, ident in _unit_compressions([blk], blocks_a, d):
-            hs_sq += hs / (n * n * d_j)
-            id_sq += ident / (n * n * d_j)
+        for _, _, n_j, d_j, core, m in _block_pair_cores([blk], blocks_a):
+            hs_sq += core / (n * n * d_j)
+            id_sq += _gram_sq(m.reshape(n_j, -1)) / (n * n * d_j)
         mean_pure_purity = (id_sq + hs_sq) / (dj * (dj + 1))
         e_slin = 1.0 - mean_pure_purity
         slin_mixed = 1.0 - id_sq / dj**2

@@ -36,6 +36,7 @@ import numpy as np
 from .algebras import (
     OperatorAlgebra,
     _check_same_ambient,
+    _check_unitary,
     _commutant_blocks,
     _haar_algebra_unitaries,
     center,  # noqa: F401  (perfbench/tracer.py patches this name here)
@@ -426,8 +427,9 @@ def restricted_distance(
     """
     d = observer.d
     for w in (u, v):
-        if w.shape != (d, d) or np.linalg.norm(dagger(w) @ w - np.eye(d)) > 1e-8 * d:
+        if w.shape != (d, d):
             raise AlgebraError("encoding operators must be unitaries of matching dimension")
+        _check_unitary(w)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise AlgebraError("state has wrong shape")

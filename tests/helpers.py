@@ -201,6 +201,19 @@ def ref_hs_overlap(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
     return float(np.sum(np.abs(ra.conj() @ rb.T) ** 2))
 
 
+def ref_omega(alg: OperatorAlgebra) -> np.ndarray:
+    """Omega_A = sum_a e_a (x) e_a^dag over A's block basis: the d^4 reference.
+
+    Independent of man.omega_operator, which conjugates swap cores into
+    place block by block.
+    """
+    d = alg.d
+    omega = np.zeros((d * d, d * d), dtype=complex)
+    for e in alg.block_bases().e:
+        omega += np.kron(e, dagger(e))
+    return omega
+
+
 def ref_projection_purity(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
     """sum_a ||P_B'(e_a)||^2 over A's block basis, P_B' from the dense basis of B'.
 

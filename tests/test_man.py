@@ -61,6 +61,7 @@ from helpers import (
     ref_entropy_man,
     ref_haar_unitary,
     ref_hs_overlap,
+    ref_omega,
     ref_projection_purity,
     ref_stochastic,
     symmetric_operator_algebra,
@@ -128,8 +129,8 @@ class TestOmegaOperator:
     def test_construction_routes_agree(self):
         for name, a, b in concordance_pairs()[:10]:
             for alg in (a, b):
-                m1 = omega_operator(alg, "blocks").matrix
-                m2 = omega_operator(alg, "bases").matrix
+                m1 = omega_operator(alg).matrix
+                m2 = ref_omega(alg)
                 assert np.linalg.norm(m1 - m2) <= 1e-10, name
 
     def test_trace_invariants(self):
@@ -161,8 +162,8 @@ class TestManOmega:
         # the block-by-block trace against Tr(S Omega_A Omega_B) on the d^4 oracle
         for name, a, b in concordance_pairs():
             d = a.d
-            omega_a = omega_operator(a, "bases").matrix
-            omega_b = omega_operator(b, "bases").matrix
+            omega_a = ref_omega(a)
+            omega_b = ref_omega(b)
             explicit = 1.0 - float(np.real(np.sum(omega_a[swap_perm(d)] * omega_b.T))) / d
             assert abs(man_omega(a, b).S - explicit) <= 1e-12, name
 
@@ -170,8 +171,8 @@ class TestManOmega:
         rng = RngStream(4242)
         for name, a, b in concordance_pairs():
             d = a.d
-            omega_a = omega_operator(a, "bases").matrix[swap_perm(d)]
-            omega_b = omega_operator(b, "bases").matrix
+            omega_a = ref_omega(a)[swap_perm(d)]
+            omega_b = ref_omega(b)
             draws = rng.substream(5)
             vals = []
             for i in range(5):
@@ -200,6 +201,7 @@ class TestBlockOverlap:
         ([(3, 1), (1, 3)], [(2, 3)]),
         ([(2, 4), (1, 2)], [(1, 4), (3, 2)]),  # A collinear with n_J/d_J = 1/2
         ([(4, 2), (2, 1)], [(5, 2)]),  # A collinear with n_J/d_J = 2
+        ([(4, 2), (8, 1)], [(2, 4), (1, 8)]),  # high n against large d: n_K d_J >> d
     ])
     def test_rotated_structural_pairs(self, blocks_a, blocks_b):
         d = sum(n * dj for n, dj in blocks_a)
@@ -255,9 +257,41 @@ class TestScale:
             assert abs(res.estimate - ref["estimate"]) <= 1e-12
 
 
+class TestBlockPairKernel:
+    # the projection and entropy routes read their block pairs from
+    # man._block_pair_cores, whose Grams hold at most min(n_K d_J, d_K n_J)^2
+    # entries per pair, d^2 in all; the F F^dag the routes formed before held
+    # up to (d_J n_K)^2 = d^4/16 entries on this pair
+    def test_high_n_routes_stay_within_d_squared(self, monkeypatch):
+        d = 128
+        high_n = structural_algebra([(32, 2), (64, 1)], basis_change=random_unitary(d, 12801))
+        struct = structural_algebra([(2, 32), (1, 64)], basis_change=random_unitary(d, 12802))
+        want = man_omega(high_n, struct).S
+        original = man_engine._block_pair_cores
+        shapes = []
+
+        def recorded(blocks_a, blocks_b):
+            for item in original(blocks_a, blocks_b):
+                shapes.append(item[:4])
+                yield item
+
+        monkeypatch.setattr(man_engine, "_block_pair_cores", recorded)
+        for x, y in ((high_n, struct), (struct, high_n)):
+            every_pair = sorted(sorted([(j.n, j.d), (k.n, k.d)])
+                                for j in x.decomposition().blocks
+                                for k in y.decomposition().blocks)
+            for route in (man_projection, entropy_decomposition_man):
+                shapes.clear()
+                assert abs(route(x, y).S - want) <= 1e-9, route.__name__
+                got = sorted(sorted([(n_j, d_j), (n_k, d_k)]) for n_j, d_j, n_k, d_k in shapes)
+                assert got == every_pair, route.__name__
+                entries = sum(min(n_k * d_j, d_k * n_j) ** 2 for n_j, d_j, n_k, d_k in shapes)
+                assert entries <= d * d, route.__name__
+
+
 class TestBlockRoutesAgainstDense:
-    # man_projection and entropy_decomposition_man sum partial traces of
-    # matrix units; the dense forms read the bases of B' and A'
+    # man_projection and entropy_decomposition_man read the block-pair kernel;
+    # the dense forms read the bases of B' and A'
     @staticmethod
     def _check_entropy(a, b, label):
         report = entropy_decomposition_man(a, b)
@@ -268,8 +302,12 @@ class TestBlockRoutesAgainstDense:
             assert abs(got["mixed_linear_entropy"] - slin_mixed) <= 1e-12, label
 
     def test_fixture_pairs(self):
-        pairs = concordance_pairs() + [("sym22:sym22", symmetric_operator_algebra(),
-                                        symmetric_operator_algebra())]
+        high_n = structural_algebra([(4, 2), (8, 1)], basis_change=random_unitary(16, 905))
+        struct = structural_algebra([(2, 4), (1, 8)], basis_change=random_unitary(16, 906))
+        pairs = concordance_pairs() + [
+            ("sym22:sym22", symmetric_operator_algebra(), symmetric_operator_algebra()),
+            ("high-n:struct", high_n, struct),
+        ]
         for name, a, b in pairs:
             for x, y in ((a, b), (b, a)):
                 purity = ref_projection_purity(x, y)

@@ -1,6 +1,7 @@
-"""The experiment scripts run end to end on the estimators they drive."""
+"""The experiment scripts and the README example run end to end."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -30,3 +31,16 @@ def test_script_exits_cleanly(name, args, marker):
     proc = _run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert marker in proc.stdout
+
+
+def test_readme_quick_start(capsys):
+    # the README's python example runs as written and prints the values it claims
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    exact, oracle = capsys.readouterr().out.splitlines()
+    s, s2 = (float(x) for x in exact.split()[:2])
+    assert abs(s - 0.75) <= 1e-12 and abs(s2 - 2.0) <= 1e-12
+    estimate, std_error = (float(x) for x in oracle.split())
+    assert abs(estimate - s) <= 5 * std_error

@@ -21,7 +21,7 @@ from manlab.linalg import (
 )
 from manlab.rng import RngStream
 
-from helpers import SX, SY, SZ, random_matrix
+from helpers import SX, SY, SZ, random_matrix, ref_omega
 
 RNG = RngStream(20240)
 
@@ -217,12 +217,11 @@ class TestReshuffle:
     def test_omega_of_embedded_factor(self):
         # projection onto 1 (x) M2 inside d=4 reshuffles to Omega of M2 (x) 1
         from manlab.algebras import lattice_algebra
-        from manlab.man import omega_operator
 
         one_m2 = lattice_algebra([2, 2], {1})
         m2x1 = lattice_algebra([2, 2], {0})
         _, omega = reshuffle(one_m2.projection_superoperator())
-        assert np.linalg.norm(omega - omega_operator(m2x1, "bases").matrix) < 1e-10
+        assert np.linalg.norm(omega - ref_omega(m2x1)) < 1e-10
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
