@@ -1,14 +1,15 @@
 """Hermitian-closed unital operator algebras and their block structure.
 
-An algebra's structure is the central-block data (n_J, d_J, V_J): the ambient
-space splits into blocks C^{n_J} (x) C^{d_J} on which the algebra acts as
-1_{n_J} (x) M_{d_J}; the commutant acts as M_{n_J} (x) 1_{d_J}.  A Block is
-exactly that record, and every route downstream unpacks it directly; the
-central projector V_J V_J^dag is never stored, and the commutant's blocks are
-A's with the two factors swapped (_commutant_blocks).
+An algebra's structure is one frame: a d x d unitary V = [V_1 ... V_m] and
+the shapes (n_J, d_J), sorted by (d_J, n_J), with the algebra acting as
+1_{n_J} (x) M_{d_J} on the columns of V_J and the commutant as
+M_{n_J} (x) 1_{d_J}.  A Block (n_J, d_J, V_J) is a view of the frame that the
+kernels unpack directly; no central projector is stored.  Only this module
+builds or permutes a frame: the commutant's is A's with the factors of each
+block swapped, the center's is A's own, and conjugation is one product U V.
 
-Named algebras, generators, commutants and centers are born from their blocks
-(_algebra_from_blocks): dim(A) and the decomposition are set at birth, and
+Named algebras, generators, commutants and centers are born from their frame
+(_algebra_from_frame): dim(A) and the decomposition are set at birth, and
 the dim(A) x d x d orthonormal basis is built on first access, by oracles
 only.  Generators, and an algebra given by a bare basis, reach their blocks
 through the spectral solve (_compute_decomposition): eigenspaces of one
@@ -23,6 +24,7 @@ bases) are write-once, so algebras can be shared read-only across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -89,28 +91,42 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class StructuralDecomposition:
-    dim: int
-    blocks: tuple[Block, ...]
+    """The frame V, a d x d unitary (or a stack of them), and the shapes
+    (n_J, d_J): block J is the next n_J d_J columns of V."""
+
+    frame: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
+
+    @property
+    def dim(self) -> int:
+        return self.frame.shape[-1]
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        """Block(n_J, d_J, V_J) for each block, V_J a view of the frame's columns."""
+        stops = accumulate(n * dj for n, dj in self.shapes)
+        return tuple(Block(n, dj, self.frame[..., stop - n * dj:stop])
+                     for (n, dj), stop in zip(self.shapes, stops))
 
     @property
     def d_Z(self) -> int:
-        return len(self.blocks)
+        return len(self.shapes)
 
     @property
     def n_vec(self) -> tuple[int, ...]:
-        return tuple(b.n for b in self.blocks)
+        return tuple(n for n, _ in self.shapes)
 
     @property
     def d_vec(self) -> tuple[int, ...]:
-        return tuple(b.d for b in self.blocks)
+        return tuple(dj for _, dj in self.shapes)
 
     @property
     def algebra_dim(self) -> int:
-        return sum(b.d * b.d for b in self.blocks)
+        return sum(dj * dj for _, dj in self.shapes)
 
     @property
     def commutant_dim(self) -> int:
-        return sum(b.n * b.n for b in self.blocks)
+        return sum(n * n for n, _ in self.shapes)
 
 
 @dataclass(frozen=True)
@@ -210,10 +226,16 @@ class OperatorAlgebra:
     # -- cached structure --------------------------------------------------
 
     def commutant_algebra(self) -> "OperatorAlgebra":
-        """A' = sum_J M_{n_J} (x) 1_{d_J}, built from A's blocks with the factors swapped."""
+        """A' = sum_J M_{n_J} (x) 1_{d_J}, born from A's frame with the factors swapped:
+        block J of A' is V_J read on C^{d_J} (x) C^{n_J}, column l n + p being column p d + l."""
         if self._commutant is None:
-            blocks = _commutant_blocks(self.decomposition().blocks)
-            _link_commutants(self, _algebra_from_blocks(self.d, blocks))
+            dec = self.decomposition()
+            stops = accumulate(n * dj for n, dj in dec.shapes)
+            cols = [np.arange(stop - n * dj, stop).reshape(n, dj).T.ravel()
+                    for (n, dj), stop in zip(dec.shapes, stops)]
+            comm = _algebra_from_frame(np.take(dec.frame, np.concatenate(cols), axis=1),
+                                       [(dj, n) for n, dj in dec.shapes])
+            self._commutant, comm._commutant = comm, self
         return self._commutant
 
     def decomposition(self) -> StructuralDecomposition:
@@ -230,7 +252,7 @@ class OperatorAlgebra:
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
         """The image algebra U A U^dag, carrying the decomposition along.
 
-        A known decomposition fixes the algebra, so only its isometries move;
+        A known decomposition fixes the algebra, so only its frame moves;
         a bare basis not yet solved is conjugated as it is.
         """
         _check_unitary(u)
@@ -247,9 +269,9 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
     """Smallest hermitian-closed unital algebra containing the generators.
 
     The letters are the generators and their adjoints, each scaled to unit HS
-    norm.  The spectral solve (_compute_decomposition) finds the blocks
-    (n_J, d_J, V_J) from the letters alone, and the algebra is born from
-    them; no basis of A is formed on the way.
+    norm.  The spectral solve (_compute_decomposition) finds the frame and
+    the block shapes from the letters alone, and the algebra is born from
+    that decomposition; no basis of A is formed on the way.
     """
     letters = []
     for g in gens:
@@ -260,24 +282,22 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
         if norm > 0:
             letters += [g / norm, dagger(g) / norm]
     stack = np.stack(letters) if letters else np.empty((0, d, d), dtype=complex)
-    dec = _compute_decomposition(_Letters(d, stack, None))
-    return _algebra_from_blocks(d, dec.blocks)
+    return OperatorAlgebra._from_decomposition(_compute_decomposition(_Letters(d, stack, None)))
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
-    return _algebra_from_blocks(d, [Block(1, d, np.eye(d, dtype=complex))])
+    return _algebra_from_frame(np.eye(d, dtype=complex), ((1, d),))
 
 
 def trivial_algebra(d: int) -> OperatorAlgebra:
-    return _algebra_from_blocks(d, [Block(d, 1, np.eye(d, dtype=complex))])
+    return _algebra_from_frame(np.eye(d, dtype=complex), ((d, 1),))
 
 
 def masa_from_unitary(u: np.ndarray) -> OperatorAlgebra:
     """Maximal abelian algebra spanned by |u_i><u_i| for the columns u_i."""
     u = np.asarray(u, dtype=complex)
     _check_unitary(u)
-    d = u.shape[0]
-    return _algebra_from_blocks(d, [Block(1, 1, u[:, i: i + 1]) for i in range(d)])
+    return _algebra_from_frame(u, ((1, 1),) * u.shape[0])
 
 
 def diagonal_masa(d: int) -> OperatorAlgebra:
@@ -290,8 +310,8 @@ def structural_algebra(
 ) -> OperatorAlgebra:
     """Algebra with prescribed block data [(n_J, d_J), ...].
 
-    Block J's isometry is the next n_J d_J columns of the optional unitary
-    (the identity by default), so the unitary moves the whole structure to a
+    The optional unitary (the identity by default) is the frame: block J is
+    its next n_J d_J columns, so the unitary moves the whole structure to a
     generic position without a conjugation pass.
     """
     block_dims = [(int(n), int(dj)) for n, dj in block_dims]
@@ -304,18 +324,13 @@ def structural_algebra(
     if basis_change.shape != (d, d):
         raise AlgebraError("basis change unitary has wrong shape")
     _check_unitary(basis_change)
-    blocks = []
-    offset = 0
-    for n, dj in block_dims:
-        blocks.append(Block(n, dj, basis_change[:, offset: offset + n * dj]))
-        offset += n * dj
-    return _algebra_from_blocks(d, blocks)
+    return _algebra_from_frame(basis_change, tuple(block_dims))
 
 
-def _algebra_from_blocks(d: int, blocks: Sequence[Block]) -> OperatorAlgebra:
-    """The algebra sum_J V_J (1_{n_J} (x) M_{d_J}) V_J^dag, born from its blocks."""
+def _algebra_from_frame(frame: np.ndarray, shapes: Sequence[tuple[int, int]]) -> OperatorAlgebra:
+    """The algebra sum_J V_J (1_{n_J} (x) M_{d_J}) V_J^dag, born from its frame."""
     return OperatorAlgebra._from_decomposition(
-        StructuralDecomposition(d, _canonical_block_order(d, tuple(blocks))))
+        StructuralDecomposition(*_canonical_block_order(frame, tuple(shapes))))
 
 
 def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
@@ -335,13 +350,6 @@ def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
     return out
 
 
-def _commutant_blocks(blocks: Sequence[Block]) -> tuple[Block, ...]:
-    """A' = sum_J M_{n_J} (x) 1_{d_J} as blocks (d_J, n_J, V_J'), in the given order:
-    V_J' is V_J read on C^{d_J} (x) C^{n_J}, column l n + p being column p d + l."""
-    return tuple(Block(b.d, b.n, b.isometry.reshape(-1, b.n, b.d).transpose(0, 2, 1)
-                       .reshape(-1, b.n * b.d)) for b in blocks)
-
-
 def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> OperatorAlgebra:
     """Local algebra of a lattice region: L(H_S) (x) 1 on the complement.
 
@@ -356,11 +364,9 @@ def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> Operator
         if r < 0 or r >= len(site_dims):
             raise AlgebraError(f"region index {r} out of range")
     comp = [i for i in range(len(site_dims)) if i not in region]
-    d = prod(site_dims)
     n = prod(site_dims[i] for i in comp)
     dj = prod(site_dims[i] for i in region)
-    iso = _site_order_unitary(site_dims, comp + region)
-    return _algebra_from_blocks(d, [Block(n, dj, iso)])
+    return _algebra_from_frame(_site_order_unitary(site_dims, comp + region), ((n, dj),))
 
 
 def _site_order_unitary(site_dims, order):
@@ -375,11 +381,6 @@ def _site_order_unitary(site_dims, order):
     u = np.zeros((d, d), dtype=complex)
     u[rows, idx] = 1.0
     return u
-
-
-def _link_commutants(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
-    a._commutant = b
-    b._commutant = a
 
 
 # -- structural operations ---------------------------------------------------
@@ -448,13 +449,12 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
     algebra_intersection(a, b.commutant_algebra()) is the oracle.
     """
     _check_same_ambient(a, b)
-    a_comm = _commutant_blocks(a.decomposition().blocks)
+    a_comm = a.commutant_algebra().decomposition().blocks
     b_own = b.decomposition().blocks
-    letters = []
-    for counter, blocks in enumerate((a_comm, a_comm, b_own, b_own)):
-        h = _block_hermitian(blocks, _INTERSECTION_RNG, counter)
-        letters.append(h / np.linalg.norm(h))
-    dec = _compute_decomposition(_Letters(a.d, np.stack(letters), None))
+    hs = [_block_hermitian(blocks, _INTERSECTION_RNG, counter)
+          for counter, blocks in enumerate((a_comm, a_comm, b_own, b_own))]
+    letters = np.stack([h / np.linalg.norm(h) for h in hs])
+    dec = _compute_decomposition(_Letters(a.d, letters, None))
     return dec.commutant_dim
 
 
@@ -472,9 +472,9 @@ def _block_hermitian(blocks, rng: RngStream, counter: int) -> np.ndarray:
 
 
 def center(alg: OperatorAlgebra) -> OperatorAlgebra:
-    """Z(A) = sum_J C P_J, born from A's blocks as the scalar blocks (n_J d_J, 1) on V_J."""
-    blocks = [Block(b.n * b.d, 1, b.isometry) for b in alg.decomposition().blocks]
-    return _algebra_from_blocks(alg.d, blocks)
+    """Z(A) = sum_J C P_J, born from A's frame with the scalar shapes (n_J d_J, 1)."""
+    dec = alg.decomposition()
+    return _algebra_from_frame(dec.frame, [(n * dj, 1) for n, dj in dec.shapes])
 
 
 def algebras_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float = EQUALITY_TOL) -> bool:
@@ -491,40 +491,36 @@ def decompose(alg: OperatorAlgebra) -> StructuralDecomposition:
 
 
 def _compute_decomposition(alg: _Letters) -> StructuralDecomposition:
-    """Blocks from the spectral solve, accepted only when every letter proves them.
+    """The frame from the spectral solve, accepted only when every letter proves it.
 
     Attempt i (_decompose_attempt), for i < _DECOMPOSE_ATTEMPTS, takes its
     generic coefficients from _DECOMPOSE_RNG.normals(i, ...), a counter hash
     that needs no numpy.random.  The stream is fixed, so the same letters
-    always give the same blocks.  The blocks are accepted when they fill the
-    space, match dim(A) when it is known, and every letter reads
-    sum_J 1_{n_J} (x) X_J in their coordinates with nothing between blocks.
+    always give the same frame, put in canonical order here.  It is accepted
+    when it matches dim(A) when that is known, and every letter reads
+    sum_J 1_{n_J} (x) X_J in its coordinates with nothing between blocks.
     Then A lies in sum_J 1_{n_J} (x) M_{d_J}; the eigenprojections and
-    transports that built the blocks lie in A and give every matrix unit, so
-    the two are equal.  A non-generic draw fails these
+    transports that built the frame lie in A and give every matrix unit, so
+    the two are equal.  A non-generic draw (or a NaN residual) fails these
     checks, and the last failure is reported in DecompositionError.
     """
-    d = alg.d
     last_failure = "no attempt made"
     for attempt in range(_DECOMPOSE_ATTEMPTS):
         draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, len(alg.letters))
         try:
-            blocks = _decompose_attempt(alg, draw)
+            frame, shapes = _decompose_attempt(alg, draw)
         except _RetryDraw as exc:
             last_failure = str(exc)
             continue
-        dec = StructuralDecomposition(d, _canonical_block_order(d, blocks))
+        dec = StructuralDecomposition(*_canonical_block_order(frame, shapes))
         if alg.dim is not None and dec.algebra_dim != alg.dim:
             last_failure = "dimension bookkeeping mismatch"
             continue
-        if sum(b.n * b.d for b in dec.blocks) != d:
-            last_failure = "block sizes do not fill the space"
-            continue
         leak, form = _letter_residuals(alg.letters, dec)
-        if leak > ISO_TOL:
+        if not leak <= ISO_TOL:
             last_failure = "letters leak between central blocks"
             continue
-        if form > ISO_TOL:
+        if not form <= ISO_TOL:
             last_failure = "letters are not of the form 1_n (x) X on a block"
             continue
         return dec
@@ -533,15 +529,16 @@ def _compute_decomposition(alg: _Letters) -> StructuralDecomposition:
     )
 
 
-def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[Block, ...]:
-    """Candidate blocks from the eigenspaces of one generic hermitian h in A.
+def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Candidate (frame, shapes) from the eigenspaces of one generic hermitian h in A.
 
     The eigenspaces Q_a of h have dimension n_J, d_J of them per block.  Two
     lie in one block when some letter l links them (Q_a^dag l Q_b != 0): the
     letters generate A, so the components of that graph are the blocks.  On
     a maximum spanning tree of the link weights, the frame R_b of eigenspace
-    b is the polar factor of (Q_a R_a)^dag l Q_b for its parent a and the
-    strongest letter l on the edge; the frames Q_a R_a are the columns of V_J.
+    b is the polar factor m (m^dag m)^(-1/2) of m = (Q_a R_a)^dag l Q_b for its
+    parent a and the strongest letter l on the edge (a singular m is a
+    non-generic draw); the frames Q_a R_a are the columns of V_J.
     """
     evals, evecs = np.linalg.eigh(_generic_element(alg, draw))
     clusters = _cluster_indices(evals)  # contiguous runs of the sorted spectrum
@@ -549,7 +546,7 @@ def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[Block, ...]:
     compressed = dagger(evecs) @ alg.letters @ evecs  # the letters in h's eigenbasis
     weight = np.sum(np.abs(compressed) ** 2, axis=0)
     weight = np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1)
-    blocks = []
+    isometries, shapes = [], []
     rest = list(range(len(clusters)))
     while rest:
         tree = [rest.pop(0)]
@@ -564,29 +561,31 @@ def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[Block, ...]:
                 raise _RetryDraw("eigenspaces of one block differ in dimension")
             transports = compressed[:, a][:, :, b]  # Q_a^dag l Q_b for every letter l
             best = np.argmax(np.linalg.norm(transports, axis=(1, 2)))
-            u, _, vh = np.linalg.svd(dagger(frames[i]) @ transports[best])
-            frames.append(dagger(u @ vh))
+            m = dagger(frames[i]) @ transports[best]
+            lam, w = np.linalg.eigh(dagger(m) @ m)
+            if not lam[0] > ISO_TOL**2 * lam[-1]:
+                raise _RetryDraw("transport between eigenspaces is singular")
+            frames.append(dagger((m @ w / np.sqrt(lam)) @ dagger(w)))
             tree.append(rest.pop(j))
         # column p d_J + l is column p of the l-th frame
         iso = np.stack([evecs[:, clusters[a]] @ f for a, f in zip(tree, frames)], axis=2)
-        iso = iso.reshape(alg.d, -1)
-        blocks.append(Block(len(frames[0]), len(tree), iso))
-    return tuple(blocks)
+        isometries.append(iso.reshape(alg.d, -1))
+        shapes.append((len(frames[0]), len(tree)))
+    return np.concatenate(isometries, axis=1), tuple(shapes)
 
 
 def _letter_residuals(letters: np.ndarray, dec: StructuralDecomposition) -> tuple[float, float]:
     """Worst HS norms, over the letters, of the parts between blocks and of the
     parts off the form 1_n (x) X within a block, in the blocks' coordinates."""
-    v = np.concatenate([b.isometry for b in dec.blocks], axis=1)  # unitary once blocks fill
-    w = dagger(v) @ letters @ v
+    w = dagger(dec.frame) @ letters @ dec.frame
     ideal = np.zeros_like(w)
     start = 0
-    for b in dec.blocks:
-        stop = start + b.n * b.d
-        x = w[:, start:stop, start:stop].reshape(-1, b.n, b.d, b.n, b.d)
-        ideal[:, start:stop, start:stop] = np.kron(np.eye(b.n), np.einsum("kplpm->klm", x) / b.n)
+    for n, dj in dec.shapes:
+        stop = start + n * dj
+        x = w[:, start:stop, start:stop].reshape(-1, n, dj, n, dj)
+        ideal[:, start:stop, start:stop] = np.kron(np.eye(n), np.einsum("kplpm->klm", x) / n)
         start = stop
-    labels = np.repeat(np.arange(dec.d_Z), [b.n * b.d for b in dec.blocks])
+    labels = np.repeat(np.arange(dec.d_Z), [n * dj for n, dj in dec.shapes])
     within = labels[:, None] == labels[None, :]
     sq = np.abs(w - ideal) ** 2
     return tuple(float(np.sqrt(np.max(np.sum(sq[:, m], axis=1), initial=0.0)))
@@ -642,22 +641,24 @@ def _cluster_indices(evals: np.ndarray) -> list[list[int]]:
     return clusters
 
 
-def _canonical_block_order(d: int, blocks: tuple[Block, ...]) -> tuple[Block, ...]:
+def _canonical_block_order(frame: np.ndarray, shapes: tuple) -> tuple[np.ndarray, tuple]:
     # The ordering of blocks is a free choice; sort on (d_J, n_J, Tr(P_J R))
     # with the fixed diagonal reference R = diag(r) so reports and caches are
     # reproducible.  Tr(P_J R) = sum_i r_i (P_J)_ii, and (P_J)_ii is the
-    # squared norm of row i of V_J.
-    ref = np.arange(d) / max(d - 1, 1)
-
-    def key(b: Block):
-        return (b.d, b.n, round(float(np.sum(np.abs(b.isometry) ** 2, axis=1) @ ref), 9))
-
-    return tuple(sorted(blocks, key=key))
+    # squared norm of row i of V_J.  The columns move only if the order does.
+    bounds = np.cumsum([0] + [n * dj for n, dj in shapes])
+    diag = np.add.reduceat(np.abs(frame) ** 2, bounds[:-1], axis=1)  # column J: diag(P_J)
+    trace_r = np.arange(len(frame)) / max(len(frame) - 1, 1) @ diag
+    order = sorted(range(len(shapes)),
+                   key=lambda j: (shapes[j][1], shapes[j][0], round(float(trace_r[j]), 9)))
+    if order != sorted(order):
+        cols = np.concatenate([np.arange(bounds[j], bounds[j + 1]) for j in order])
+        frame = np.take(frame, cols, axis=1)  # C-ordered, where frame[:, cols] is not
+    return frame, tuple(shapes[j] for j in order)
 
 
 def _conjugate_decomposition(dec: StructuralDecomposition, u: np.ndarray) -> StructuralDecomposition:
-    blocks = tuple(Block(b.n, b.d, u @ b.isometry) for b in dec.blocks)
-    return StructuralDecomposition(dec.dim, blocks)
+    return StructuralDecomposition(u @ dec.frame, dec.shapes)
 
 
 def _check_same_ambient(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
@@ -677,7 +678,7 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
 
 def is_collinear(dec: StructuralDecomposition, tol: float = 1e-9) -> tuple[bool, Optional[float]]:
     """Whether n_J/d_J is block-independent; the common ratio when it is."""
-    ratios = [b.n / b.d for b in dec.blocks]
+    ratios = [n / dj for n, dj in dec.shapes]
     if max(ratios) - min(ratios) <= tol:
         return True, ratios[0]
     return False, None

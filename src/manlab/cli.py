@@ -36,7 +36,7 @@ from .algebras import OperatorAlgebra
 from .errors import ManlabError, SpecFileError
 from .man import StructuralSummary
 from .rng import RngStream
-from .specio import AlgebraSpec, parse_matrix_file, parse_spec, spec_from_dict
+from .specio import MAX_AMBIENT_DIM, AlgebraSpec, parse_matrix_file, parse_spec, spec_from_dict
 
 CSV_COLUMNS = [
     "case", "method", "S", "S2",
@@ -314,6 +314,13 @@ def _sweep(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict]]:
     cases = []
     rows = []
     if args.grid == "lattice":
+        for flag, value in (("--sites", args.sites), ("--site-dim", args.site_dim)):
+            if value < 1:
+                raise SpecFileError(f"must be >= 1, got {value}", field=flag)
+        # site_dim >= 2 passes 64 within 64 sites, so capping the power keeps it exact
+        if not args.allow_large and args.site_dim ** min(args.sites, 64) > MAX_AMBIENT_DIM:
+            raise SpecFileError(f"ambient dimension {args.site_dim}^{args.sites} exceeds the "
+                                f"{MAX_AMBIENT_DIM} guardrail (pass --allow-large)", field="--sites")
         sites = list(range(args.sites))
         site_dims = [args.site_dim] * args.sites
         if args.pairs:

@@ -395,8 +395,8 @@ def lattice_man(
     the sites of S1 outside S2.
     """
     site_dims = [int(x) for x in site_dims]
-    if not site_dims:
-        raise AlgebraError("need at least one site")
+    if not site_dims or any(x < 1 for x in site_dims):
+        raise AlgebraError("need at least one site, each of positive dimension")
     d_site = site_dims[0]
     if any(x != d_site for x in site_dims):
         raise AlgebraError("closed lattice form requires a uniform site dimension")

@@ -6,7 +6,8 @@ quantity the way a laboratory would: swap-test expectations over Choi-type
 "algebra states" (protocol 1) and over projected Haar-random pure states
 (protocol 2).  Shot noise, when requested, is binomial on the swap-test
 outcome probabilities.  Every estimator reads a state through one block
-reduction, ``purestates.BlockFrame.reduced``, at O(d^2) work per state.
+reduction, ``purestates.reduced`` in the decomposition's frame, at O(d^2)
+work per state.
 
 Sample i of every estimator draws from the stream at counter i, so estimates
 are reproducible from (seed, samples) regardless of evaluation order or
@@ -37,7 +38,7 @@ from .algebras import (
     OperatorAlgebra,
     _check_same_ambient,
     _check_unitary,
-    _commutant_blocks,
+    _conjugate_decomposition,
     _haar_algebra_unitaries,
     center,  # noqa: F401  (perfbench/tracer.py patches this name here)
     haar_algebra_unitary,  # noqa: F401  (perfbench/tracer.py patches this name here)
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .linalg import _haar_states, _haar_unitaries, dagger
 from .man import _block_swap_trace, _projection_overlap, clamp_unit, man_omega
-from .purestates import BlockFrame, PairOverlaps, center_overlaps
+from .purestates import PairOverlaps, center_overlaps, reduced
 from .rng import RngStream
 
 # Sub-stream roles, so one user seed drives independent draw families.
@@ -358,6 +359,8 @@ def protocol_stochastic(
     self_mode = _self_mode(a, b)
     if shots is not None:
         _check_shots(shots)
+        if samples is None:
+            raise ValueError("shots need sampled mode: the exact mode draws no swap tests")
     d = a.d
     offset = 1.0 / (d + 1)
     if samples is None:
@@ -376,12 +379,10 @@ def protocol_stochastic(
         raise ValueError("sampled mode needs samples >= 2")
     if rng is None:
         raise ValueError("sampled mode needs an RngStream")
-    blocks_a = a.decomposition().blocks
     if self_mode:
-        overlaps = partial(center_overlaps, BlockFrame(blocks_a))
+        overlaps = partial(center_overlaps, a.decomposition())
     else:
-        # T = B', whose blocks are B's with the two factors swapped
-        overlaps = PairOverlaps(blocks_a, _commutant_blocks(b.decomposition().blocks))
+        overlaps = PairOverlaps(a.decomposition(), b.commutant_algebra().decomposition())
     rng_states = rng.substream(_STREAM_STATES)
     xy = np.empty((samples, 2))
     for start, stop in _chunks(samples, d * d):
@@ -439,21 +440,21 @@ def restricted_distance(
     if lam.min() < -1e-9:
         raise AlgebraError("rho0 must be positive semi-definite")
     # rho = sum_k lam_k |e_k><e_k| with signed lam, and U^dag e_k is row k of e^T conj(U)
-    frame = BlockFrame(observer.decomposition().blocks)
     psi, chi = vecs.T @ u.conj(), vecs.T @ v.conj()
-    return float(_restricted_distances(frame, psi[None], chi[None], lam[None])[0])
+    return float(_restricted_distances(observer.decomposition(), psi[None], chi[None], lam[None])[0])
 
 
-def _restricted_distances(frame: BlockFrame, psi, chi, weights) -> np.ndarray:
+def _restricted_distances(dec, psi, chi, weights) -> np.ndarray:
     """sum_J ||sum_s w_s (R_J(psi_s) - R_J(chi_s))||_1 per group, without input checks.
 
-    psi and chi are (g, s, d) stacks of states and weights is (g, s); R_J comes
-    from frame.reduced, which builds it exactly hermitian.
+    dec is the observer's decomposition, psi and chi are (g, s, d) stacks of
+    states and weights is (g, s); R_J comes from purestates.reduced, which
+    builds it exactly hermitian.
     """
     g, s, d = psi.shape
     total = np.zeros(g)
-    for r_psi, r_chi in zip(frame.reduced(psi.reshape(g * s, d)),
-                            frame.reduced(chi.reshape(g * s, d))):
+    for r_psi, r_chi in zip(reduced(dec, psi.reshape(g * s, d)),
+                            reduced(dec, chi.reshape(g * s, d))):
         gap = np.einsum("gs,gslm->glm", weights, (r_psi - r_chi).reshape(g, s, *r_psi.shape[1:]))
         total += np.sum(np.abs(np.linalg.eigvalsh(gap)), axis=-1)
     return total
@@ -495,8 +496,8 @@ def markov_bound_check(
     r = max_J d_J/n_J over the observer's blocks; the alternative reading
     with r outside the square root is reported alongside for comparison.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if samples < 1 or state_samples < 1:
         raise ValueError("samples and state_samples must be >= 1")
     _check_same_ambient(a, b)
@@ -504,7 +505,7 @@ def markov_bound_check(
     s_value = man_omega(a, b).S
     dec_a = a.decomposition()
     dec_b = b.decomposition()
-    ratio_max = max(blk.d / blk.n for blk in dec_b.blocks)
+    ratio_max = max(dj / n for n, dj in dec_b.shapes)
     d_b = dec_b.algebra_dim
     c_value = 2.0 * math.sqrt(2.0 * d_b * ratio_max)
     c_alt = 2.0 * math.sqrt(2.0 * d_b) * ratio_max
@@ -514,7 +515,6 @@ def markov_bound_check(
     rng_v = rng.substream(_STREAM_UNITARIES_B)
     rng_s = rng.substream(_STREAM_STATES)
     d = a.d
-    frame = BlockFrame(dec_b.blocks)
     best = np.empty(samples)
     for start, stop in _chunks(samples, state_samples * d * d):
         u = _haar_algebra_unitaries(dec_a, rng_u, start, stop)
@@ -524,7 +524,7 @@ def markov_bound_check(
         phi = _haar_states(rows, d).reshape(stop - start, state_samples, d)
         # U^dag |phi><phi| U is the pure state of U^dag phi, the row phi^T conj(U)
         psi, chi = ((phi @ w.conj()).reshape(-1, 1, d) for w in (u, v))
-        dist = _restricted_distances(frame, psi, chi, np.ones((len(psi), 1)))
+        dist = _restricted_distances(dec_b, psi, chi, np.ones((len(psi), 1)))
         best[start:stop] = dist.reshape(stop - start, state_samples).max(axis=1)
     hits = int(np.count_nonzero(best >= epsilon))
     overall_max = float(best.max())
@@ -549,12 +549,12 @@ def mc_orbit_averaged_man(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = a.d
-    blocks_a, blocks_b = a.decomposition().blocks, b.decomposition().blocks
+    blocks_a, dec_b = a.decomposition().blocks, b.decomposition()
     rng_orbit = rng.substream(_STREAM_ORBIT)
     vals = np.empty(samples)
     for start, stop in _chunks(samples, d * d):
         u = _haar_unitaries(rng_orbit.normal_rows(start, stop, 2 * d * d), 0, d)
-        blocks_u = [(n, dj, u @ w) for n, dj, w in blocks_b]
+        blocks_u = _conjugate_decomposition(dec_b, u).blocks
         vals[start:stop] = 1.0 - _block_swap_trace(blocks_a, blocks_u) / d
     mean, se = _mean_and_se(vals)
     return EstimatorResult(

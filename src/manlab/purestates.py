@@ -1,12 +1,14 @@
 """Projections of pure states onto block-born algebras, from block data alone.
 
 Every state estimator in protocols reads a state through one block
-reduction, BlockFrame.reduced: R_J = Tr_{n_J}[V_J^dag rho V_J] from the
-amplitudes of rho = |phi><phi|, O(d^2) work per state.  Sampled
-protocol_stochastic takes from it the overlap x = <P_A rho, P_T rho> and the
-purity y = ||P_A rho||^2, with T = B' or T = Z(A); restricted_distance and
-markov_bound_check take the observer's R_J of rotated states.  No basis,
-commutant, center algebra or d x d density matrix is built.
+reduction, ``reduced``: with amplitudes a = V^dag phi in the decomposition's
+frame, read a_J as (n_J, d_J), R_J = Tr_{n_J}[V_J^dag rho V_J] = a_J^T conj(a_J),
+O(d^2) work per state; P(rho) = sum_J V_J (1_{n_J}/n_J (x) R_J) V_J^dag.
+Sampled protocol_stochastic takes from it the overlap x = <P_A rho, P_T rho>
+and the purity y = ||P_A rho||^2 = sum_J ||R_J||^2 / n_J, with T = B' or
+T = Z(A); restricted_distance and markov_bound_check take the observer's R_J
+of rotated states.  No basis, commutant, center algebra or d x d density
+matrix is built.
 
 A state's values do not depend on how many others share its chunk: the
 amplitudes are one (1, d) product per state (a plain (c, d) product with
@@ -22,46 +24,34 @@ import numpy as np
 from .linalg import dagger
 
 
-class BlockFrame:
-    """A block-born algebra's frame V = [V_1 ... V_m], a d x d unitary.
+def reduced(dec, phi: np.ndarray) -> list[np.ndarray]:
+    """R_J for each block of dec, each (c, d_J, d_J), for a (c, d) stack of states."""
+    amp = (phi[:, None, :] @ dec.frame.conj())[:, 0]
+    out, offset = [], 0
+    for n, dj in dec.shapes:
+        a = amp[:, offset:offset + n * dj].reshape(-1, n, dj)
+        out.append(np.einsum("crl,crm->clm", a, a.conj()))
+        offset += n * dj
+    return out
 
-    For a pure state with amplitudes a = V^dag phi, read a_J as (n_J, d_J),
-    P(rho) = sum_J V_J (1_{n_J}/n_J (x) R_J) V_J^dag with
-    R_J = Tr_{n_J}[V_J^dag rho V_J] = a_J^T conj(a_J), and
-    ||P(rho)||^2 = sum_J ||R_J||^2 / n_J.
-    """
 
-    def __init__(self, blocks):
-        self.shapes = [(n, dj) for n, dj, _ in blocks]
-        self.frame = np.concatenate([v for _, _, v in blocks], axis=1)
-        self._frame_conj = self.frame.conj()
+def purity(dec, rs: list[np.ndarray]) -> np.ndarray:
+    """||P(rho)||^2 per state, from the R_J of `reduced`."""
+    return sum(np.real(np.einsum("clm,clm->c", r, r.conj())) / n
+               for (n, _), r in zip(dec.shapes, rs))
 
-    def reduced(self, phi: np.ndarray) -> list[np.ndarray]:
-        """R_J for each block, each (c, d_J, d_J), for a (c, d) stack of states."""
-        amp = (phi[:, None, :] @ self._frame_conj)[:, 0]
-        out, offset = [], 0
-        for n, dj in self.shapes:
-            a = amp[:, offset:offset + n * dj].reshape(-1, n, dj)
-            out.append(np.einsum("crl,crm->clm", a, a.conj()))
-            offset += n * dj
-        return out
 
-    def purity(self, reduced: list[np.ndarray]) -> np.ndarray:
-        """||P(rho)||^2 per state."""
-        return sum(np.real(np.einsum("clm,clm->c", r, r.conj())) / n
-                   for (n, _), r in zip(self.shapes, reduced))
-
-    def core(self, reduced: list[np.ndarray]) -> np.ndarray:
-        """V^dag P(rho) V = sum_J 1_{n_J}/n_J (x) R_J, as (c, d, d)."""
-        c, d = len(reduced[0]), self.frame.shape[0]
-        out = np.zeros((c, d, d), dtype=complex)
-        offset = 0
-        for (n, dj), r in zip(self.shapes, reduced):
-            block = out[:, offset:offset + n * dj, offset:offset + n * dj]
-            # the (r, r) diagonal blocks of the (n_J, d_J, n_J, d_J) view, written in place
-            np.einsum("crlrm->crlm", block.reshape(c, n, dj, n, dj))[...] = (r / n)[:, None]
-            offset += n * dj
-        return out
+def core(dec, rs: list[np.ndarray]) -> np.ndarray:
+    """V^dag P(rho) V = sum_J 1_{n_J}/n_J (x) R_J, as (c, d, d), from the R_J of `reduced`."""
+    c, d = len(rs[0]), dec.dim
+    out = np.zeros((c, d, d), dtype=complex)
+    offset = 0
+    for (n, dj), r in zip(dec.shapes, rs):
+        block = out[:, offset:offset + n * dj, offset:offset + n * dj]
+        # the (r, r) diagonal blocks of the (n_J, d_J, n_J, d_J) view, written in place
+        np.einsum("crlrm->crlm", block.reshape(c, n, dj, n, dj))[...] = (r / n)[:, None]
+        offset += n * dj
+    return out
 
 
 class PairOverlaps:
@@ -73,29 +63,29 @@ class PairOverlaps:
     work per state and d^2 memory, whatever dim A and dim T are.
     """
 
-    def __init__(self, blocks_a, blocks_t):
-        self.a, self.t = BlockFrame(blocks_a), BlockFrame(blocks_t)
-        self.u = dagger(self.a.frame) @ self.t.frame
+    def __init__(self, dec_a, dec_t):
+        self.a, self.t = dec_a, dec_t
+        self.u = dagger(dec_a.frame) @ dec_t.frame
         self.u_dag = dagger(self.u)
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
         c, d = phi.shape
-        core_a = self.a.core(self.a.reduced(phi))
+        core_a = core(self.a, reduced(self.a, phi))
         left = (core_a.reshape(c * d, d) @ self.u).reshape(c, d, d)
-        right = (self.t.core(self.t.reduced(phi)).reshape(c * d, d) @ self.u_dag).reshape(c, d, d)
+        right = (core(self.t, reduced(self.t, phi)).reshape(c * d, d) @ self.u_dag).reshape(c, d, d)
         x = np.einsum("cij,cji->c", left, right)
         # y = Tr(C_A C_A) by the same sum, so T = A in the same frame gives x = y exactly
         y = np.einsum("cij,cji->c", core_a, core_a)
         return np.stack([np.real(x), np.real(y)], axis=1)
 
 
-def center_overlaps(frame: BlockFrame, phi: np.ndarray) -> np.ndarray:
+def center_overlaps(dec, phi: np.ndarray) -> np.ndarray:
     """(<P_A rho, P_Z rho>, ||P_A rho||^2) per state, as a (c, 2) stack.
 
     P_Z rho = sum_J P_J t_J/(n_J d_J) with t_J = Tr(P_J rho) = Tr R_J; P_J
     lies in A, so the overlap is sum_J t_J^2/(n_J d_J).
     """
-    reduced = frame.reduced(phi)
+    rs = reduced(dec, phi)
     x = sum(np.real(np.einsum("cll->c", r)) ** 2 / (n * dj)
-            for (n, dj), r in zip(frame.shapes, reduced))
-    return np.stack([x, frame.purity(reduced)], axis=1)
+            for (n, dj), r in zip(dec.shapes, rs))
+    return np.stack([x, purity(dec, rs)], axis=1)

@@ -1,5 +1,7 @@
 """Algebra construction, commutants, central decomposition, projections."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,11 +341,54 @@ class TestCommutantFromBlocks:
         # blocks of the Hadamard MASA offered for the diagonal MASA: dimensions,
         # fill and the commutant dimension all match; only leakage tells them apart
         had = masa_from_unitary(HADAMARD).decomposition()
-        monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: had.blocks)
+        monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: (had.frame, had.shapes))
         alg = strip_structure(diagonal_masa(2))
         assert had.algebra_dim == alg.dim and had.commutant_dim == compute_commutant(alg).dim
         with pytest.raises(DecompositionError, match="leak"):
             alg.decomposition()
+
+    def test_nan_frames_are_refused(self, monkeypatch):
+        import manlab.algebras as mod
+
+        # NaN residuals compare False against any tolerance; they must still fail
+        nan_frame = np.full((2, 2), np.nan, dtype=complex)
+        monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: (nan_frame, ((1, 1), (1, 1))))
+        with pytest.raises(DecompositionError, match="leak"):
+            strip_structure(diagonal_masa(2)).decomposition()
+
+
+class TestFrame:
+    """Every decomposition is one unitary frame, its blocks are views of it,
+    and blocks of one shape class sit in adjacent columns."""
+
+    def _algebras(self):
+        u = random_unitary(7, 41)
+        # shapes given out of order, with (1, 2) twice
+        struct = structural_algebra([(1, 2), (2, 1), (1, 2), (1, 1)], basis_change=u)
+        gens = [struct.project(random_matrix(7, 42 + k)) for k in (0, 1)]
+        return [
+            ("full", full_algebra(5)),
+            ("trivial", trivial_algebra(5)),
+            ("masa", masa_from_unitary(random_unitary(5, 43))),
+            ("structural", struct),
+            ("lattice", lattice_algebra([2, 3, 2], {1})),
+            ("generators", algebra_from_generators(gens, 7)),
+            ("commutant", struct.commutant_algebra()),
+            ("center", center(struct)),
+            ("conjugated", struct.conjugated(random_unitary(7, 44))),
+        ]
+
+    def test_one_frame_per_decomposition(self):
+        for name, alg in self._algebras():
+            dec = alg.decomposition()
+            v = dec.frame
+            assert v.shape == (alg.d, alg.d), name
+            assert np.linalg.norm(dagger(v) @ v - np.eye(alg.d)) <= 1e-12, name
+            assert sum(n * dj for n, dj in dec.shapes) == alg.d, name
+            for blk in dec.blocks:
+                assert np.shares_memory(blk.isometry, v), name
+            classes = [shape for shape, _ in itertools.groupby(dec.shapes)]
+            assert len(classes) == len(set(classes)), (name, dec.shapes)
 
 
 class TestCommutant:

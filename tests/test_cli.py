@@ -62,11 +62,15 @@ def specdir(tmp_path):
     return tmp_path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
 def _run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     assert code == 0, out
-    return json.loads(out)
+    return json.loads(out, parse_constant=_refuse_constant)
 
 
 class TestSpecIO:
@@ -514,6 +518,12 @@ class TestCliErrors:
           "--shots", "0"], "shots must be >= 1"),
         (["protocol", "stochastic", "m2x1.json", "bell4.json", "--shots", "0"],
          "shots must be >= 1"),
+        (["protocol", "stochastic", "m2x1.json", "bell4.json", "--shots", "8"],
+         "shots need sampled mode: the exact mode draws no swap tests"),
+        (["markov-check", "diag2.json", "full2.json", "--epsilon", "nan"],
+         "epsilon must be positive and finite"),
+        (["markov-check", "diag2.json", "full2.json", "--epsilon", "inf"],
+         "epsilon must be positive and finite"),
     ])
     def test_zero_counts_are_refused(self, specdir, capsys, argv, message):
         argv = [str(specdir / a) if a.endswith(".json") else a for a in argv]
@@ -521,6 +531,24 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"manlab: ValueError: {message}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--site-dim", "0"], "--site-dim"),
+        (["--site-dim", "-2", "--sites", "2"], "--site-dim"),
+        (["--sites", "0"], "--sites"),
+        (["--site-dim", "2", "--sites", "7"], "--sites"),
+        (["--site-dim", "2", "--sites", "40", "--pairs"], "--sites"),
+    ])
+    def test_lattice_sweep_refuses_bad_grids(self, capsys, argv, flag):
+        # exit 2 with the flag named, before any grid is built
+        assert run(["sweep", "lattice", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"manlab: field '{flag}': ")
+
+    def test_lattice_sweep_guardrail_lifts(self, capsys):
+        report = _run_json(capsys, ["sweep", "lattice", "--sites", "7", "--allow-large"])
+        assert len(report["result"]["cases"]) == 8
 
     @pytest.mark.parametrize("mode", [["choi"], ["stochastic", "--samples", "20"]])
     def test_shots_beyond_exact_float64_are_refused(self, specdir, capsys, mode):

@@ -527,6 +527,11 @@ class TestLatticeMan:
         with pytest.raises(AlgebraError):
             lattice_man([2, 3], [0], [1])
 
+    @pytest.mark.parametrize("site_dims", [[0, 0], [-2, -2]])
+    def test_non_positive_site_dims_rejected(self, site_dims):
+        with pytest.raises(AlgebraError, match="positive"):
+            lattice_man(site_dims, [0], [1])
+
     @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_matches_explicit_algebras(self, data):

@@ -34,7 +34,6 @@ from manlab.protocols import (
     protocol_stochastic,
     restricted_distance,
 )
-from manlab.purestates import BlockFrame
 from manlab.rng import RngStream
 
 from helpers import (
@@ -193,6 +192,11 @@ class TestProtocolStochastic:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             protocol_stochastic(full_algebra(2), samples=1, rng=RNG)
+
+    def test_shots_need_sampled_mode(self):
+        # the exact mode draws no swap tests, so shots alone would be ignored
+        with pytest.raises(ValueError, match="sampled mode"):
+            protocol_stochastic(factor_m2x1(), bell_masa(), shots=8, rng=RNG)
 
 
 class TestSelfVariantTrigger:
@@ -388,7 +392,7 @@ class TestRestrictedDistanceKernel:
     def test_kernel_equals_public_function(self):
         observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra())
         for tag, observer in enumerate(observers):
-            frame = BlockFrame(observer.decomposition().blocks)
+            dec = observer.decomposition()
             for k in range(6):
                 u = random_unitary(4, 900 + 10 * tag + k)
                 v = random_unitary(4, 950 + 10 * tag + k)
@@ -396,21 +400,21 @@ class TestRestrictedDistanceKernel:
                 rho = np.outer(phi, phi.conj())
                 want = restricted_distance(u, v, observer, rho)
                 psi, chi = (dagger(u) @ phi)[None, None], (dagger(v) @ phi)[None, None]
-                got = _restricted_distances(frame, psi, chi, np.ones((1, 1)))
+                got = _restricted_distances(dec, psi, chi, np.ones((1, 1)))
                 assert abs(float(got[0]) - want) <= 1e-12
                 assert abs(ref_restricted_distance(u, v, observer, rho) - want) <= 1e-12
 
     def test_kernel_broadcasts_over_stacks(self):
         # 3 unitary pairs against 5 states each, as 15 groups of one state
         observer = factor_m2x1()
-        frame = BlockFrame(observer.decomposition().blocks)
+        dec = observer.decomposition()
         us = np.stack([random_unitary(4, 1000 + i) for i in range(3)])
         vs = np.stack([random_unitary(4, 1100 + i) for i in range(3)])
         phis = np.stack([[haar_state(4, RngStream(40, i), j) for j in range(5)]
                          for i in range(3)])
         psi = np.einsum("iba,ijb->ija", us.conj(), phis).reshape(15, 1, 4)
         chi = np.einsum("iba,ijb->ija", vs.conj(), phis).reshape(15, 1, 4)
-        got = _restricted_distances(frame, psi, chi, np.ones((15, 1)))
+        got = _restricted_distances(dec, psi, chi, np.ones((15, 1)))
         assert got.shape == (15,)
         for i in range(3):
             for j in range(5):
@@ -492,6 +496,12 @@ class TestMarkovCheck:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError):
             markov_bound_check(full_algebra(2), full_algebra(2), epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, math.inf])
+    def test_non_finite_or_negative_epsilon(self, epsilon):
+        # a NaN bound is not JSON, and NaN <= 0 is False
+        with pytest.raises(ValueError, match="positive and finite"):
+            markov_bound_check(full_algebra(2), full_algebra(2), epsilon=epsilon)
 
     @pytest.mark.parametrize("samples, state_samples", [(0, 4), (10, 0), (10, -2)])
     def test_bad_sample_counts(self, samples, state_samples):
