@@ -3,10 +3,12 @@
 An algebra's structure is one frame: a d x d unitary V = [V_1 ... V_m] and
 the shapes (n_J, d_J), sorted by (d_J, n_J), with the algebra acting as
 1_{n_J} (x) M_{d_J} on the columns of V_J and the commutant as
-M_{n_J} (x) 1_{d_J}.  A Block (n_J, d_J, V_J) is a view of the frame that the
-kernels unpack directly; no central projector is stored.  Only this module
-builds or permutes a frame: the commutant's is A's with the factors of each
-block swapped, the center's is A's own, and conjugation is one product U V.
+M_{n_J} (x) 1_{d_J}.  Each run of equal shapes is one column range, read by
+StructuralDecomposition.classes alone; kernels run one product per class.
+Blocks (n_J, d_J, V_J), views of the frame, serve the oracles and the Haar
+sampler.  Only this module builds or permutes a frame: the commutant's is
+A's with the factors of each block swapped, the center's is A's own, and
+conjugation is one product U V.
 
 Named algebras, generators, commutants and centers are born from their frame
 (_algebra_from_frame): dim(A) and the decomposition are set at birth, and
@@ -24,7 +26,8 @@ bases) are write-once, so algebras can be shared read-only across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import cached_property
+from itertools import groupby
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -101,12 +104,22 @@ class StructuralDecomposition:
     def dim(self) -> int:
         return self.frame.shape[-1]
 
-    @property
+    @cached_property
+    def classes(self) -> tuple[tuple, ...]:
+        """(n, d, count, columns) per run of `count` equal shapes (n, d), its blocks
+        the frame's columns read as (count, n, d): the one reader of the layout."""
+        out, stop = [], 0
+        for (n, dj), run in groupby(self.shapes):
+            count = len(list(run))
+            start, stop = stop, stop + count * n * dj
+            out.append((n, dj, count, slice(start, stop)))
+        return tuple(out)
+
+    @cached_property
     def blocks(self) -> tuple[Block, ...]:
         """Block(n_J, d_J, V_J) for each block, V_J a view of the frame's columns."""
-        stops = accumulate(n * dj for n, dj in self.shapes)
-        return tuple(Block(n, dj, self.frame[..., stop - n * dj:stop])
-                     for (n, dj), stop in zip(self.shapes, stops))
+        return tuple(Block(n, dj, iso) for n, dj, count, cols in self.classes
+                     for iso in np.split(self.frame[..., cols], count, axis=-1))
 
     @property
     def d_Z(self) -> int:
@@ -230,9 +243,9 @@ class OperatorAlgebra:
         block J of A' is V_J read on C^{d_J} (x) C^{n_J}, column l n + p being column p d + l."""
         if self._commutant is None:
             dec = self.decomposition()
-            stops = accumulate(n * dj for n, dj in dec.shapes)
-            cols = [np.arange(stop - n * dj, stop).reshape(n, dj).T.ravel()
-                    for (n, dj), stop in zip(dec.shapes, stops)]
+            index = np.arange(dec.dim)
+            cols = [index[run].reshape(count, n, dj).swapaxes(1, 2).ravel()
+                    for n, dj, count, run in dec.classes]
             comm = _algebra_from_frame(np.take(dec.frame, np.concatenate(cols), axis=1),
                                        [(dj, n) for n, dj in dec.shapes])
             self._commutant, comm._commutant = comm, self
@@ -449,25 +462,24 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
     algebra_intersection(a, b.commutant_algebra()) is the oracle.
     """
     _check_same_ambient(a, b)
-    a_comm = a.commutant_algebra().decomposition().blocks
-    b_own = b.decomposition().blocks
-    hs = [_block_hermitian(blocks, _INTERSECTION_RNG, counter)
-          for counter, blocks in enumerate((a_comm, a_comm, b_own, b_own))]
+    a_comm, b_own = a.commutant_algebra().decomposition(), b.decomposition()
+    hs = [_block_hermitian(dec, _INTERSECTION_RNG, counter)
+          for counter, dec in enumerate((a_comm, a_comm, b_own, b_own))]
     letters = np.stack([h / np.linalg.norm(h) for h in hs])
     dec = _compute_decomposition(_Letters(a.d, letters, None))
     return dec.commutant_dim
 
 
-def _block_hermitian(blocks, rng: RngStream, counter: int) -> np.ndarray:
-    """sum_J V_J (1_{n_J} (x) H_J) V_J^dag for the (n_J, d_J, V_J) blocks, with
+def _block_hermitian(dec: StructuralDecomposition, rng: RngStream, counter: int) -> np.ndarray:
+    """sum_J V_J (1_{n_J} (x) H_J) V_J^dag, one product per shape class of dec, with
     H_J the hermitian parts of complex Gaussian matrices from rng at counter."""
-    z = _coefficients(rng, counter, 1, sum(dj * dj for _, dj, _ in blocks))[0]
-    h, offset = 0.0, 0
-    for n, dj, v in blocks:
-        x = z[offset: offset + dj * dj].reshape(dj, dj)
-        offset += dj * dj
-        core = (v.reshape(-1, dj) @ ((x + dagger(x)) / 2)).reshape(v.shape)
-        h = h + core @ dagger(v)
+    z = _coefficients(rng, counter, 1, sum(dj * dj for _, dj in dec.shapes))[0]
+    h = 0.0
+    for n, dj, count, cols in dec.classes:
+        x, z = z[:count * dj * dj].reshape(count, dj, dj), z[count * dj * dj:]
+        v = dec.frame[:, cols]
+        core = v.reshape(-1, count, n, dj) @ ((x + dagger(x)) / 2)
+        h = h + core.reshape(v.shape) @ dagger(v)
     return h
 
 
@@ -578,18 +590,17 @@ def _letter_residuals(letters: np.ndarray, dec: StructuralDecomposition) -> tupl
     """Worst HS norms, over the letters, of the parts between blocks and of the
     parts off the form 1_n (x) X within a block, in the blocks' coordinates."""
     w = dagger(dec.frame) @ letters @ dec.frame
-    ideal = np.zeros_like(w)
-    start = 0
-    for n, dj in dec.shapes:
-        stop = start + n * dj
-        x = w[:, start:stop, start:stop].reshape(-1, n, dj, n, dj)
-        ideal[:, start:stop, start:stop] = np.kron(np.eye(n), np.einsum("kplpm->klm", x) / n)
-        start = stop
-    labels = np.repeat(np.arange(dec.d_Z), [n * dj for n, dj in dec.shapes])
-    within = labels[:, None] == labels[None, :]
-    sq = np.abs(w - ideal) ** 2
-    return tuple(float(np.sqrt(np.max(np.sum(sq[:, m], axis=1), initial=0.0)))
-                 for m in (~within, within))
+    k = len(w)
+    form = np.zeros(k)
+    for n, dj, count, cols in dec.classes:
+        # the class's blocks, (k, count, n, d, n, d), a view into w
+        x = np.einsum("kbibj->kbij", w[:, cols, cols].reshape(k, count, n * dj, count, n * dj))
+        x = x.reshape(k, count, n, dj, n, dj)
+        np.einsum("kbplpm->kbplm", x)[...] -= np.einsum("kbplpm->kblm", x)[:, :, None] / n
+        form += np.sum(np.abs(x) ** 2, axis=(1, 2, 3, 4, 5))
+        x[...] = 0.0  # what is left of w lies between blocks
+    leak = np.sum(np.abs(w) ** 2, axis=(1, 2))
+    return tuple(float(np.sqrt(np.max(x, initial=0.0))) for x in (leak, form))
 
 
 def _generic_element(alg: _Letters, draw: np.ndarray) -> np.ndarray:
@@ -646,13 +657,15 @@ def _canonical_block_order(frame: np.ndarray, shapes: tuple) -> tuple[np.ndarray
     # with the fixed diagonal reference R = diag(r) so reports and caches are
     # reproducible.  Tr(P_J R) = sum_i r_i (P_J)_ii, and (P_J)_ii is the
     # squared norm of row i of V_J.  The columns move only if the order does.
-    bounds = np.cumsum([0] + [n * dj for n, dj in shapes])
-    diag = np.add.reduceat(np.abs(frame) ** 2, bounds[:-1], axis=1)  # column J: diag(P_J)
-    trace_r = np.arange(len(frame)) / max(len(frame) - 1, 1) @ diag
+    index = StructuralDecomposition(np.arange(len(frame)), shapes)  # its frame: column numbers
+    weight = np.arange(len(frame)) / max(len(frame) - 1, 1) @ np.abs(frame) ** 2
+    trace_r = np.concatenate([weight[cols].reshape(count, -1).sum(axis=1)
+                              for _, _, count, cols in index.classes])
     order = sorted(range(len(shapes)),
                    key=lambda j: (shapes[j][1], shapes[j][0], round(float(trace_r[j]), 9)))
     if order != sorted(order):
-        cols = np.concatenate([np.arange(bounds[j], bounds[j + 1]) for j in order])
+        blocks = index.blocks
+        cols = np.concatenate([blocks[j].isometry for j in order])
         frame = np.take(frame, cols, axis=1)  # C-ordered, where frame[:, cols] is not
     return frame, tuple(shapes[j] for j in order)
 

@@ -29,14 +29,16 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
-from . import man as man_engine
+# The engine modules come before numpy: compiled from source, their parse memory
+# is freed before numpy loads, which reuses it instead of growing the heap.
 from .algebras import OperatorAlgebra
+from . import man as man_engine
 from .errors import ManlabError, SpecFileError
 from .man import StructuralSummary
 from .rng import RngStream
 from .specio import MAX_AMBIENT_DIM, AlgebraSpec, parse_matrix_file, parse_spec, spec_from_dict
+
+import numpy as np
 
 CSV_COLUMNS = [
     "case", "method", "S", "S2",
@@ -168,26 +170,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selfman", parents=[common], help="self-MAN of one algebra")
     p.add_argument("spec")
 
-    p = sub.add_parser("bounds", parents=[common], help="upper bounds for a pair")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-
-    p = sub.add_parser("orbit-avg", parents=[common], help="unitary-orbit average of MAN")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-
-    p = sub.add_parser("lattice", parents=[common], help="closed-form MAN of two lattice regions")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-
-    p = sub.add_parser("masa", parents=[common], help="MAN of two maximal abelian algebras")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
-
-    p = sub.add_parser("quantumness", parents=[common],
-                       help="relative quantumness of two bases and its MAN bounds")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
+    for name, text in (("bounds", "upper bounds for a pair"),
+                       ("orbit-avg", "unitary-orbit average of MAN"),
+                       ("lattice", "closed-form MAN of two lattice regions"),
+                       ("masa", "MAN of two maximal abelian algebras"),
+                       ("quantumness", "relative quantumness of two bases and its MAN bounds"),
+                       ("markov-check", "information-transmission tail bound check")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("spec_a")
+        p.add_argument("spec_b")
 
     p = sub.add_parser("aotoc", parents=[common], help="algebraic OTOC of an algebra under a unitary")
     p.add_argument("spec")
@@ -198,11 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("variant", choices=["choi", "stochastic"])
     p.add_argument("spec_a")
     p.add_argument("spec_b", nargs="?", default=None, help="omit for the self-MAN variant")
-
-    p = sub.add_parser("markov-check", parents=[common],
-                       help="information-transmission tail bound check")
-    p.add_argument("spec_a")
-    p.add_argument("spec_b")
 
     p = sub.add_parser("sweep", parents=[common], help="parameter grids, CSV-oriented")
     p.add_argument("grid", choices=["lattice", "selfman"])
@@ -240,7 +226,7 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
         result = {
             "method": "algebra.analyze",
             **StructuralSummary.from_algebra(a).to_dict(),
-            "blocks": [{"n": blk.n, "d": blk.d} for blk in a.decomposition().blocks],
+            "blocks": [{"n": n, "d": dj} for n, dj in a.decomposition().shapes],
         }
     elif cmd == "man" and args.method == "mc":
         from . import protocols
@@ -317,10 +303,15 @@ def _sweep(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict]]:
         for flag, value in (("--sites", args.sites), ("--site-dim", args.site_dim)):
             if value < 1:
                 raise SpecFileError(f"must be >= 1, got {value}", field=flag)
-        # site_dim >= 2 passes 64 within 64 sites, so capping the power keeps it exact
-        if not args.allow_large and args.site_dim ** min(args.sites, 64) > MAX_AMBIENT_DIM:
-            raise SpecFileError(f"ambient dimension {args.site_dim}^{args.sites} exceeds the "
-                                f"{MAX_AMBIENT_DIM} guardrail (pass --allow-large)", field="--sites")
+        # the ambient dimension and the case count (4^sites region pairs, else
+        # sites + 1), in Python ints before any grid is built; 2^64 and 4^64 pass
+        # both bounds, so capping the exponents keeps the checks exact
+        count = 4 ** min(args.sites, 64) if args.pairs else args.sites + 1
+        if not args.allow_large and (args.site_dim ** min(args.sites, 64) > MAX_AMBIENT_DIM
+                                     or count > MAX_AMBIENT_DIM**2):
+            raise SpecFileError(f"{args.sites} sites of dimension {args.site_dim} exceed the "
+                                f"guardrail ({MAX_AMBIENT_DIM} dimensions, {MAX_AMBIENT_DIM**2} "
+                                "cases; pass --allow-large)", field="--sites")
         sites = list(range(args.sites))
         site_dims = [args.site_dim] * args.sites
         if args.pairs:

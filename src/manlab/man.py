@@ -15,8 +15,9 @@ Every exact pair route (the four above, a_otoc, the orbit Monte-Carlo and the
 exact protocol modes) reads its block pairs from one kernel,
 _block_pair_cores, and weighs the per-pair cores its own way; the routes
 therefore share their arithmetic and check the report plumbing, not the
-kernel.  The kernel's checks are the d^4 oracles (omega_operator, the dense
-references of the test suite) and the direct Monte-Carlo oracle.  Every pair
+kernel.  It runs one product per pair of shape classes, so a MASA pair is one
+d x d product.  The kernel's checks are the d^4 oracles (omega_operator, the
+dense references of the test suite) and the direct Monte-Carlo oracle.  Every pair
 route ends in _pair_report, which adds the summaries and bounds; it reads
 dim(A n B') from commutant_intersection_dim only for the routes that ask and
 a collinear A.
@@ -183,35 +184,40 @@ def _gram_sq(x):
     return (np.abs(gram) ** 2).sum(axis=(-2, -1))
 
 
-def _block_pair_cores(blocks_a, blocks_b):
+def _block_pair_cores(dec_a, dec_b):
     """Every block pair of A and B with its core: the one kernel of the exact routes.
 
-    For A's blocks (n_J, d_J, V_J) and B's (n_K, d_K, W_K), yields
-    (n_J, d_J, n_K, d_K, core, m): m is W_K^dag V_J read as (n_K, d_K, n_J, d_J),
-    and core = ||N N^dag||_F^2 for N, m regrouped to (n_K d_J) x (n_J d_K).
+    For a shape class of A's blocks (n_J, d_J, V_J) and one of B's
+    (n_K, d_K, W_K), one product of their frame columns gives every W_K^dag V_J,
+    and the kernel yields (n_J, d_J, n_K, d_K, core, m) with the blocks of B's
+    class and of A's on two extra axes: m[K, J] is W_K^dag V_J read as (n_K,
+    d_K, n_J, d_J), and core[K, J] = ||N N^dag||_F^2 for N, m[K, J] regrouped
+    to (n_K d_J) x (n_J d_K).
     Up to the order of rows and columns, the (l, m) block of N N^dag is
     Tr_{d_K}[W_K^dag E_lm W_K] for A's matrix units E_lm, so core is the sum
     of their squared partial-trace norms; the omega, projection, collinear and
     entropy routes weigh it per pair.  Only the smaller Gram of N is formed,
-    at most min(n_K d_J, d_K n_J)^2 entries, d^2 over all pairs.  Isometries
-    may carry leading batch axes (a stack of B's, say); m and the cores then
-    have the same leading axes.
+    at most min(n_K d_J, d_K n_J)^2 entries, d^2 over all pairs.  Frames may
+    carry leading batch axes (a stack of B's, say); m and the cores then have
+    the same leading axes.
     """
-    for n_j, d_j, v in blocks_a:
-        for n_k, d_k, w in blocks_b:
-            m = dagger(w) @ v
+    for n_j, d_j, c_j, cols_j in dec_a.classes:
+        v = dec_a.frame[..., cols_j]
+        for n_k, d_k, c_k, cols_k in dec_b.classes:
+            m = dagger(dec_b.frame[..., cols_k]) @ v
             lead = m.shape[:-2]
-            m = m.reshape(*lead, n_k, d_k, n_j, d_j)
-            nm = m.swapaxes(-1, -3).reshape(*lead, n_k * d_j, n_j * d_k)
+            m = m.reshape(*lead, c_k, n_k, d_k, c_j, n_j, d_j).swapaxes(-3, -4).swapaxes(-4, -5)
+            nm = m.swapaxes(-1, -3).reshape(*lead, c_k, c_j, n_k * d_j, n_j * d_k)
             yield n_j, d_j, n_k, d_k, _gram_sq(nm), m
 
 
-def _block_swap_trace(blocks_a, blocks_b):
-    """Tr(S Omega_A Omega_B) from the (n, d, isometry) blocks of A and B, in O(d^3).
+def _block_swap_trace(dec_a, dec_b):
+    """Tr(S Omega_A Omega_B) from the decompositions of A and B, in O(d^3).
 
     Each block pair adds its core with weight 1/(d_J d_K).
     """
-    return sum(c / (d_j * d_k) for _, d_j, _, d_k, c, _ in _block_pair_cores(blocks_a, blocks_b))
+    return sum(c.sum(axis=(-2, -1)) / (d_j * d_k)
+               for _, d_j, _, d_k, c, _ in _block_pair_cores(dec_a, dec_b))
 
 
 def _projection_overlap(
@@ -226,8 +232,8 @@ def _projection_overlap(
     if b is None:
         d_z = a.decomposition().d_Z
         return float(d_z), d_z
-    cores = _block_pair_cores(a.decomposition().blocks, b.decomposition().blocks)
-    overlap = float(sum(c / (n_j * d_k) for n_j, _, _, d_k, c, _ in cores))
+    cores = _block_pair_cores(a.decomposition(), b.decomposition())
+    overlap = float(sum(c.sum(axis=(-2, -1)) / (n_j * d_k) for n_j, _, _, d_k, c, _ in cores))
     return overlap, b.decomposition().commutant_dim
 
 
@@ -266,7 +272,7 @@ def _pair_report(a, b, s, method, log_base, extras=None, intersection=False) -> 
 def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN through the omega operators: S = 1 - Tr(S Omega_A Omega_B)/d."""
     _check_same_ambient(a, b)
-    raw = 1.0 - float(_block_swap_trace(a.decomposition().blocks, b.decomposition().blocks)) / a.d
+    raw = 1.0 - float(_block_swap_trace(a.decomposition(), b.decomposition())) / a.d
     return _pair_report(a, b, clamp_unit(raw), "man.omega", log_base)
 
 
@@ -279,7 +285,7 @@ def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0
     Tr(S Omega_A Omega_B) of man_omega.
     """
     _check_same_ambient(a, b)
-    purity_sum = float(_block_swap_trace(a.decomposition().blocks, b.decomposition().blocks))
+    purity_sum = float(_block_swap_trace(a.decomposition(), b.decomposition()))
     s = clamp_unit(1.0 - purity_sum / a.d)
     return _pair_report(a, b, s, "man.projection", log_base,
                         extras={"purity_sum": purity_sum}, intersection=True)
@@ -309,16 +315,16 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     dec = alg.decomposition()
     d = alg.d
     summary = StructuralSummary.from_algebra(alg)
-    nc = 1.0 - sum(b.n / b.d for b in dec.blocks) / d
+    nc = 1.0 - sum(n / dj for n, dj in dec.shapes) / d
     nc = clamp_unit(nc)
     # Purity form: sum_J p_J ||R_J||^2 with R_J the doubled maximally mixed
     # state of the J-th irrep; equal to 1 - NC.
-    weights = [b.n * b.d / d for b in dec.blocks]
-    purity = sum(p / b.d**2 for p, b in zip(weights, dec.blocks))
+    weights = [n * dj / d for n, dj in dec.shapes]
+    purity = sum(p / dj**2 for p, dj in zip(weights, dec.d_vec))
     nc2 = -math.log(purity) / math.log(log_base) + 0.0 if purity > 0 else math.inf
     extras = {
         "p_J": weights,
-        "irrep_mean_form": sum(p * (1.0 - 1.0 / b.d**2) for p, b in zip(weights, dec.blocks)),
+        "irrep_mean_form": sum(p * (1.0 - 1.0 / dj**2) for p, dj in zip(weights, dec.d_vec)),
     }
     coll, _ = is_collinear(dec)
     if coll:
@@ -329,7 +335,7 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
             )
         extras["collinear_form"] = collinear_form
     bounds = {
-        "irrep_bound": 1.0 - 1.0 / max(b.d for b in dec.blocks) ** 2,
+        "irrep_bound": 1.0 - 1.0 / max(dec.d_vec) ** 2,
         "full_bound": 1.0 - 1.0 / d**2,
         "commutant_bound": 1.0 - dec.commutant_dim / d**2,
         "weak_bound": 1.0 - 1.0 / dec.algebra_dim,
@@ -548,30 +554,26 @@ def entropy_decomposition_man(
     """
     _check_same_ambient(a, b)
     d = a.d
-    blocks_a = a.decomposition().blocks
-    total = 0.0
+    # T(X) = W (1_n/n (x) X) W^dag, and ||P_A'(Y)||^2 is
+    # sum_J ||Tr_{d_J}[V_J^dag Y V_J]||^2 / d_J: hs_sq sums it over the units
+    # X = |l><m|, the pair cores; id_sq takes X = 1, whose partial trace is
+    # c c^dag with c = V_J^dag W read as n_J rows.  Both hold one entry per
+    # block of B's class, summed over A's blocks.
+    sums = {}
+    for n, dj, n_a, d_a, core, m in _block_pair_cores(b.decomposition(), a.decomposition()):
+        c_a, c_b = core.shape
+        hs_sq, id_sq = sums.get((n, dj), (0.0, 0.0))
+        sums[n, dj] = (hs_sq + core.sum(axis=0) / (n * n * d_a),
+                       id_sq + _gram_sq(m.reshape(c_a, c_b, n_a, -1)).sum(axis=0) / (n * n * d_a))
     per_block = []
-    for blk in b.decomposition().blocks:
-        n, dj = blk.n, blk.d
-        # T(X) = W (1_n/n (x) X) W^dag, and ||P_A'(Y)||^2 is
-        # sum_J ||Tr_{d_J}[V_J^dag Y V_J]||^2 / d_J: hs_sq sums it over the
-        # units X = |l><m|, the pair cores; id_sq takes X = 1, whose partial
-        # trace is c c^dag with c = V_J^dag W read as n_J rows
-        hs_sq = id_sq = 0.0
-        for _, _, n_j, d_j, core, m in _block_pair_cores([blk], blocks_a):
-            hs_sq += core / (n * n * d_j)
-            id_sq += _gram_sq(m.reshape(n_j, -1)) / (n * n * d_j)
-        mean_pure_purity = (id_sq + hs_sq) / (dj * (dj + 1))
-        e_slin = 1.0 - mean_pure_purity
+    for (n, dj), (hs_sq, id_sq) in sums.items():
+        e_slin = 1.0 - (id_sq + hs_sq) / (dj * (dj + 1))
         slin_mixed = 1.0 - id_sq / dj**2
-        p_j = n * dj / d
-        a_j = n * (dj + 1) / dj
-        b_j = 1.0 - n / dj
-        term = p_j * (a_j * e_slin - n * slin_mixed + b_j)
-        total += term
-        per_block.append(
-            {"n": n, "d": dj, "p": p_j, "term": term,
-             "mean_pure_linear_entropy": e_slin, "mixed_linear_entropy": slin_mixed}
-        )
+        p_j, a_j, b_j = n * dj / d, n * (dj + 1) / dj, 1.0 - n / dj
+        terms = p_j * (a_j * e_slin - n * slin_mixed + b_j)
+        per_block += [{"n": n, "d": dj, "p": p_j, "term": t, "mean_pure_linear_entropy": e,
+                       "mixed_linear_entropy": x}
+                      for t, e, x in zip(terms.tolist(), e_slin.tolist(), slin_mixed.tolist())]
+    total = sum(blk["term"] for blk in per_block)
     return _pair_report(a, b, clamp_unit(total), "man.entropy", log_base,
                         extras={"per_block": per_block})

@@ -50,7 +50,7 @@ from .errors import (
     NonCollinearError,
 )
 from .linalg import _haar_states, _haar_unitaries, dagger
-from .man import _block_swap_trace, _projection_overlap, clamp_unit, man_omega
+from .man import CLAMP_MARGIN, _block_swap_trace, _projection_overlap, clamp_unit, man_omega
 from .purestates import PairOverlaps, center_overlaps, reduced
 from .rng import RngStream
 
@@ -276,8 +276,10 @@ def _swap_tests(values: np.ndarray, shots: int, rng: RngStream):
     """Simulated swap tests: binomial draws on p = (1 + value)/2 over N shots each.
 
     Value j of `values` draws at counter j of `rng`; returns the estimates
-    and their standard errors.
+    and their standard errors.  Values within CLAMP_MARGIN of [-1, 1] snap into
+    it, as in clamp_unit (||P_A rho||^2 reads 1 + 7e-16 when A = M_d).
     """
+    values = np.where(np.abs(values) <= 1.0 + CLAMP_MARGIN, np.clip(values, -1.0, 1.0), values)
     p_hat = _binomial(shots, (1.0 + values) / 2.0, rng) / shots
     se = 2.0 * np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 1.0 / (4 * shots)) / shots)
     return 2.0 * p_hat - 1.0, se
@@ -455,8 +457,8 @@ def _restricted_distances(dec, psi, chi, weights) -> np.ndarray:
     total = np.zeros(g)
     for r_psi, r_chi in zip(reduced(dec, psi.reshape(g * s, d)),
                             reduced(dec, chi.reshape(g * s, d))):
-        gap = np.einsum("gs,gslm->glm", weights, (r_psi - r_chi).reshape(g, s, *r_psi.shape[1:]))
-        total += np.sum(np.abs(np.linalg.eigvalsh(gap)), axis=-1)
+        gap = np.einsum("gs,gsblm->gblm", weights, (r_psi - r_chi).reshape(g, s, *r_psi.shape[1:]))
+        total += np.sum(np.abs(np.linalg.eigvalsh(gap)), axis=(-2, -1))  # one call per class
     return total
 
 
@@ -549,13 +551,12 @@ def mc_orbit_averaged_man(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = a.d
-    blocks_a, dec_b = a.decomposition().blocks, b.decomposition()
+    dec_a, dec_b = a.decomposition(), b.decomposition()
     rng_orbit = rng.substream(_STREAM_ORBIT)
     vals = np.empty(samples)
     for start, stop in _chunks(samples, d * d):
         u = _haar_unitaries(rng_orbit.normal_rows(start, stop, 2 * d * d), 0, d)
-        blocks_u = _conjugate_decomposition(dec_b, u).blocks
-        vals[start:stop] = 1.0 - _block_swap_trace(blocks_a, blocks_u) / d
+        vals[start:stop] = 1.0 - _block_swap_trace(dec_a, _conjugate_decomposition(dec_b, u)) / d
     mean, se = _mean_and_se(vals)
     return EstimatorResult(
         estimate=mean, std_error=se, samples=samples,

@@ -4,6 +4,8 @@ Every state estimator in protocols reads a state through one block
 reduction, ``reduced``: with amplitudes a = V^dag phi in the decomposition's
 frame, read a_J as (n_J, d_J), R_J = Tr_{n_J}[V_J^dag rho V_J] = a_J^T conj(a_J),
 O(d^2) work per state; P(rho) = sum_J V_J (1_{n_J}/n_J (x) R_J) V_J^dag.
+Each shape class of the decomposition is one batched product, its R_J
+stacked on a block axis, so a MASA's d blocks cost no Python loop.
 Sampled protocol_stochastic takes from it the overlap x = <P_A rho, P_T rho>
 and the purity y = ||P_A rho||^2 = sum_J ||R_J||^2 / n_J, with T = B' or
 T = Z(A); restricted_distance and markov_bound_check take the observer's R_J
@@ -25,32 +27,20 @@ from .linalg import dagger
 
 
 def reduced(dec, phi: np.ndarray) -> list[np.ndarray]:
-    """R_J for each block of dec, each (c, d_J, d_J), for a (c, d) stack of states."""
+    """R_J for each shape class of dec, each (c, count, d_J, d_J), for a (c, d) stack of states."""
     amp = (phi[:, None, :] @ dec.frame.conj())[:, 0]
-    out, offset = [], 0
-    for n, dj in dec.shapes:
-        a = amp[:, offset:offset + n * dj].reshape(-1, n, dj)
-        out.append(np.einsum("crl,crm->clm", a, a.conj()))
-        offset += n * dj
-    return out
-
-
-def purity(dec, rs: list[np.ndarray]) -> np.ndarray:
-    """||P(rho)||^2 per state, from the R_J of `reduced`."""
-    return sum(np.real(np.einsum("clm,clm->c", r, r.conj())) / n
-               for (n, _), r in zip(dec.shapes, rs))
+    runs = [amp[:, cols].reshape(len(amp), count, n, dj) for n, dj, count, cols in dec.classes]
+    return [np.einsum("cbrl,cbrm->cblm", a, a.conj()) for a in runs]
 
 
 def core(dec, rs: list[np.ndarray]) -> np.ndarray:
     """V^dag P(rho) V = sum_J 1_{n_J}/n_J (x) R_J, as (c, d, d), from the R_J of `reduced`."""
     c, d = len(rs[0]), dec.dim
     out = np.zeros((c, d, d), dtype=complex)
-    offset = 0
-    for (n, dj), r in zip(dec.shapes, rs):
-        block = out[:, offset:offset + n * dj, offset:offset + n * dj]
-        # the (r, r) diagonal blocks of the (n_J, d_J, n_J, d_J) view, written in place
-        np.einsum("crlrm->crlm", block.reshape(c, n, dj, n, dj))[...] = (r / n)[:, None]
-        offset += n * dj
+    for (n, dj, count, cols), r in zip(dec.classes, rs):
+        run = out[:, cols, cols].reshape(c, count, n, dj, count, n, dj)
+        # the (r, r) diagonal blocks of each block's (n_J, d_J, n_J, d_J) view, written in place
+        np.einsum("cbrlbrm->cbrlm", run)[...] = (r / n)[:, :, None]
     return out
 
 
@@ -83,9 +73,12 @@ def center_overlaps(dec, phi: np.ndarray) -> np.ndarray:
     """(<P_A rho, P_Z rho>, ||P_A rho||^2) per state, as a (c, 2) stack.
 
     P_Z rho = sum_J P_J t_J/(n_J d_J) with t_J = Tr(P_J rho) = Tr R_J; P_J
-    lies in A, so the overlap is sum_J t_J^2/(n_J d_J).
+    lies in A, so the overlap is sum_J t_J^2/(n_J d_J); the purity is
+    sum_J ||R_J||^2 / n_J.  Both sum per-block arrays in one order, so an
+    abelian A, where they agree block by block, gives x = y exactly.
     """
     rs = reduced(dec, phi)
-    x = sum(np.real(np.einsum("cll->c", r)) ** 2 / (n * dj)
-            for (n, dj), r in zip(dec.shapes, rs))
-    return np.stack([x, purity(dec, rs)], axis=1)
+    shapes = [(n, dj) for n, dj, _, _ in dec.classes]
+    x = [np.real(np.einsum("cbll->cb", r)) ** 2 / (n * dj) for (n, dj), r in zip(shapes, rs)]
+    y = [np.real(np.einsum("cblm,cblm->cb", r, r.conj())) / n for (n, _), r in zip(shapes, rs)]
+    return np.stack([np.concatenate(v, axis=1).sum(axis=1) for v in (x, y)], axis=1)

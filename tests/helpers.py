@@ -9,6 +9,7 @@ import numpy as np
 from manlab import protocols
 from manlab.algebras import (
     OperatorAlgebra,
+    StructuralDecomposition,
     algebra_from_generators,
     compute_commutant,
     diagonal_masa,
@@ -301,13 +302,13 @@ def ref_mc_man_direct(a, b, samples: int, rng: RngStream) -> tuple[float, float]
 
 def ref_mc_orbit(a, b, samples: int, rng: RngStream) -> tuple[float, float]:
     d = a.d
-    blocks_a, blocks_b = a.decomposition().blocks, b.decomposition().blocks
+    dec_a, dec_b = a.decomposition(), b.decomposition()
     rng_orbit = rng.substream(_STREAM_ORBIT)
     vals = np.empty(samples)
     for i in range(samples):
         u = ref_haar_unitary(d, rng_orbit.normals(i, 2 * d * d))
-        blocks_u = [(n, dj, u @ w) for n, dj, w in blocks_b]
-        vals[i] = 1.0 - float(_block_swap_trace(blocks_a, blocks_u)) / d
+        dec_u = StructuralDecomposition(u @ dec_b.frame, dec_b.shapes)
+        vals[i] = 1.0 - float(_block_swap_trace(dec_a, dec_u)) / d
     return _ref_mean_and_se(vals)
 
 

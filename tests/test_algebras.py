@@ -254,7 +254,16 @@ class TestCommutantIntersectionDim:
         assert commutant_intersection_dim(a, b) == want, label
 
     def test_fixture_pairs(self):
-        for name, a, b in concordance_pairs():
+        # the repeated shapes make shape classes of two blocks, in Haar bases
+        # apart and in one shared Haar basis, where the intersection is not C1
+        w = random_unitary(8, 1203)
+        repeated = [
+            (f"repeated shapes, {tag}", structural_algebra([(1, 2), (1, 2), (2, 2)], u),
+             structural_algebra([(2, 1), (2, 1), (1, 4)], v))
+            for tag, u, v in (("Haar", random_unitary(8, 1204), random_unitary(8, 1205)),
+                              ("one basis", w, w))
+        ]
+        for name, a, b in concordance_pairs() + repeated:
             self._check(a, b, name)
             self._check(b, a, name + ", swapped")
 

@@ -538,6 +538,8 @@ class TestCliErrors:
         (["--sites", "0"], "--sites"),
         (["--site-dim", "2", "--sites", "7"], "--sites"),
         (["--site-dim", "2", "--sites", "40", "--pairs"], "--sites"),
+        (["--site-dim", "1", "--sites", "40", "--pairs"], "--sites"),  # d = 1, 4^40 pairs
+        (["--site-dim", "1", "--sites", "5000"], "--sites"),
     ])
     def test_lattice_sweep_refuses_bad_grids(self, capsys, argv, flag):
         # exit 2 with the flag named, before any grid is built
@@ -549,6 +551,24 @@ class TestCliErrors:
     def test_lattice_sweep_guardrail_lifts(self, capsys):
         report = _run_json(capsys, ["sweep", "lattice", "--sites", "7", "--allow-large"])
         assert len(report["result"]["cases"]) == 8
+
+    def test_unit_site_lattice_sweep_within_the_case_bound(self, capsys):
+        report = _run_json(capsys, ["sweep", "lattice", "--site-dim", "1", "--sites", "3",
+                                    "--pairs"])
+        assert len(report["result"]["cases"]) == 64
+        assert all(case["S"] == 0.0 for case in report["result"]["cases"])
+
+    def test_stochastic_shots_with_the_full_algebra(self, tmp_path, capsys):
+        # ||P_A rho||^2 = 1 rounds just above 1 when A = M_d; the swap test
+        # snaps it back instead of refusing the probability
+        full = tmp_path / "full8.json"
+        full.write_text(json.dumps({"dim": 8, "kind": "full"}))
+        struct = tmp_path / "struct8.json"
+        struct.write_text(json.dumps({"dim": 8, "kind": "structural", "blocks": [[2, 2], [1, 4]],
+                                      "basis_change": _matrix_payload(random_unitary(8, 83))}))
+        report = _run_json(capsys, ["protocol", "stochastic", str(full), str(struct),
+                                    "--samples", "40", "--shots", "500"])
+        assert report["result"]["extras"]["mean_denominator"] == 1.0
 
     @pytest.mark.parametrize("mode", [["choi"], ["stochastic", "--samples", "20"]])
     def test_shots_beyond_exact_float64_are_refused(self, specdir, capsys, mode):

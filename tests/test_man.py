@@ -202,6 +202,7 @@ class TestBlockOverlap:
         ([(2, 4), (1, 2)], [(1, 4), (3, 2)]),  # A collinear with n_J/d_J = 1/2
         ([(4, 2), (2, 1)], [(5, 2)]),  # A collinear with n_J/d_J = 2
         ([(4, 2), (8, 1)], [(2, 4), (1, 8)]),  # high n against large d: n_K d_J >> d
+        ([(1, 2), (1, 2), (2, 2)], [(2, 1), (2, 1), (1, 4)]),  # shape classes of two blocks
     ])
     def test_rotated_structural_pairs(self, blocks_a, blocks_b):
         d = sum(n * dj for n, dj in blocks_a)
@@ -288,6 +289,24 @@ class TestBlockPairKernel:
                 entries = sum(min(n_k * d_j, d_k * n_j) ** 2 for n_j, d_j, n_k, d_k in shapes)
                 assert entries <= d * d, route.__name__
 
+    def test_masa_pair_is_one_class_pair(self, monkeypatch):
+        # the d blocks (1, 1) of a MASA are one shape class, so man_omega reads
+        # one class pair, a single d x d product, not d^2 block pairs
+        d = 64
+        u, w = random_unitary(d, 6411), random_unitary(d, 6412)
+        original = man_engine._block_pair_cores
+        pairs = []
+
+        def recorded(dec_a, dec_b):
+            for item in original(dec_a, dec_b):
+                pairs.append(item[:4])
+                yield item
+
+        monkeypatch.setattr(man_engine, "_block_pair_cores", recorded)
+        s = man_omega(masa_from_unitary(u), masa_from_unitary(w)).S
+        assert len(pairs) == 1 and pairs[0] == (1, 1, 1, 1)
+        assert abs(s - masa_man(u, w).S) <= 1e-12
+
 
 class TestBlockRoutesAgainstDense:
     # man_projection and entropy_decomposition_man read the block-pair kernel;
@@ -304,9 +323,12 @@ class TestBlockRoutesAgainstDense:
     def test_fixture_pairs(self):
         high_n = structural_algebra([(4, 2), (8, 1)], basis_change=random_unitary(16, 905))
         struct = structural_algebra([(2, 4), (1, 8)], basis_change=random_unitary(16, 906))
+        repeated_a = structural_algebra([(1, 2), (1, 2), (2, 2)], random_unitary(8, 907))
+        repeated_b = structural_algebra([(2, 1), (2, 1), (1, 4)], random_unitary(8, 908))
         pairs = concordance_pairs() + [
             ("sym22:sym22", symmetric_operator_algebra(), symmetric_operator_algebra()),
             ("high-n:struct", high_n, struct),
+            ("repeated shapes", repeated_a, repeated_b),
         ]
         for name, a, b in pairs:
             for x, y in ((a, b), (b, a)):

@@ -172,6 +172,31 @@ class TestProtocolStochastic:
         assert res.estimate == 0.0
         assert res.std_error <= 1e-12
 
+    def test_abelian_self_mode_sampled_is_exact_zero(self):
+        # the center of an abelian A is A, and x and y are summed from the same
+        # per-block arrays in one order, so every sample has x = y bit for bit
+        for a in (masa_from_unitary(random_unitary(16, 161)),
+                  structural_algebra([(2, 1), (2, 1)], random_unitary(4, 162))):
+            res = protocol_stochastic(a, samples=40, rng=RNG)
+            assert res.estimate == 0.0 and res.std_error == 0.0
+
+    def test_shots_when_a_is_the_full_algebra(self):
+        # y = ||P_A rho||^2 = 1 rounds above 1 by up to 7e-16 when A = M_d; the
+        # swap test snaps it to p = 1, so every shot passes and y reads 1
+        b = structural_algebra([(2, 2), (1, 4)], random_unitary(8, 163))
+        for seed in range(5):
+            res = protocol_stochastic(full_algebra(8), b, samples=40, shots=500,
+                                      rng=RngStream(seed))
+            assert res.extras["mean_denominator"] == 1.0
+
+    def test_swap_tests_snap_rounding_only(self):
+        values = np.array([1.0 + 7e-16, -1.0 - 7e-16, 1.0, -1.0])
+        est, _ = protocols._swap_tests(values, 100, RngStream(7))
+        assert est.tolist() == [1.0, -1.0, 1.0, -1.0]
+        for bad in (1.0 + 1e-6, -1.0 - 1e-6, np.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                protocols._swap_tests(np.array([bad]), 100, RngStream(7))
+
     def test_sampled_mode(self):
         a, b = factor_m2x1(), bell_masa()
         res = protocol_stochastic(a, b, samples=4000, rng=RNG)
@@ -390,7 +415,8 @@ class TestRestrictedDistance:
 
 class TestRestrictedDistanceKernel:
     def test_kernel_equals_public_function(self):
-        observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra())
+        observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra(),
+                     structural_algebra([(1, 2), (1, 2)], random_unitary(4, 913)))
         for tag, observer in enumerate(observers):
             dec = observer.decomposition()
             for k in range(6):
@@ -425,7 +451,8 @@ class TestRestrictedDistanceKernel:
     def test_mixed_states_match_dense_form(self):
         # rho0 of rank 1, 2 and 4, and one the guard accepts with an eigenvalue
         # just below zero: the signed eigenvalue weights give the dense value
-        observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra())
+        observers = (full_algebra(4), factor_m2x1(), bell_masa(), symmetric_operator_algebra(),
+                     structural_algebra([(1, 2), (1, 2)], random_unitary(4, 913)))
         gen = RngStream(41).generator(0)
         spectra = [np.array([1.0, 0, 0, 0])]
         for rank in (2, 4):
