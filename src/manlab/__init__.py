@@ -15,7 +15,6 @@ _EXPORTS = {
         "haar_state",
         "haar_unitary",
         "hs_inner",
-        "hs_norm",
         "hs_norm_sq",
         "orthonormalize_hs",
         "partial_trace",

@@ -689,12 +689,16 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
 # -- block bases, projections, sampling --------------------------------------
 
 
+def _collinear_ratio(shapes: Sequence[tuple[int, int]], tol: float = 1e-9) -> Optional[float]:
+    """The common n_J/d_J of the shapes (n_J, d_J) when it is block-independent, else None."""
+    ratios = [n / dj for n, dj in shapes]
+    return ratios[0] if max(ratios) - min(ratios) <= tol else None
+
+
 def is_collinear(dec: StructuralDecomposition, tol: float = 1e-9) -> tuple[bool, Optional[float]]:
     """Whether n_J/d_J is block-independent; the common ratio when it is."""
-    ratios = [n / dj for n, dj in dec.shapes]
-    if max(ratios) - min(ratios) <= tol:
-        return True, ratios[0]
-    return False, None
+    ratio = _collinear_ratio(dec.shapes, tol)
+    return ratio is not None, ratio
 
 
 def block_bases(dec: StructuralDecomposition) -> BlockBases:

@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=None, help="Monte-Carlo sample count")
     common.add_argument("--shots", type=int, default=None, help="swap-test shots per expectation")
     common.add_argument("--epsilon", type=float, default=None, help="distance threshold")
-    common.add_argument("--state-samples", type=int, default=32, help="initial states per (U, V) draw")
+    common.add_argument("--state-samples", type=int, default=None, help="initial states per (U, V) draw")
     common.add_argument("--csv", default=None, metavar="PATH", help="also write a CSV row per case")
     common.add_argument("--log-base", choices=["2", "e"], default="2")
     common.add_argument("--quiet", action="store_true", help="suppress structural summaries")
@@ -283,11 +283,9 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
             raise ManlabError("markov-check requires --epsilon")
         from . import protocols
 
+        given = {"samples": args.samples, "state_samples": args.state_samples}
         report = protocols.markov_bound_check(
-            a, b, args.epsilon,
-            samples=1000 if args.samples is None else args.samples,
-            state_samples=args.state_samples,
-            rng=rng,
+            a, b, args.epsilon, rng=rng, **{k: v for k, v in given.items() if v is not None}
         )
         result = {"method": "protocol.markov_check", **report.to_dict()}
     else:

@@ -25,7 +25,6 @@ __all__ = [
     "RANK_RTOL",
     "dagger",
     "hs_inner",
-    "hs_norm",
     "hs_norm_sq",
     "vec",
     "unvec",
@@ -56,10 +55,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 def hs_norm_sq(a: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
-
-
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def vec(x: np.ndarray) -> np.ndarray:

@@ -17,10 +17,12 @@ _block_pair_cores, and weighs the per-pair cores its own way; the routes
 therefore share their arithmetic and check the report plumbing, not the
 kernel.  It runs one product per pair of shape classes, so a MASA pair is one
 d x d product.  The kernel's checks are the d^4 oracles (omega_operator, the
-dense references of the test suite) and the direct Monte-Carlo oracle.  Every pair
-route ends in _pair_report, which adds the summaries and bounds; it reads
-dim(A n B') from commutant_intersection_dim only for the routes that ask and
-a collinear A.
+dense references of the test suite) and the direct Monte-Carlo oracle.  Every
+report, the closed forms (self_man, lattice_man, masa_man) included, is built
+by _report from StructuralSummary.from_shapes summaries: the route's own
+bounds, then _pair_bounds.  The pair routes reach it through _pair_report,
+which reads dim(A n B') from commutant_intersection_dim only for the routes
+that ask and a collinear A.
 
 The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 """
@@ -37,6 +39,7 @@ from .algebras import (
     OperatorAlgebra,
     _check_same_ambient,
     _check_unitary,
+    _collinear_ratio,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
     interleaved_block_swap,
@@ -108,19 +111,23 @@ class StructuralSummary:
     ratio: Optional[float]
 
     @classmethod
-    def from_algebra(cls, alg: OperatorAlgebra) -> "StructuralSummary":
-        dec = alg.decomposition()
-        coll, ratio = is_collinear(dec)
+    def from_shapes(cls, d: int, shapes: Sequence[tuple[int, int]]) -> "StructuralSummary":
+        """The summary of an algebra on C^d with blocks 1_{n_J} (x) M_{d_J}."""
+        ratio = _collinear_ratio(shapes)
         return cls(
-            d=alg.d,
-            d_alg=dec.algebra_dim,
-            d_comm=dec.commutant_dim,
-            d_Z=dec.d_Z,
-            n=dec.n_vec,
-            d_blocks=dec.d_vec,
-            collinear=coll,
+            d=d,
+            d_alg=sum(dj * dj for _, dj in shapes),
+            d_comm=sum(n * n for n, _ in shapes),
+            d_Z=len(shapes),
+            n=tuple(n for n, _ in shapes),
+            d_blocks=tuple(dj for _, dj in shapes),
+            collinear=ratio is not None,
             ratio=ratio,
         )
+
+    @classmethod
+    def from_algebra(cls, alg: OperatorAlgebra) -> "StructuralSummary":
+        return cls.from_shapes(alg.d, alg.decomposition().shapes)
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -248,8 +255,25 @@ def _pair_bounds(d, summary_a, summary_b, intersection_dim=None):
     return bounds
 
 
+def _report(d, inputs, s, method, log_base, extras, s2=None, bounds=None,
+            intersection_dim=None) -> ManReport:
+    """The one builder of a ManReport: S2 defaults to log_man(s), and the route's
+    own bounds come first, then _pair_bounds of the summaries inputs["A"] and
+    inputs["B"] (A again for a self report)."""
+    pair = _pair_bounds(d, inputs["A"], inputs.get("B", inputs["A"]), intersection_dim)
+    return ManReport(
+        S=s,
+        S2=log_man(s, log_base) if s2 is None else s2,
+        method=method,
+        bounds={**(bounds or {}), **pair},
+        inputs=inputs,
+        log_base=log_base,
+        extras=extras,
+    )
+
+
 def _pair_report(a, b, s, method, log_base, extras=None, intersection=False) -> ManReport:
-    """The report of S(A:B) = s by `method`: both summaries, the pair bounds, S2.
+    """The report of S(A:B) = s by `method`, with the summaries of both algebras.
 
     dim(A n B') is solved for the intersection bound only when the route asks
     for it (`intersection`) and A is collinear; the solve costs far more than
@@ -258,15 +282,8 @@ def _pair_report(a, b, s, method, log_base, extras=None, intersection=False) -> 
     sa = StructuralSummary.from_algebra(a)
     sb = StructuralSummary.from_algebra(b)
     inter = commutant_intersection_dim(a, b) if intersection and sa.collinear else None
-    return ManReport(
-        S=s,
-        S2=log_man(s, log_base),
-        method=method,
-        bounds=_pair_bounds(a.d, sa, sb, inter),
-        inputs={"A": sa, "B": sb},
-        log_base=log_base,
-        extras=extras or {},
-    )
+    return _report(a.d, {"A": sa, "B": sb}, s, method, log_base, extras or {},
+                   intersection_dim=inter)
 
 
 def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
@@ -315,8 +332,7 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     dec = alg.decomposition()
     d = alg.d
     summary = StructuralSummary.from_algebra(alg)
-    nc = 1.0 - sum(n / dj for n, dj in dec.shapes) / d
-    nc = clamp_unit(nc)
+    nc = clamp_unit(1.0 - sum(n / dj for n, dj in dec.shapes) / d)
     # Purity form: sum_J p_J ||R_J||^2 with R_J the doubled maximally mixed
     # state of the J-th irrep; equal to 1 - NC.
     weights = [n * dj / d for n, dj in dec.shapes]
@@ -326,29 +342,16 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
         "p_J": weights,
         "irrep_mean_form": sum(p * (1.0 - 1.0 / dj**2) for p, dj in zip(weights, dec.d_vec)),
     }
-    coll, _ = is_collinear(dec)
-    if coll:
-        collinear_form = 1.0 - dec.d_Z / dec.algebra_dim
+    if summary.collinear:
+        collinear_form = 1.0 - summary.d_Z / summary.d_alg
         if abs(collinear_form - nc) > FORMULA_TOL:
             raise NumericalConsistencyError(
                 f"collinear form {collinear_form} disagrees with structural form {nc}"
             )
         extras["collinear_form"] = collinear_form
-    bounds = {
-        "irrep_bound": 1.0 - 1.0 / max(dec.d_vec) ** 2,
-        "full_bound": 1.0 - 1.0 / d**2,
-        "commutant_bound": 1.0 - dec.commutant_dim / d**2,
-        "weak_bound": 1.0 - 1.0 / dec.algebra_dim,
-    }
-    return ManReport(
-        S=nc,
-        S2=nc2,
-        method="selfman.structural",
-        bounds=bounds,
-        inputs={"A": summary},
-        log_base=log_base,
-        extras=extras,
-    )
+    bounds = {"irrep_bound": 1.0 - 1.0 / max(dec.d_vec) ** 2, "full_bound": 1.0 - 1.0 / d**2}
+    return _report(d, {"A": summary}, nc, "selfman.structural", log_base, extras, s2=nc2,
+                   bounds=bounds)
 
 
 def man_bounds(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> dict:
@@ -416,17 +419,9 @@ def lattice_man(
     c_d = math.log(d_site**2) / math.log(log_base)
     overlap = len(s1 & s2)
     s = clamp_unit(1.0 - float(d_site) ** (-2 * overlap))
-    s2_val = c_d * overlap
-
-    def _summary(region):
-        dj = d_site ** len(region)
-        n = d_site ** (n_sites - len(region))
-        return StructuralSummary(
-            d=d, d_alg=dj * dj, d_comm=n * n, d_Z=1,
-            n=(n,), d_blocks=(dj,), collinear=True, ratio=n / dj,
-        )
-
-    sa, sb = _summary(s1), _summary(s2)
+    # A_R is M_{d_site^|R|} on R, times the identity on the other sites
+    sa, sb = (StructuralSummary.from_shapes(d, [(d_site ** (n_sites - len(r)), d_site ** len(r))])
+              for r in (s1, s2))
     extras = {
         "c_d": c_d,
         "overlap": overlap,
@@ -439,32 +434,20 @@ def lattice_man(
     # A_{S1} meets the commutant A_{S2^c} in A_{S1 \ S2}; the resulting bound
     # is saturated because the two projections commute.
     inter_dim = (d_site ** len(s1 - s2)) ** 2
-    return ManReport(
-        S=s,
-        S2=s2_val,
-        method="man.lattice",
-        bounds=_pair_bounds(d, sa, sb, inter_dim),
-        inputs={"A": sa, "B": sb},
-        log_base=log_base,
-        extras=extras,
-    )
+    return _report(d, {"A": sa, "B": sb}, s, "man.lattice", log_base, extras, s2=c_d * overlap,
+                   intersection_dim=inter_dim)
 
 
-def _masa_overlaps(basis_1: np.ndarray, basis_2: np.ndarray) -> tuple[int, np.ndarray]:
-    """(d, X) for two checked orthonormal bases, X_ij = |<i|j~>|^2 bistochastic."""
+def _masa_overlaps(basis_1: np.ndarray, basis_2: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """(d, X, purity) for two checked orthonormal bases: X_ij = |<i|j~>|^2 is
+    bistochastic, and the purity sum_ij X_ij^2 / d is 1 - S of the two MASAs."""
     u1, u2 = np.asarray(basis_1, dtype=complex), np.asarray(basis_2, dtype=complex)
     _check_unitary(u1)
     _check_unitary(u2)
     if u1.shape != u2.shape:
         raise AlgebraError("bases have different dimensions")
-    return len(u1), np.abs(dagger(u1) @ u2) ** 2
-
-
-def _masa_summary(d: int) -> StructuralSummary:
-    return StructuralSummary(
-        d=d, d_alg=d, d_comm=d, d_Z=d,
-        n=(1,) * d, d_blocks=(1,) * d, collinear=True, ratio=1.0,
-    )
+    x = np.abs(dagger(u1) @ u2) ** 2
+    return len(u1), x, float(np.sum(x**2)) / len(u1)
 
 
 def masa_man(
@@ -475,19 +458,11 @@ def masa_man(
     The i-th probability vector is p_i(j) = |<i|j~>|^2; S averages its linear
     entropy over i and vanishes iff the two bases generate the same algebra.
     """
-    d, overlaps = _masa_overlaps(basis_1, basis_2)
-    purity = float(np.sum(overlaps**2)) / d
-    s = clamp_unit(1.0 - purity)
-    sa = _masa_summary(d)
-    return ManReport(
-        S=s,
-        S2=-math.log(purity) / math.log(log_base) + 0.0 if purity > 0 else math.inf,
-        method="man.masa",
-        bounds={"commutant_bound": 1.0 - 1.0 / d, "weak_bound": 1.0 - 1.0 / d},
-        inputs={"A": sa, "B": sa},
-        log_base=log_base,
-        extras={"purity": purity},
-    )
+    d, _, purity = _masa_overlaps(basis_1, basis_2)
+    sa = StructuralSummary.from_shapes(d, ((1, 1),) * d)
+    s2 = -math.log(purity) / math.log(log_base) + 0.0 if purity > 0 else math.inf
+    return _report(d, {"A": sa, "B": sa}, clamp_unit(1.0 - purity), "man.masa", log_base,
+                   {"purity": purity}, s2=s2)
 
 
 @dataclass(frozen=True)
@@ -516,11 +491,11 @@ def quantumness(basis_1: np.ndarray, basis_2: np.ndarray) -> QuantumnessReport:
     top eigenvalue of (1 - X^T X)/d for the bistochastic overlap matrix
     X_ij = |<i|j~>|^2, and is sandwiched by Q <= S <= d Q.
     """
-    d, x = _masa_overlaps(basis_1, basis_2)
+    d, x, purity = _masa_overlaps(basis_1, basis_2)
     gram = x.T @ x
     evals = np.linalg.eigvalsh(np.eye(d) - (gram + gram.T) / 2)
     q = clamp_unit(float(evals[-1]) / d, margin=1e-12)
-    s = clamp_unit(1.0 - float(np.sum(x**2)) / d)  # masa_man's S
+    s = clamp_unit(1.0 - purity)  # masa_man's S
     return QuantumnessReport(
         Q=q,
         S=s,

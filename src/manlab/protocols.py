@@ -511,8 +511,11 @@ def markov_bound_check(
     d_b = dec_b.algebra_dim
     c_value = 2.0 * math.sqrt(2.0 * d_b * ratio_max)
     c_alt = 2.0 * math.sqrt(2.0 * d_b) * ratio_max
-    bound = a.d * c_value / epsilon * math.sqrt(s_value)
-    bound_alt = a.d * c_alt / epsilon * math.sqrt(s_value)
+    # an S within CLAMP_MARGIN of 0 is the rounding of a commuting pair's exact
+    # 0, which the square root would lift to ~1e-8
+    root_s = math.sqrt(s_value) if s_value > CLAMP_MARGIN else 0.0
+    bound = a.d * c_value / epsilon * root_s
+    bound_alt = a.d * c_alt / epsilon * root_s
     rng_u = rng.substream(_STREAM_UNITARIES_A)
     rng_v = rng.substream(_STREAM_UNITARIES_B)
     rng_s = rng.substream(_STREAM_STATES)

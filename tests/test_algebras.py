@@ -13,8 +13,10 @@ from manlab.algebras import (
     algebras_equal,
     block_bases,
     center,
+    commutant,
     commutant_intersection_dim,
     compute_commutant,
+    decompose,
     diagonal_masa,
     full_algebra,
     haar_algebra_unitary,
@@ -435,6 +437,11 @@ class TestCommutant:
         ):
             assert algebras_equal(alg.commutant_algebra(), compute_commutant(alg))
 
+    def test_public_function_is_the_cached_commutant(self):
+        alg = factor_m2x1()
+        assert commutant(alg) is alg.commutant_algebra()
+        assert algebras_equal(commutant(alg), factor_1xm2())
+
 
 class TestCenter:
     def test_full(self):
@@ -449,6 +456,10 @@ class TestCenter:
 
 
 class TestDecompose:
+    def test_public_function_is_the_cached_decomposition(self):
+        alg = symmetric_operator_algebra()
+        assert decompose(alg) is alg.decomposition()
+
     def test_full_matrix_algebra(self):
         dec = full_algebra(5).decomposition()
         assert dec.n_vec == (1,) and dec.d_vec == (5,)

@@ -274,6 +274,23 @@ class TestCliCommands:
         assert res["violated"] is False
         assert res["method"] == "protocol.markov_check"
 
+    def test_markov_check_defaults_live_in_protocols(self, specdir, capsys, monkeypatch):
+        from manlab import protocols
+
+        given, check = [], protocols.markov_bound_check
+
+        def recording(*args, **kwargs):
+            given.append(set(kwargs))
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "markov_bound_check", recording)
+        argv = ["markov-check", str(specdir / "diag2.json"), str(specdir / "had2.json"),
+                "--epsilon", "0.5"]
+        plain = _run_json(capsys, argv)["result"]
+        spelled = _run_json(capsys, argv + ["--samples", "1000", "--state-samples", "32"])["result"]
+        assert plain == spelled
+        assert given == [{"rng"}, {"rng", "samples", "state_samples"}]
+
     def test_quiet_strips_summaries(self, specdir, capsys):
         report = _run_json(capsys, [
             "man", str(specdir / "m2x1.json"), str(specdir / "full4.json"), "--quiet"])

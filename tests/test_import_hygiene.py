@@ -1,7 +1,10 @@
-"""Every top-level import in src/manlab is used by the module that makes it."""
+"""Every top-level import in src/manlab is used by the module that makes it, every
+name manlab exports is used, and each report record has one constructor."""
 
 import ast
 import os
+
+import manlab
 
 from test_tracer_targets import ROOT, _load_tracer
 
@@ -14,6 +17,17 @@ TRACER_PINS = {
     "manlab.man": {"algebra_intersection"},
     "manlab.protocols": {"center", "haar_algebra_unitary"},
 }
+
+
+def _sources(*dirs: str):
+    """(path relative to ROOT, source) of every .py file under the directories."""
+    for top in dirs:
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            for filename in sorted(files):
+                if filename.endswith(".py"):
+                    path = os.path.join(folder, filename)
+                    with open(path, encoding="utf-8") as fh:
+                        yield os.path.relpath(path, ROOT), fh.read()
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[str, int]]:
@@ -49,3 +63,50 @@ def test_every_top_level_import_is_used():
                 unused.append(f"{filename}:{line} {name}")
     assert not unused, unused
     assert pins == TRACER_PINS
+
+
+def test_every_export_is_used():
+    # a read of the name, not its definition, an import or a string in
+    # __all__ or _EXPORTS
+    used = set()
+    for _, source in _sources("src", "tests", "scripts", "perfbench"):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(name for names in manlab._EXPORTS.values() for name in names
+                    if name not in used)
+    assert not unused, unused
+
+
+def _constructors(tree: ast.Module, classes: set[str]) -> dict[str, set[str]]:
+    """For each class, the functions that call it, `cls(...)` in its own methods included."""
+    found = {name: set() for name in classes}
+
+    def visit(node, cls, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, func)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, f"{cls}.{child.name}" if cls else child.name)
+            else:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                    target = cls if child.func.id == "cls" else child.func.id
+                    if target in found:
+                        found[target].add(func)
+                visit(child, cls, func)
+
+    visit(tree, None, "<module>")
+    return found
+
+
+def test_each_report_record_has_one_constructor():
+    sites = {"ManReport": set(), "StructuralSummary": set()}
+    for path, source in _sources(os.path.join("src", "manlab")):
+        for name, funcs in _constructors(ast.parse(source), set(sites)).items():
+            sites[name] |= {f"{os.path.basename(path)}:{func}" for func in funcs}
+    assert sites == {
+        "ManReport": {"man.py:_report"},
+        "StructuralSummary": {"man.py:StructuralSummary.from_shapes"},
+    }

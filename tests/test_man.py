@@ -104,6 +104,46 @@ class TestManReport:
             ManReport(S=0.5, S2=3.0, method="x", bounds={}, inputs={"A": summary})
 
 
+class TestReportLayout:
+    """The CLI prints reports in key order, so the order is part of the output."""
+
+    PAIR = ["commutant_bound", "weak_bound"]
+
+    def test_to_dict_keeps_field_order(self):
+        record = man_omega(factor_m2x1(), full_algebra(4)).to_dict()
+        assert list(record) == ["S", "S2", "method", "bounds", "inputs", "log_base", "extras"]
+        assert list(record["inputs"]["A"]) == [
+            "d", "d_alg", "d_comm", "d_Z", "n", "d_blocks", "collinear", "ratio"]
+
+    def test_route_bounds_come_first(self):
+        report = self_man(symmetric_operator_algebra())
+        assert list(report.bounds) == ["irrep_bound", "full_bound", *self.PAIR]
+        assert list(masa_man(np.eye(3), fourier_basis(3)).bounds) == self.PAIR
+        assert list(man_omega(factor_m2x1(), full_algebra(4)).bounds) == self.PAIR
+
+    def test_intersection_bound_comes_last(self):
+        reports = [lattice_man([2, 2, 2], [0, 1], [1, 2])]
+        reports += [route(factor_m2x1(), full_algebra(4)) for route in (man_projection, man_collinear)]
+        for report in reports:
+            assert list(report.bounds) == [*self.PAIR, "intersection_bound"]
+
+    def test_closed_form_summaries_match_their_algebras(self):
+        report = lattice_man([2, 2, 2], [0], [0, 1, 2])
+        for key, region in (("A", [0]), ("B", [0, 1, 2])):
+            explicit = StructuralSummary.from_algebra(lattice_algebra([2, 2, 2], region))
+            assert report.inputs[key] == explicit
+        summary = StructuralSummary.from_algebra(diagonal_masa(3))
+        assert masa_man(np.eye(3), fourier_basis(3)).inputs == {"A": summary, "B": summary}
+
+    def test_masa_pair_bounds_are_one_minus_one_over_d(self):
+        # d / d**2 and 1.0 / d are both the correctly rounded 1/d
+        for d in range(1, 4097):
+            assert 1.0 - d / d**2 == 1.0 - 1.0 / d
+        for d in (2, 3, 7):
+            bounds = masa_man(np.eye(d), fourier_basis(d)).bounds
+            assert bounds == dict.fromkeys(self.PAIR, 1.0 - 1.0 / d)
+
+
 class TestOmegaOperator:
     def test_full_algebra_is_swap_over_d(self):
         d = 3

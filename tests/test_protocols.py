@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from manlab import man as man_engine
 from manlab import protocols
 from manlab.algebras import (
     _haar_algebra_unitaries,
@@ -22,7 +23,7 @@ from manlab.errors import (
     IllConditionedEstimatorError,
     NonCollinearError,
 )
-from manlab.linalg import dagger, haar_state
+from manlab.linalg import dagger, haar_state, haar_unitary
 from manlab.man import man_collinear, man_omega, orbit_averaged_man, self_man
 from manlab.protocols import (
     _restricted_distances,
@@ -529,6 +530,21 @@ class TestMarkovCheck:
         # a NaN bound is not JSON, and NaN <= 0 is False
         with pytest.raises(ValueError, match="positive and finite"):
             markov_bound_check(full_algebra(2), full_algebra(2), epsilon=epsilon)
+
+    def test_bound_of_rounding_noise_is_zero(self):
+        # a commuting pair whose S reads 1.1e-16 instead of 0
+        b = masa_from_unitary(haar_unitary(16, RngStream(3)))
+        report = markov_bound_check(trivial_algebra(16), b, epsilon=0.5, samples=5,
+                                    state_samples=2, rng=RNG)
+        assert 0.0 < report.S <= man_engine.CLAMP_MARGIN
+        assert report.bound == report.bound_alt == 0.0
+
+    def test_bound_keeps_the_square_root_of_s(self):
+        a, b = diagonal_masa(2), full_algebra(2)
+        report = markov_bound_check(a, b, epsilon=0.5, samples=5, state_samples=2, rng=RNG)
+        assert report.S > man_engine.CLAMP_MARGIN
+        assert report.bound == 2 * report.c_value / 0.5 * math.sqrt(report.S)
+        assert report.bound_alt == 2 * report.c_value_alt / 0.5 * math.sqrt(report.S)
 
     @pytest.mark.parametrize("samples, state_samples", [(0, 4), (10, 0), (10, -2)])
     def test_bad_sample_counts(self, samples, state_samples):
