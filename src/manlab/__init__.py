@@ -18,7 +18,6 @@ _EXPORTS = {
         "hs_norm_sq",
         "orthonormalize_hs",
         "partial_trace",
-        "reshuffle",
         "swap_operator",
     ),
     "algebras": (
@@ -30,15 +29,12 @@ _EXPORTS = {
         "algebras_equal",
         "block_bases",
         "center",
-        "commutant",
-        "decompose",
         "diagonal_masa",
         "full_algebra",
         "haar_algebra_unitary",
         "is_collinear",
         "lattice_algebra",
         "masa_from_unitary",
-        "projection_map",
         "structural_algebra",
         "trivial_algebra",
     ),

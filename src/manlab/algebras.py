@@ -19,8 +19,8 @@ generic element, linked by the letters, polar factors along a spanning tree,
 and a check that every letter reads sum_J 1_{n_J} (x) X_J.  dim(A n B')
 comes from the same solve (commutant_intersection_dim).
 
-Values are immutable; the lazy caches (basis, decomposition, commutant, block
-bases) are write-once, so algebras can be shared read-only across workers.
+Values are immutable; the lazy caches (basis, decomposition, commutant) are
+write-once, so algebras can be shared read-only across workers.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .linalg import (
     dagger,
     nullspace,
     orthonormalize_hs,  # noqa: F401  (held here for perfbench/tracer.py)
-    swap_operator,
 )
 from .rng import RngStream
 
@@ -55,19 +54,19 @@ CLUSTER_RTOL = 1e-7
 # Two algebras are equal when their HS projectors differ by less than this.
 EQUALITY_TOL = 1e-8
 
-# Fixed streams for the randomness internal to decompose() (the generic
+# Fixed streams for the randomness internal to the structure solve (the generic
 # element) and to the generating pair of compute_commutant(); constants keep
 # both reproducible without threading a seed through every call.  Both read
 # RngStream.normals, so neither loads numpy.random.
 _DECOMPOSE_RNG = RngStream(seed=0x5CA1AB1E, stream=911)
-_DECOMPOSE_ATTEMPTS = 12  # generic draws before decompose() gives up
+_DECOMPOSE_ATTEMPTS = 12  # generic draws before the structure solve gives up
 _COMMUTANT_RNG = RngStream(seed=0x5CA1AB1E, stream=912)
 # The generic elements of A' and B whose algebra gives dim(A n B').
 _INTERSECTION_RNG = RngStream(seed=0x5CA1AB1E, stream=913)
 
 
 class _RetryDraw(Exception):
-    """Internal: a random draw in decompose() was degenerate; try again."""
+    """Internal: a random draw in the structure solve was degenerate; try again."""
 
 
 class _Letters(NamedTuple):
@@ -167,7 +166,6 @@ class OperatorAlgebra:
         self._dim = basis.shape[0]
         self._decomposition: Optional[StructuralDecomposition] = None
         self._commutant: Optional["OperatorAlgebra"] = None
-        self._block_bases: Optional[BlockBases] = None
 
     @classmethod
     def _from_decomposition(cls, dec: "StructuralDecomposition") -> "OperatorAlgebra":
@@ -178,7 +176,6 @@ class OperatorAlgebra:
         alg._dim = dec.algebra_dim
         alg._decomposition = dec
         alg._commutant = None
-        alg._block_bases = None
         return alg
 
     # -- basic geometry ----------------------------------------------------
@@ -212,28 +209,29 @@ class OperatorAlgebra:
         coeffs = x.reshape(*x.shape[:-2], 1, -1) @ rows.conj().T
         return (coeffs @ rows).reshape(x.shape)
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         scale = max(1.0, float(np.linalg.norm(x)))
-        return bool(np.linalg.norm(x - self.project(x)) <= tol * scale)
+        return bool(np.linalg.norm(x - self.project(x)) <= MEMBERSHIP_TOL * scale)
 
     def projection_superoperator(self) -> SuperOperator:
+        """Conditional expectation onto the algebra (HS-orthogonal, CP, unital)."""
         return SuperOperator.hs_projection(list(self.basis))
 
-    def validate(self, tol: float = MEMBERSHIP_TOL) -> None:
+    def validate(self) -> None:
         """Check orthonormality, unitality and closure; raise if violated."""
         k = self.dim
         flat = self.basis.reshape(k, -1)
         gram = flat.conj() @ flat.T
-        if np.linalg.norm(gram - np.eye(k)) > tol * k:
+        if np.linalg.norm(gram - np.eye(k)) > MEMBERSHIP_TOL * k:
             raise AlgebraError("basis is not HS-orthonormal")
-        if not self.contains(np.eye(self.d), tol):
+        if not self.contains(np.eye(self.d)):
             raise AlgebraError("algebra does not contain the identity")
         for b in self.basis:
-            if not self.contains(dagger(b), tol):
+            if not self.contains(dagger(b)):
                 raise AlgebraError("algebra not closed under adjoints")
         for a in self.basis:
             for b in self.basis:
-                if not self.contains(a @ b, tol):
+                if not self.contains(a @ b):
                     raise AlgebraError("algebra not closed under products")
 
     # -- cached structure --------------------------------------------------
@@ -256,11 +254,6 @@ class OperatorAlgebra:
             letters = _Letters(self.d, self.basis, self.dim)  # the basis elements are the letters
             self._decomposition = _compute_decomposition(letters)
         return self._decomposition
-
-    def block_bases(self) -> BlockBases:
-        if self._block_bases is None:
-            self._block_bases = block_bases(self.decomposition())
-        return self._block_bases
 
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
         """The image algebra U A U^dag, carrying the decomposition along.
@@ -292,6 +285,8 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
         if g.shape != (d, d):
             raise AlgebraError(f"generator shape {g.shape} != ({d}, {d})")
         norm = np.linalg.norm(g)
+        if not np.isfinite(norm):
+            raise AlgebraError("generator has non-finite entries")
         if norm > 0:
             letters += [g / norm, dagger(g) / norm]
     stack = np.stack(letters) if letters else np.empty((0, d, d), dtype=complex)
@@ -431,10 +426,6 @@ def _generating_pair(alg: OperatorAlgebra) -> list[np.ndarray]:
     return pair
 
 
-def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
-    return alg.commutant_algebra()
-
-
 def algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlgebra:
     """Intersection of the two algebras as subspaces (always unital).
 
@@ -489,17 +480,13 @@ def center(alg: OperatorAlgebra) -> OperatorAlgebra:
     return _algebra_from_frame(dec.frame, [(n * dj, 1) for n, dj in dec.shapes])
 
 
-def algebras_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: float = EQUALITY_TOL) -> bool:
+def algebras_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
     """Basis-free equality: HS distance between the two projectors."""
     if a.d != b.d:
         return False
     pa = a.projection_superoperator().transfer
     pb = b.projection_superoperator().transfer
-    return bool(np.linalg.norm(pa - pb) <= tol)
-
-
-def decompose(alg: OperatorAlgebra) -> StructuralDecomposition:
-    return alg.decomposition()
+    return bool(np.linalg.norm(pa - pb) <= EQUALITY_TOL)
 
 
 def _compute_decomposition(alg: _Letters) -> StructuralDecomposition:
@@ -679,25 +666,28 @@ def _check_same_ambient(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
         raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
 
 
-def _check_unitary(u: np.ndarray, tol: float = 1e-8) -> None:
+def _check_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise AlgebraError("expected a square matrix")
-    if np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])) > tol * u.shape[0]:
+    # finite entries first, so the product stays quiet; the negated comparison
+    # refuses a NaN that overflow leaves in it
+    if not (np.isfinite(u).all()
+            and np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])) <= 1e-8 * u.shape[0]):
         raise AlgebraError("matrix is not unitary")
 
 
 # -- block bases, projections, sampling --------------------------------------
 
 
-def _collinear_ratio(shapes: Sequence[tuple[int, int]], tol: float = 1e-9) -> Optional[float]:
+def _collinear_ratio(shapes: Sequence[tuple[int, int]]) -> Optional[float]:
     """The common n_J/d_J of the shapes (n_J, d_J) when it is block-independent, else None."""
     ratios = [n / dj for n, dj in shapes]
-    return ratios[0] if max(ratios) - min(ratios) <= tol else None
+    return ratios[0] if max(ratios) - min(ratios) <= 1e-9 else None
 
 
-def is_collinear(dec: StructuralDecomposition, tol: float = 1e-9) -> tuple[bool, Optional[float]]:
+def is_collinear(dec: StructuralDecomposition) -> tuple[bool, Optional[float]]:
     """Whether n_J/d_J is block-independent; the common ratio when it is."""
-    ratio = _collinear_ratio(dec.shapes, tol)
+    ratio = _collinear_ratio(dec.shapes)
     return ratio is not None, ratio
 
 
@@ -718,11 +708,6 @@ def block_bases(dec: StructuralDecomposition) -> BlockBases:
                 et.append(iso @ np.kron(unit, np.eye(b.d) / np.sqrt(b.n)) @ dagger(iso))
                 et_labels.append((j, p, q))
     return BlockBases(tuple(e), tuple(e_labels), tuple(et), tuple(et_labels))
-
-
-def projection_map(alg: OperatorAlgebra) -> SuperOperator:
-    """Conditional expectation onto the algebra (HS-orthogonal, CP, unital)."""
-    return alg.projection_superoperator()
 
 
 def kraus_projection_maps(dec: StructuralDecomposition) -> tuple[SuperOperator, SuperOperator]:
@@ -759,12 +744,3 @@ def _haar_algebra_unitaries(
         core = core.reshape(-1, b.n * b.d, b.n * b.d)
         u += b.isometry @ core @ dagger(b.isometry)
     return u
-
-
-def interleaved_block_swap(n: int, d: int) -> np.ndarray:
-    """Identity on the two n factors, swap of the two d factors, interleaved.
-
-    Acts on (C^n (x) C^d)^(x 2); this is the building block of the omega
-    operator of one central block.
-    """
-    return swap_operator([n, d], {1})

@@ -26,8 +26,6 @@ __all__ = [
     "dagger",
     "hs_inner",
     "hs_norm_sq",
-    "vec",
-    "unvec",
     "swap_operator",
     "swap_perm",
     "partial_trace",
@@ -37,7 +35,6 @@ __all__ = [
     "orthonormalize_hs",
     "nullspace",
     "SuperOperator",
-    "reshuffle",
 ]
 
 
@@ -55,14 +52,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 def hs_norm_sq(a: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    return x.reshape(-1)
-
-
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape(d, d)
 
 
 def _check_region(dims: Sequence[int], region: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -175,7 +164,7 @@ def symmetric_two_design(d: int) -> np.ndarray:
     return (eye + swap_operator([d], {0})) / (d * (d + 1))
 
 
-def orthonormalize_hs(mats: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> list[np.ndarray]:
+def orthonormalize_hs(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """HS-orthonormal basis of the span of `mats` (rank by singular values)."""
     mats = list(mats)
     if not mats:
@@ -183,15 +172,15 @@ def orthonormalize_hs(mats: Sequence[np.ndarray], rtol: float = RANK_RTOL) -> li
     shape = mats[0].shape
     if any(m.shape != shape for m in mats):
         raise ValueError("matrices must share a common shape")
-    stack = np.stack([vec(np.asarray(m, dtype=complex)) for m in mats])
+    stack = np.stack([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     if s.size == 0 or s[0] <= 0:
         raise ValueError("span contains only zero matrices")
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
     return [vh[k].reshape(shape) for k in range(rank)]
 
 
-def nullspace(m: np.ndarray, rtol: float = RANK_RTOL, scale: float = 0.0) -> np.ndarray:
+def nullspace(m: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Orthonormal rows x with m @ x = 0.
 
     `scale` sets an absolute reference for the threshold: when the whole
@@ -207,7 +196,7 @@ def nullspace(m: np.ndarray, rtol: float = RANK_RTOL, scale: float = 0.0) -> np.
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     if s.size == 0:
         return vh.conj()
-    keep = s <= rtol * max(s[0], scale)
+    keep = s <= RANK_RTOL * max(s[0], scale)
     return np.concatenate([vh[: s.size][keep], vh[s.size:]], axis=0).conj()
 
 
@@ -246,11 +235,11 @@ class SuperOperator:
     @classmethod
     def hs_projection(cls, basis: Sequence[np.ndarray]) -> "SuperOperator":
         """HS-orthogonal projection onto the span of an orthonormal basis."""
-        rows = np.stack([vec(b) for b in basis])
+        rows = np.stack([b.reshape(-1) for b in basis])
         return cls(rows.T @ rows.conj())
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return unvec(self.transfer @ vec(x), self.d)
+        return (self.transfer @ x.reshape(-1)).reshape(self.d, self.d)
 
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         return SuperOperator(self.transfer @ other.transfer)
@@ -278,21 +267,16 @@ class SuperOperator:
         d = self.d
         return self.transfer.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
 
-    def is_unital(self, tol: float = 1e-9) -> bool:
+    def is_unital(self) -> bool:
         eye = np.eye(self.d)
-        return bool(np.linalg.norm(self.apply(eye) - eye) <= tol * self.d)
+        return bool(np.linalg.norm(self.apply(eye) - eye) <= 1e-9 * self.d)
 
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
+    def is_trace_preserving(self) -> bool:
         # Tr(T(X)) = <1, T(X)> = <T^dag(1), X> for all X.
         eye = np.eye(self.d)
-        return bool(np.linalg.norm(self.hs_adjoint().apply(eye) - eye) <= tol * self.d)
+        return bool(np.linalg.norm(self.hs_adjoint().apply(eye) - eye) <= 1e-9 * self.d)
 
-    def choi_is_psd(self, tol: float = 1e-9) -> bool:
+    def choi_is_psd(self) -> bool:
         c = self.choi()
         evals = np.linalg.eigvalsh((c + c.conj().T) / 2)
-        return bool(evals.min() >= -tol)
-
-
-def reshuffle(op: SuperOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(Choi matrix, omega-style reshuffle) of a superoperator."""
-    return op.choi(), op.omega_reshuffle()
+        return bool(evals.min() >= -1e-9)

@@ -30,7 +30,7 @@ The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,11 +42,10 @@ from .algebras import (
     _collinear_ratio,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
-    interleaved_block_swap,
     is_collinear,
 )
 from .errors import AlgebraError, NonCollinearError, NumericalConsistencyError
-from .linalg import dagger, swap_perm
+from .linalg import dagger, swap_operator, swap_perm
 
 CLAMP_MARGIN = 1e-9
 FORMULA_TOL = 1e-9
@@ -75,13 +74,13 @@ __all__ = [
 
 
 def clamp_unit(x: float, margin: float = CLAMP_MARGIN) -> float:
-    """Snap rounding excursions outside [0, 1] back; larger ones are bugs."""
-    if -margin <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + margin:
-        return 1.0
-    if x < -margin or x > 1.0 + margin:
+    """Snap rounding excursions outside [0, 1] back; larger ones, and NaN, are bugs."""
+    if not -margin <= x <= 1.0 + margin:
         raise NumericalConsistencyError(f"value {x!r} outside [0,1] beyond margin {margin}")
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
     return float(x)
 
 
@@ -97,6 +96,11 @@ def log_man(s: float, base: float = 2.0) -> float:
     if s >= 1.0:
         return math.inf
     return -math.log1p(-s) / math.log(base) + 0.0
+
+
+def _log_purity(purity: float, base: float) -> float:
+    """S2 = -log(purity), the purity form of log_man for closed forms; +inf at purity 0."""
+    return -math.log(purity) / math.log(base) + 0.0 if purity > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def omega_operator(alg: OperatorAlgebra) -> OmegaOperator:
     omega = np.zeros((d * d, d * d), dtype=complex)
     for b in alg.decomposition().blocks:
         iso2 = np.kron(b.isometry, b.isometry)
-        core = interleaved_block_swap(b.n, b.d)
+        core = swap_operator([b.n, b.d], {1})  # swaps the two d_J factors of (C^n (x) C^d)^(x2)
         omega += iso2 @ core @ dagger(iso2) / b.d
     return OmegaOperator(omega, d)
 
@@ -286,11 +290,15 @@ def _pair_report(a, b, s, method, log_base, extras=None, intersection=False) -> 
                    intersection_dim=inter)
 
 
+def _omega_s(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
+    """S = 1 - Tr(S Omega_A Omega_B)/d, clamped to [0, 1]."""
+    _check_same_ambient(a, b)
+    return clamp_unit(1.0 - float(_block_swap_trace(a.decomposition(), b.decomposition())) / a.d)
+
+
 def man_omega(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN through the omega operators: S = 1 - Tr(S Omega_A Omega_B)/d."""
-    _check_same_ambient(a, b)
-    raw = 1.0 - float(_block_swap_trace(a.decomposition(), b.decomposition())) / a.d
-    return _pair_report(a, b, clamp_unit(raw), "man.omega", log_base)
+    return _pair_report(a, b, _omega_s(a, b), "man.omega", log_base)
 
 
 def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
@@ -337,7 +345,7 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     # state of the J-th irrep; equal to 1 - NC.
     weights = [n * dj / d for n, dj in dec.shapes]
     purity = sum(p / dj**2 for p, dj in zip(weights, dec.d_vec))
-    nc2 = -math.log(purity) / math.log(log_base) + 0.0 if purity > 0 else math.inf
+    nc2 = _log_purity(purity, log_base)
     extras = {
         "p_J": weights,
         "irrep_mean_form": sum(p * (1.0 - 1.0 / dj**2) for p, dj in zip(weights, dec.d_vec)),
@@ -460,9 +468,8 @@ def masa_man(
     """
     d, _, purity = _masa_overlaps(basis_1, basis_2)
     sa = StructuralSummary.from_shapes(d, ((1, 1),) * d)
-    s2 = -math.log(purity) / math.log(log_base) + 0.0 if purity > 0 else math.inf
     return _report(d, {"A": sa, "B": sa}, clamp_unit(1.0 - purity), "man.masa", log_base,
-                   {"purity": purity}, s2=s2)
+                   {"purity": purity}, s2=_log_purity(purity, log_base))
 
 
 @dataclass(frozen=True)
@@ -511,8 +518,7 @@ def a_otoc(alg: OperatorAlgebra, u: np.ndarray, log_base: float = 2.0) -> ManRep
     if u.shape != (alg.d, alg.d):
         raise AlgebraError(f"unitary shape {u.shape} != ({alg.d}, {alg.d})")
     evolved = alg.commutant_algebra().conjugated(u)
-    report = man_omega(alg, evolved, log_base)
-    return replace(report, method="man.aotoc")
+    return _pair_report(alg, evolved, _omega_s(alg, evolved), "man.aotoc", log_base)
 
 
 def entropy_decomposition_man(

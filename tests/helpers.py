@@ -11,6 +11,7 @@ from manlab.algebras import (
     OperatorAlgebra,
     StructuralDecomposition,
     algebra_from_generators,
+    block_bases,
     compute_commutant,
     diagonal_masa,
     full_algebra,
@@ -210,7 +211,7 @@ def ref_omega(alg: OperatorAlgebra) -> np.ndarray:
     """
     d = alg.d
     omega = np.zeros((d * d, d * d), dtype=complex)
-    for e in alg.block_bases().e:
+    for e in block_bases(alg.decomposition()).e:
         omega += np.kron(e, dagger(e))
     return omega
 
@@ -222,7 +223,8 @@ def ref_projection_purity(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
     """
     b_comm = b.commutant_algebra()
     rows = b_comm.basis.reshape(b_comm.dim, -1).conj()
-    return sum(float(np.sum(np.abs(rows @ e.reshape(-1)) ** 2)) for e in a.block_bases().e)
+    return sum(float(np.sum(np.abs(rows @ e.reshape(-1)) ** 2))
+               for e in block_bases(a.decomposition()).e)
 
 
 def ref_entropy_man(a: OperatorAlgebra, b: OperatorAlgebra) -> tuple[float, list]:

@@ -13,10 +13,8 @@ from manlab.algebras import (
     algebras_equal,
     block_bases,
     center,
-    commutant,
     commutant_intersection_dim,
     compute_commutant,
-    decompose,
     diagonal_masa,
     full_algebra,
     haar_algebra_unitary,
@@ -24,7 +22,6 @@ from manlab.algebras import (
     kraus_projection_maps,
     lattice_algebra,
     masa_from_unitary,
-    projection_map,
     structural_algebra,
     trivial_algebra,
 )
@@ -85,6 +82,14 @@ class TestGenerators:
     def test_shape_error(self):
         with pytest.raises(AlgebraError):
             algebra_from_generators([np.eye(3)], 2)
+
+    def test_non_finite_generator_is_refused(self):
+        # its norm is not > 0, so it used to be dropped and C1 returned
+        for bad in (np.nan, np.inf):
+            with pytest.raises(AlgebraError):
+                algebra_from_generators([np.full((2, 2), bad)], 2)
+            with pytest.raises(AlgebraError):
+                algebra_from_generators([SX, np.diag([1.0, bad])], 2)
 
     def test_validate_rejects_non_closed_span(self):
         basis = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2)])
@@ -319,7 +324,7 @@ class TestCommutantFromBlocks:
 
     def test_equals_commutant_oracle(self):
         # the named constructors build A' lazily from their own blocks; the
-        # stripped copies go through decompose() first
+        # stripped copies go through decomposition() first
         named = self._named()
         cases = named + [(f"{name}-stripped", strip_structure(alg)) for name, alg in named]
         for d in (4, 6, 8):
@@ -437,10 +442,10 @@ class TestCommutant:
         ):
             assert algebras_equal(alg.commutant_algebra(), compute_commutant(alg))
 
-    def test_public_function_is_the_cached_commutant(self):
+    def test_commutant_algebra_is_cached(self):
         alg = factor_m2x1()
-        assert commutant(alg) is alg.commutant_algebra()
-        assert algebras_equal(commutant(alg), factor_1xm2())
+        assert alg.commutant_algebra() is alg.commutant_algebra()
+        assert algebras_equal(alg.commutant_algebra(), factor_1xm2())
 
 
 class TestCenter:
@@ -456,9 +461,9 @@ class TestCenter:
 
 
 class TestDecompose:
-    def test_public_function_is_the_cached_decomposition(self):
+    def test_decomposition_is_cached(self):
         alg = symmetric_operator_algebra()
-        assert decompose(alg) is alg.decomposition()
+        assert alg.decomposition() is alg.decomposition()
 
     def test_full_matrix_algebra(self):
         dec = full_algebra(5).decomposition()
@@ -600,18 +605,18 @@ class TestBlockBases:
 
 class TestProjectionMap:
     def test_full_is_identity(self):
-        p = projection_map(full_algebra(3))
+        p = full_algebra(3).projection_superoperator()
         assert np.linalg.norm(p.transfer - np.eye(9)) < 1e-12
 
     def test_scalars_is_depolarizing(self):
-        p = projection_map(trivial_algebra(2))
+        p = trivial_algebra(2).projection_superoperator()
         x = random_matrix(2, 9)
         assert np.allclose(p.apply(x), np.trace(x) * np.eye(2) / 2)
 
     def test_factor_kraus_vs_subspace_on_random_inputs(self):
         alg = factor_m2x1()
         kraus_p, _ = kraus_projection_maps(alg.decomposition())
-        subspace_p = projection_map(alg)
+        subspace_p = alg.projection_superoperator()
         for k in range(50):
             x = random_matrix(4, 300 + k)
             assert np.linalg.norm(kraus_p.apply(x) - subspace_p.apply(x)) < 1e-9
@@ -624,7 +629,7 @@ class TestProjectionMap:
 
     def test_conditional_expectation_laws(self):
         for name, alg in _generic_fixtures():
-            p = projection_map(alg)
+            p = alg.projection_superoperator()
             assert np.linalg.norm((p @ p).transfer - p.transfer) < 1e-9, name
             assert np.linalg.norm(p.hs_adjoint().transfer - p.transfer) < 1e-9, name
             assert p.is_unital(), name
@@ -761,6 +766,17 @@ class TestDefensivePaths:
         alg = strip_structure(factor_m2x1())
         with pytest.raises(DecompositionError):
             alg.decomposition()
+
+    def test_non_finite_unitary_is_refused(self):
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(AlgebraError):
+            masa_from_unitary(nan)
+        with pytest.raises(AlgebraError):
+            structural_algebra([(1, 2)], nan)
+        with pytest.raises(AlgebraError):
+            full_algebra(2).conjugated(nan)
+        with pytest.raises(AlgebraError):
+            masa_from_unitary(np.diag([1.0, np.inf]))
 
     def test_non_square_transfer_rejected(self):
         from manlab.linalg import SuperOperator

@@ -1,5 +1,6 @@
 """Every top-level import in src/manlab is used by the module that makes it, every
-name manlab exports is used, and each report record has one constructor."""
+name manlab exports is used, no function is a second name for another, and each
+report record has one constructor."""
 
 import ast
 import os
@@ -80,6 +81,47 @@ def test_every_export_is_used():
     assert not unused, unused
 
 
+def _forwarded_callee(func: ast.FunctionDef):
+    """The callee's name when the body, after any docstring, is one `return`
+    of a call of another function, or of a method of a parameter, whose
+    arguments are exactly the function's other parameters; else None."""
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return None
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return None
+    params = [a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs]
+    if isinstance(call.func, ast.Name) and call.func.id != func.name:
+        callee, others = call.func.id, params
+    elif (isinstance(call.func, ast.Attribute) and isinstance(call.func.value, ast.Name)
+          and call.func.value.id in params):
+        callee = f"{call.func.value.id}.{call.func.attr}"
+        others = [p for p in params if p != call.func.value.id]
+    else:
+        return None
+    passed = [a.id for a in call.args if isinstance(a, ast.Name)]
+    passed += [k.arg for k in call.keywords
+               if isinstance(k.value, ast.Name) and k.arg == k.value.id]
+    if len(passed) != len(call.args) + len(call.keywords) or sorted(passed) != sorted(others):
+        return None
+    return callee
+
+
+def test_no_function_is_a_forwarding_alias():
+    # one name per operation: call the code behind an alias directly
+    aliases = []
+    for path, source in _sources(os.path.join("src", "manlab")):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = _forwarded_callee(node)
+                if callee is not None:
+                    aliases.append(f"{os.path.basename(path)}:{node.name} -> {callee}")
+    assert not aliases, aliases
+
+
 def _constructors(tree: ast.Module, classes: set[str]) -> dict[str, set[str]]:
     """For each class, the functions that call it, `cls(...)` in its own methods included."""
     found = {name: set() for name in classes}
@@ -102,10 +144,17 @@ def _constructors(tree: ast.Module, classes: set[str]) -> dict[str, set[str]]:
 
 
 def test_each_report_record_has_one_constructor():
+    # dataclasses.replace builds a record too, past its one constructor
     sites = {"ManReport": set(), "StructuralSummary": set()}
+    copies = []
     for path, source in _sources(os.path.join("src", "manlab")):
-        for name, funcs in _constructors(ast.parse(source), set(sites)).items():
+        tree = ast.parse(source)
+        for name, funcs in _constructors(tree, set(sites)).items():
             sites[name] |= {f"{os.path.basename(path)}:{func}" for func in funcs}
+        copies += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) in
+                   ("replace", "dataclasses.replace")]
+    assert not copies, copies
     assert sites == {
         "ManReport": {"man.py:_report"},
         "StructuralSummary": {"man.py:StructuralSummary.from_shapes"},

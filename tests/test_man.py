@@ -10,6 +10,7 @@ from manlab import algebras
 from manlab import man as man_engine
 from manlab.algebras import (
     algebra_from_generators,
+    block_bases,
     compute_commutant,
     diagonal_masa,
     full_algebra,
@@ -78,6 +79,8 @@ class TestClampAndLog:
             clamp_unit(-1e-3)
         with pytest.raises(NumericalConsistencyError):
             clamp_unit(1.001)
+        with pytest.raises(NumericalConsistencyError):
+            clamp_unit(float("nan"))
 
     @given(st.floats(0, 1, exclude_max=True))
     @settings(max_examples=50)
@@ -627,8 +630,11 @@ class TestMasaMan:
         assert abs(direct - alg) < 1e-9
 
     def test_non_orthonormal_rejected(self):
-        with pytest.raises(AlgebraError):
-            masa_man(np.eye(2), np.ones((2, 2)))
+        for bad in (np.ones((2, 2)), np.full((2, 2), np.nan)):
+            with pytest.raises(AlgebraError):
+                masa_man(np.eye(2), bad)
+            with pytest.raises(AlgebraError):
+                quantumness(bad, np.eye(2))
 
 
 class TestQuantumness:
@@ -665,8 +671,9 @@ class TestAOtoc:
         assert abs(report.S - masa_man(np.eye(2), HADAMARD).S) < 1e-9
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(AlgebraError):
-            a_otoc(factor_m2x1(), np.ones((4, 4)))
+        for bad in (np.ones((4, 4)), np.full((4, 4), np.nan)):
+            with pytest.raises(AlgebraError):
+                a_otoc(factor_m2x1(), bad)
 
     def test_generators_spec_reuses_its_blocks(self, monkeypatch):
         # U(A') of an algebra with no cached structure: its blocks are A's with
@@ -751,7 +758,7 @@ class TestCrossFormulaInvariants:
             s = man_omega(a, b).S
             b_comm = compute_commutant(b)
             residuals = [
-                np.linalg.norm(e - b_comm.project(e)) for e in a.block_bases().e
+                np.linalg.norm(e - b_comm.project(e)) for e in block_bases(a.decomposition()).e
             ]
             included = all(r <= 1e-8 for r in residuals)
             assert (s <= 1e-9) == should_vanish

@@ -15,7 +15,6 @@ from manlab.linalg import (
     nullspace,
     orthonormalize_hs,
     partial_trace,
-    reshuffle,
     swap_operator,
     symmetric_two_design,
 )
@@ -200,7 +199,7 @@ class TestHaarState:
 class TestReshuffle:
     def test_identity_map(self):
         op = SuperOperator.identity(2)
-        choi, _ = reshuffle(op)
+        choi = op.choi()
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1 / np.sqrt(2)
         assert np.allclose(choi, np.outer(phi, phi.conj()))
@@ -209,7 +208,7 @@ class TestReshuffle:
         # X -> Tr(X) 1/d is the projection onto the scalars.
         d = 2
         op = trivial_algebra(d).projection_superoperator()
-        choi, omega = reshuffle(op)
+        choi, omega = op.choi(), op.omega_reshuffle()
         assert np.allclose(choi, np.eye(d * d) / d**2)
         # its omega-style reshuffle is the omega operator of the commutant L(H)
         assert np.allclose(omega, swap_operator([d], {0}) / d)
@@ -220,7 +219,7 @@ class TestReshuffle:
 
         one_m2 = lattice_algebra([2, 2], {1})
         m2x1 = lattice_algebra([2, 2], {0})
-        _, omega = reshuffle(one_m2.projection_superoperator())
+        omega = one_m2.projection_superoperator().omega_reshuffle()
         assert np.linalg.norm(omega - ref_omega(m2x1)) < 1e-10
 
     @given(st.integers(0, 10_000))
