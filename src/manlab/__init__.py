@@ -32,7 +32,6 @@ _EXPORTS = {
         "diagonal_masa",
         "full_algebra",
         "haar_algebra_unitary",
-        "is_collinear",
         "lattice_algebra",
         "masa_from_unitary",
         "structural_algebra",

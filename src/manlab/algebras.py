@@ -10,6 +10,11 @@ sampler.  Only this module builds or permutes a frame: the commutant's is
 A's with the factors of each block swapped, the center's is A's own, and
 conjugation is one product U V.
 
+Everything read of the shapes alone, d(A) = sum_J d_J^2, d(A') = sum_J n_J^2,
+d_Z and the collinearity ratio n_J/d_J, is one StructuralSummary, built by
+StructuralSummary.from_shapes and read as StructuralDecomposition.summary,
+computed once per decomposition.
+
 Named algebras, generators, commutants and centers are born from their frame
 (_algebra_from_frame): dim(A) and the decomposition are set at birth, and
 the dim(A) x d x d orthonormal basis is built on first access, by oracles
@@ -19,8 +24,9 @@ generic element, linked by the letters, polar factors along a spanning tree,
 and a check that every letter reads sum_J 1_{n_J} (x) X_J.  dim(A n B')
 comes from the same solve (commutant_intersection_dim).
 
-Values are immutable; the lazy caches (basis, decomposition, commutant) are
-write-once, so algebras can be shared read-only across workers.
+Values are immutable; the lazy caches (basis, decomposition, commutant, and a
+decomposition's classes, blocks and summary) are write-once, so algebras can
+be shared read-only across workers.
 """
 
 from __future__ import annotations
@@ -92,6 +98,41 @@ class Block(NamedTuple):
 
 
 @dataclass(frozen=True)
+class StructuralSummary:
+    """What the closed forms read of an algebra on C^d with blocks 1_{n_J} (x) M_{d_J}:
+    d(A) = sum_J d_J^2, d(A') = sum_J n_J^2, d_Z, the n_J and d_J, and the common
+    ratio n_J/d_J when it is block-independent (a collinear algebra), else None."""
+
+    d: int
+    d_alg: int
+    d_comm: int
+    d_Z: int
+    n: tuple[int, ...]
+    d_blocks: tuple[int, ...]
+    collinear: bool
+    ratio: Optional[float]
+
+    @classmethod
+    def from_shapes(cls, d: int, shapes: Sequence[tuple[int, int]]) -> "StructuralSummary":
+        """The summary of an algebra on C^d with blocks 1_{n_J} (x) M_{d_J}."""
+        ratios = [n / dj for n, dj in shapes]
+        collinear = max(ratios) - min(ratios) <= 1e-9
+        return cls(
+            d=d,
+            d_alg=sum(dj * dj for _, dj in shapes),
+            d_comm=sum(n * n for n, _ in shapes),
+            d_Z=len(shapes),
+            n=tuple(n for n, _ in shapes),
+            d_blocks=tuple(dj for _, dj in shapes),
+            collinear=collinear,
+            ratio=ratios[0] if collinear else None,
+        )
+
+    def to_dict(self) -> dict:
+        return dict(vars(self))
+
+
+@dataclass(frozen=True)
 class StructuralDecomposition:
     """The frame V, a d x d unitary (or a stack of them), and the shapes
     (n_J, d_J): block J is the next n_J d_J columns of V."""
@@ -120,25 +161,10 @@ class StructuralDecomposition:
         return tuple(Block(n, dj, iso) for n, dj, count, cols in self.classes
                      for iso in np.split(self.frame[..., cols], count, axis=-1))
 
-    @property
-    def d_Z(self) -> int:
-        return len(self.shapes)
-
-    @property
-    def n_vec(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.shapes)
-
-    @property
-    def d_vec(self) -> tuple[int, ...]:
-        return tuple(dj for _, dj in self.shapes)
-
-    @property
-    def algebra_dim(self) -> int:
-        return sum(dj * dj for _, dj in self.shapes)
-
-    @property
-    def commutant_dim(self) -> int:
-        return sum(n * n for n, _ in self.shapes)
+    @cached_property
+    def summary(self) -> StructuralSummary:
+        """The structural data of these shapes, computed on first read."""
+        return StructuralSummary.from_shapes(self.dim, self.shapes)
 
 
 @dataclass(frozen=True)
@@ -173,7 +199,7 @@ class OperatorAlgebra:
         alg = cls.__new__(cls)
         alg.d = dec.dim
         alg._basis = None
-        alg._dim = dec.algebra_dim
+        alg._dim = dec.summary.d_alg
         alg._decomposition = dec
         alg._commutant = None
         return alg
@@ -458,13 +484,13 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
           for counter, dec in enumerate((a_comm, a_comm, b_own, b_own))]
     letters = np.stack([h / np.linalg.norm(h) for h in hs])
     dec = _compute_decomposition(_Letters(a.d, letters, None))
-    return dec.commutant_dim
+    return dec.summary.d_comm
 
 
 def _block_hermitian(dec: StructuralDecomposition, rng: RngStream, counter: int) -> np.ndarray:
     """sum_J V_J (1_{n_J} (x) H_J) V_J^dag, one product per shape class of dec, with
     H_J the hermitian parts of complex Gaussian matrices from rng at counter."""
-    z = _coefficients(rng, counter, 1, sum(dj * dj for _, dj in dec.shapes))[0]
+    z = _coefficients(rng, counter, 1, dec.summary.d_alg)[0]
     h = 0.0
     for n, dj, count, cols in dec.classes:
         x, z = z[:count * dj * dj].reshape(count, dj, dj), z[count * dj * dj:]
@@ -512,7 +538,7 @@ def _compute_decomposition(alg: _Letters) -> StructuralDecomposition:
             last_failure = str(exc)
             continue
         dec = StructuralDecomposition(*_canonical_block_order(frame, shapes))
-        if alg.dim is not None and dec.algebra_dim != alg.dim:
+        if alg.dim is not None and dec.summary.d_alg != alg.dim:
             last_failure = "dimension bookkeeping mismatch"
             continue
         leak, form = _letter_residuals(alg.letters, dec)
@@ -666,29 +692,25 @@ def _check_same_ambient(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
         raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
 
 
+def _is_unitary(u: np.ndarray) -> bool:
+    """Whether the square matrix u has ||U^dag U - 1||_F <= 1e-8 d.
+
+    That residual bounds every |u_ij|^2 - 1, so the entries are bounded
+    first: the product then stays finite, and NaN and inf fail the comparison.
+    """
+    tol = 1e-8 * len(u)
+    return bool(np.max(np.abs(u), initial=0.0) <= np.sqrt(1.0 + tol)
+                and np.linalg.norm(dagger(u) @ u - np.eye(len(u))) <= tol)
+
+
 def _check_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise AlgebraError("expected a square matrix")
-    # finite entries first, so the product stays quiet; the negated comparison
-    # refuses a NaN that overflow leaves in it
-    if not (np.isfinite(u).all()
-            and np.linalg.norm(dagger(u) @ u - np.eye(u.shape[0])) <= 1e-8 * u.shape[0]):
+    if not _is_unitary(u):
         raise AlgebraError("matrix is not unitary")
 
 
 # -- block bases, projections, sampling --------------------------------------
-
-
-def _collinear_ratio(shapes: Sequence[tuple[int, int]]) -> Optional[float]:
-    """The common n_J/d_J of the shapes (n_J, d_J) when it is block-independent, else None."""
-    ratios = [n / dj for n, dj in shapes]
-    return ratios[0] if max(ratios) - min(ratios) <= 1e-9 else None
-
-
-def is_collinear(dec: StructuralDecomposition) -> tuple[bool, Optional[float]]:
-    """Whether n_J/d_J is block-independent; the common ratio when it is."""
-    ratio = _collinear_ratio(dec.shapes)
-    return ratio is not None, ratio
 
 
 def block_bases(dec: StructuralDecomposition) -> BlockBases:
@@ -733,7 +755,7 @@ def _haar_algebra_unitaries(
     block's factors then go through one stacked QR and
     sum_J V_J (1_n (x) U_J) V_J^dag is formed by batched matmul.
     """
-    rows = rng.normal_rows(start, stop, sum(2 * b.d * b.d for b in dec.blocks))
+    rows = rng.normal_rows(start, stop, 2 * dec.summary.d_alg)
     u = np.zeros((stop - start, dec.dim, dec.dim), dtype=complex)
     offset = 0
     for b in dec.blocks:

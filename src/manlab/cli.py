@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -34,7 +35,6 @@ from typing import Optional
 from .algebras import OperatorAlgebra
 from . import man as man_engine
 from .errors import ManlabError, SpecFileError
-from .man import StructuralSummary
 from .rng import RngStream
 from .specio import MAX_AMBIENT_DIM, AlgebraSpec, parse_matrix_file, parse_spec, spec_from_dict
 
@@ -78,7 +78,7 @@ def _log_base(args) -> float:
 def _input_entry(path: str, spec: AlgebraSpec, alg: Optional[OperatorAlgebra]) -> dict:
     entry = {"path": path, "label": spec.label(), "dim": spec.dim, "kind": spec.kind}
     if alg is not None:
-        entry.update(StructuralSummary.from_algebra(alg).to_dict())
+        entry.update(alg.decomposition().summary.to_dict())
     return entry
 
 
@@ -225,7 +225,7 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
     if cmd == "analyze":
         result = {
             "method": "algebra.analyze",
-            **StructuralSummary.from_algebra(a).to_dict(),
+            **a.decomposition().summary.to_dict(),
             "blocks": [{"n": n, "d": dj} for n, dj in a.decomposition().shapes],
         }
     elif cmd == "man" and args.method == "mc":
@@ -380,6 +380,10 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
+    # What start-up allocated (the modules, numpy) lives until exit.  Frozen, the
+    # collector no longer rescans it, so a collection during the command costs
+    # the command's own objects, whatever the size of the modules.
+    gc.freeze()
     sys.exit(run())
 
 

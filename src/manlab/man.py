@@ -19,10 +19,12 @@ kernel.  It runs one product per pair of shape classes, so a MASA pair is one
 d x d product.  The kernel's checks are the d^4 oracles (omega_operator, the
 dense references of the test suite) and the direct Monte-Carlo oracle.  Every
 report, the closed forms (self_man, lattice_man, masa_man) included, is built
-by _report from StructuralSummary.from_shapes summaries: the route's own
-bounds, then _pair_bounds.  The pair routes reach it through _pair_report,
-which reads dim(A n B') from commutant_intersection_dim only for the routes
-that ask and a collinear A.
+by _report from StructuralSummary records: the route's own bounds, then
+_pair_bounds.  Routes given an algebra read its decomposition's summary;
+lattice_man and masa_man build no algebra and call
+StructuralSummary.from_shapes.  The pair routes reach _report through
+_pair_report, which reads dim(A n B') from commutant_intersection_dim only
+for the routes that ask and a collinear A.
 
 The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 """
@@ -37,12 +39,11 @@ import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
+    StructuralSummary,
     _check_same_ambient,
     _check_unitary,
-    _collinear_ratio,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
-    is_collinear,
 )
 from .errors import AlgebraError, NonCollinearError, NumericalConsistencyError
 from .linalg import dagger, swap_operator, swap_perm
@@ -101,40 +102,6 @@ def log_man(s: float, base: float = 2.0) -> float:
 def _log_purity(purity: float, base: float) -> float:
     """S2 = -log(purity), the purity form of log_man for closed forms; +inf at purity 0."""
     return -math.log(purity) / math.log(base) + 0.0 if purity > 0 else math.inf
-
-
-@dataclass(frozen=True)
-class StructuralSummary:
-    d: int
-    d_alg: int
-    d_comm: int
-    d_Z: int
-    n: tuple[int, ...]
-    d_blocks: tuple[int, ...]
-    collinear: bool
-    ratio: Optional[float]
-
-    @classmethod
-    def from_shapes(cls, d: int, shapes: Sequence[tuple[int, int]]) -> "StructuralSummary":
-        """The summary of an algebra on C^d with blocks 1_{n_J} (x) M_{d_J}."""
-        ratio = _collinear_ratio(shapes)
-        return cls(
-            d=d,
-            d_alg=sum(dj * dj for _, dj in shapes),
-            d_comm=sum(n * n for n, _ in shapes),
-            d_Z=len(shapes),
-            n=tuple(n for n, _ in shapes),
-            d_blocks=tuple(dj for _, dj in shapes),
-            collinear=ratio is not None,
-            ratio=ratio,
-        )
-
-    @classmethod
-    def from_algebra(cls, alg: OperatorAlgebra) -> "StructuralSummary":
-        return cls.from_shapes(alg.d, alg.decomposition().shapes)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -241,11 +208,11 @@ def _projection_overlap(
     = d_Z and no kernel runs.
     """
     if b is None:
-        d_z = a.decomposition().d_Z
+        d_z = a.decomposition().summary.d_Z
         return float(d_z), d_z
     cores = _block_pair_cores(a.decomposition(), b.decomposition())
     overlap = float(sum(c.sum(axis=(-2, -1)) / (n_j * d_k) for n_j, _, _, d_k, c, _ in cores))
-    return overlap, b.decomposition().commutant_dim
+    return overlap, b.decomposition().summary.d_comm
 
 
 def _pair_bounds(d, summary_a, summary_b, intersection_dim=None):
@@ -283,8 +250,7 @@ def _pair_report(a, b, s, method, log_base, extras=None, intersection=False) -> 
     for it (`intersection`) and A is collinear; the solve costs far more than
     man_omega's own trace.
     """
-    sa = StructuralSummary.from_algebra(a)
-    sb = StructuralSummary.from_algebra(b)
+    sa, sb = a.decomposition().summary, b.decomposition().summary
     inter = commutant_intersection_dim(a, b) if intersection and sa.collinear else None
     return _report(a.d, {"A": sa, "B": sb}, s, method, log_base, extras or {},
                    intersection_dim=inter)
@@ -319,7 +285,7 @@ def man_projection(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0
 def man_collinear(a: OperatorAlgebra, b: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """MAN of a collinear algebra via projector overlap / projector distance."""
     _check_same_ambient(a, b)
-    if not is_collinear(a.decomposition())[0]:
+    if not a.decomposition().summary.collinear:
         raise NonCollinearError("man_collinear requires the first algebra to be collinear")
     overlap, comm_dim = _projection_overlap(a, b)
     s = clamp_unit(1.0 - overlap / a.dim)
@@ -339,16 +305,16 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
     """Non-commutativity of the algebra itself, from structural data alone."""
     dec = alg.decomposition()
     d = alg.d
-    summary = StructuralSummary.from_algebra(alg)
+    summary = dec.summary
     nc = clamp_unit(1.0 - sum(n / dj for n, dj in dec.shapes) / d)
     # Purity form: sum_J p_J ||R_J||^2 with R_J the doubled maximally mixed
     # state of the J-th irrep; equal to 1 - NC.
     weights = [n * dj / d for n, dj in dec.shapes]
-    purity = sum(p / dj**2 for p, dj in zip(weights, dec.d_vec))
+    purity = sum(p / dj**2 for p, dj in zip(weights, summary.d_blocks))
     nc2 = _log_purity(purity, log_base)
     extras = {
         "p_J": weights,
-        "irrep_mean_form": sum(p * (1.0 - 1.0 / dj**2) for p, dj in zip(weights, dec.d_vec)),
+        "irrep_mean_form": sum(p * (1.0 - 1.0 / dj**2) for p, dj in zip(weights, summary.d_blocks)),
     }
     if summary.collinear:
         collinear_form = 1.0 - summary.d_Z / summary.d_alg
@@ -357,7 +323,7 @@ def self_man(alg: OperatorAlgebra, log_base: float = 2.0) -> ManReport:
                 f"collinear form {collinear_form} disagrees with structural form {nc}"
             )
         extras["collinear_form"] = collinear_form
-    bounds = {"irrep_bound": 1.0 - 1.0 / max(dec.d_vec) ** 2, "full_bound": 1.0 - 1.0 / d**2}
+    bounds = {"irrep_bound": 1.0 - 1.0 / max(summary.d_blocks) ** 2, "full_bound": 1.0 - 1.0 / d**2}
     return _report(d, {"A": summary}, nc, "selfman.structural", log_base, extras, s2=nc2,
                    bounds=bounds)
 
@@ -393,8 +359,8 @@ def orbit_averaged_man(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
     d = a.d
     if d < 2:
         raise AlgebraError("orbit average requires ambient dimension >= 2")
-    s_al = 1.0 - a.decomposition().commutant_dim / d**2
-    s_bl = 1.0 - b.decomposition().commutant_dim / d**2
+    s_al = 1.0 - a.decomposition().summary.d_comm / d**2
+    s_bl = 1.0 - b.decomposition().summary.d_comm / d**2
     s_ll = 1.0 - 1.0 / d**2
     return s_al * s_bl / s_ll
 

@@ -42,7 +42,6 @@ from .algebras import (
     _haar_algebra_unitaries,
     center,  # noqa: F401  (perfbench/tracer.py patches this name here)
     haar_algebra_unitary,  # noqa: F401  (perfbench/tracer.py patches this name here)
-    is_collinear,
 )
 from .errors import (
     AlgebraError,
@@ -108,6 +107,25 @@ class AlgebraState:
         return -math.log(self.purity()) / math.log(log_base)
 
 
+def _result(method: str, estimate: float, std_error: float, rng: Optional[RngStream],
+            samples: int = 0, shots: Optional[int] = None,
+            extras: Optional[dict] = None) -> EstimatorResult:
+    """The one builder of an EstimatorResult; given no stream, seed and stream read 0."""
+    return EstimatorResult(
+        estimate=estimate, std_error=std_error, samples=samples, method=method,
+        seed=rng.seed if rng else 0, stream=rng.stream if rng else 0,
+        shots_per_swap=shots, extras=extras or {},
+    )
+
+
+def _check_denominator(den: float, se: float) -> None:
+    """Refuse a ratio estimate whose denominator is within 3 standard errors of zero."""
+    if abs(den) <= 3.0 * se:
+        raise IllConditionedEstimatorError(
+            f"denominator estimate {den:.3e} is within 3 std errors ({se:.3e}) of zero"
+        )
+
+
 def algebra_state(alg: OperatorAlgebra) -> AlgebraState:
     """The d^2 x d^2 Choi state of P_A: the oracle behind protocol_choi's block overlaps."""
     return AlgebraState(alg.projection_superoperator().choi(), alg.d)
@@ -143,17 +161,12 @@ def mc_man_direct(
         v = _haar_algebra_unitaries(dec_b, rng_b, start, stop)
         comm = (u @ v - v @ u).reshape(stop - start, -1)
         vals[start:stop] = np.sum(np.abs(comm) ** 2, axis=1) / (2 * a.d)
-    mean, se = _mean_and_se(vals)
-    return EstimatorResult(
-        estimate=mean, std_error=se, samples=samples,
-        method="mc.direct", seed=rng.seed, stream=rng.stream,
-    )
+    return _result("mc.direct", *_mean_and_se(vals), rng, samples)
 
 
 def _self_mode(a: OperatorAlgebra, b: Optional[OperatorAlgebra]) -> bool:
     """Check a protocol's inputs; True for the self variant (b omitted)."""
-    coll, _ = is_collinear(a.decomposition())
-    if not coll:
+    if not a.decomposition().summary.collinear:
         raise NonCollinearError("protocol requires the first algebra to be collinear")
     if b is None:
         return True
@@ -316,30 +329,18 @@ def protocol_choi(
         # log(d(A)/d(Z)); from the dimensions it carries no rounding
         extras["nc2"] = math.log(a.dim / target_dim) / math.log(log_base)
     if shots is None:
-        s = clamp_unit(1.0 - num / den)
-        return EstimatorResult(
-            estimate=s, std_error=0.0, samples=0,
-            method="protocol.choi", seed=rng.seed if rng else 0,
-            stream=rng.stream if rng else 0, extras=extras,
-        )
+        return _result("protocol.choi", clamp_unit(1.0 - num / den), 0.0, rng, extras=extras)
     if rng is None:
         raise ValueError("shot-noise mode needs an RngStream")
     _check_shots(shots)
     (num_hat, den_hat), (num_se, den_se) = _swap_tests(
         np.array([num, den]), shots, rng.substream(_STREAM_SHOTS))
     num_hat, den_hat = float(num_hat), float(den_hat)
-    if abs(den_hat) <= 3.0 * den_se:
-        raise IllConditionedEstimatorError(
-            f"denominator estimate {den_hat:.3e} is within 3 std errors ({den_se:.3e}) of zero"
-        )
+    _check_denominator(den_hat, den_se)
     ratio = num_hat / den_hat
     se = math.sqrt((num_se / den_hat) ** 2 + (num_hat * den_se / den_hat**2) ** 2)
     extras.update({"numerator_estimate": num_hat, "denominator_estimate": den_hat})
-    return EstimatorResult(
-        estimate=1.0 - ratio, std_error=se, samples=0,
-        method="protocol.choi", seed=rng.seed, stream=rng.stream,
-        shots_per_swap=shots, extras=extras,
-    )
+    return _result("protocol.choi", 1.0 - ratio, se, rng, shots=shots, extras=extras)
 
 
 def protocol_stochastic(
@@ -370,13 +371,9 @@ def protocol_stochastic(
         e_num = (cross + d) / (d * (d + 1))
         e_den = (a.dim + d) / (d * (d + 1))
         s = clamp_unit(1.0 - (e_num - offset) / (e_den - offset))
-        return EstimatorResult(
-            estimate=s, std_error=0.0, samples=0,
-            method="protocol.stochastic", seed=rng.seed if rng else 0,
-            stream=rng.stream if rng else 0,
-            extras={"mean_numerator": e_num, "mean_denominator": e_den,
-                    "self_mode": self_mode},
-        )
+        return _result("protocol.stochastic", s, 0.0, rng,
+                       extras={"mean_numerator": e_num, "mean_denominator": e_den,
+                               "self_mode": self_mode})
     if samples < 2:
         raise ValueError("sampled mode needs samples >= 2")
     if rng is None:
@@ -397,23 +394,16 @@ def protocol_stochastic(
     mean_x, se_x = _mean_and_se(xs)
     mean_y, se_y = _mean_and_se(ys)
     den = mean_y - offset
-    if abs(den) <= 3.0 * se_y:
-        raise IllConditionedEstimatorError(
-            f"denominator estimate {den:.3e} is within 3 std errors ({se_y:.3e}) of zero"
-        )
+    _check_denominator(den, se_y)
     num = mean_x - offset
     ratio = num / den
     # delta method: Var(x - ratio y) / (samples den^2), taken on the residuals
     # themselves, so x = y sample by sample gives exactly zero
     se = math.sqrt(float(np.var(xs - ratio * ys, ddof=1)) / samples) / abs(den)
-    return EstimatorResult(
-        estimate=1.0 - ratio, std_error=se, samples=samples,
-        method="protocol.stochastic", seed=rng.seed, stream=rng.stream,
-        shots_per_swap=shots,
-        extras={"mean_numerator": mean_x, "mean_denominator": mean_y,
-                "se_numerator": se_x, "se_denominator": se_y,
-                "self_mode": self_mode},
-    )
+    return _result("protocol.stochastic", 1.0 - ratio, se, rng, samples, shots,
+                   extras={"mean_numerator": mean_x, "mean_denominator": mean_y,
+                           "se_numerator": se_x, "se_denominator": se_y,
+                           "self_mode": self_mode})
 
 
 def restricted_distance(
@@ -436,6 +426,8 @@ def restricted_distance(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (d, d):
         raise AlgebraError("state has wrong shape")
+    if not np.isfinite(rho0).all():
+        raise AlgebraError("rho0 has non-finite entries")
     if np.linalg.norm(rho0 - dagger(rho0)) > 1e-8 or abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise AlgebraError("rho0 must be hermitian with unit trace")
     lam, vecs = np.linalg.eigh((rho0 + dagger(rho0)) / 2)
@@ -508,7 +500,7 @@ def markov_bound_check(
     dec_a = a.decomposition()
     dec_b = b.decomposition()
     ratio_max = max(dj / n for n, dj in dec_b.shapes)
-    d_b = dec_b.algebra_dim
+    d_b = dec_b.summary.d_alg
     c_value = 2.0 * math.sqrt(2.0 * d_b * ratio_max)
     c_alt = 2.0 * math.sqrt(2.0 * d_b) * ratio_max
     # an S within CLAMP_MARGIN of 0 is the rounding of a commuting pair's exact
@@ -560,8 +552,4 @@ def mc_orbit_averaged_man(
     for start, stop in _chunks(samples, d * d):
         u = _haar_unitaries(rng_orbit.normal_rows(start, stop, 2 * d * d), 0, d)
         vals[start:stop] = 1.0 - _block_swap_trace(dec_a, _conjugate_decomposition(dec_b, u)) / d
-    mean, se = _mean_and_se(vals)
-    return EstimatorResult(
-        estimate=mean, std_error=se, samples=samples,
-        method="mc.orbit", seed=rng.seed, stream=rng.stream,
-    )
+    return _result("mc.orbit", *_mean_and_se(vals), rng, samples)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
+    _is_unitary,
     algebra_from_generators,
     full_algebra,
     lattice_algebra,
@@ -235,11 +236,7 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
 
 
 def _check_unitary_payload(arr: np.ndarray, path, field) -> None:
-    d = arr.shape[0]
-    # unitary entries have modulus <= 1; checked first, it keeps the product finite,
-    # and the negated comparisons refuse a NaN
-    bounded = np.abs(arr).max() <= 1.0 + 1e-8
-    if not (bounded and np.linalg.norm(arr.conj().T @ arr - np.eye(d)) <= 1e-8 * d):
+    if not _is_unitary(arr):
         raise SpecFileError("matrix is not unitary (columns not orthonormal)", path, field)
 
 

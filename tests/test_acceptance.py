@@ -18,7 +18,6 @@ from manlab.algebras import (
     compute_commutant,
     diagonal_masa,
     full_algebra,
-    is_collinear,
     kraus_projection_maps,
     lattice_algebra,
     masa_from_unitary,
@@ -88,7 +87,7 @@ def test_criterion_2_fraction_law():
     assert len(fixtures) >= 10
     for alg in fixtures:
         d = alg.d
-        closed = 1.0 - alg.decomposition().commutant_dim / d**2
+        closed = 1.0 - alg.decomposition().summary.d_comm / d**2
         got = man_omega(alg, full_algebra(d)).S
         assert abs(got - closed) <= 1e-10
     _ok(2, f"S(A:L(H)) = 1 - d(A')/d^2 to 1e-10 on {len(fixtures)} fixtures")
@@ -105,7 +104,7 @@ def test_criterion_3_formula_concordance():
             "projection": man_projection(a, b).S,
             "entropy": entropy_decomposition_man(a, b).S,
         }
-        if is_collinear(a.decomposition())[0]:
+        if a.decomposition().summary.collinear:
             values["collinear"] = man_collinear(a, b).S
         vals = list(values.values())
         for x in vals:
@@ -244,12 +243,11 @@ def test_criterion_9_structural_suites_and_markov():
         assert algebras_equal(compute_commutant(comm), alg), name
         # dimension bookkeeping
         dec = alg.decomposition()
-        assert sum(n * dj for n, dj in zip(dec.n_vec, dec.d_vec)) == alg.d, name
-        assert dec.algebra_dim == alg.dim and dec.commutant_dim == comm.dim, name
-        coll, _ = is_collinear(dec)
-        product_dim = dec.algebra_dim * dec.commutant_dim
+        assert sum(n * dj for n, dj in dec.shapes) == alg.d, name
+        assert dec.summary.d_alg == alg.dim and dec.summary.d_comm == comm.dim, name
+        product_dim = dec.summary.d_alg * dec.summary.d_comm
         assert product_dim >= alg.d**2
-        assert (product_dim == alg.d**2) == coll, name
+        assert (product_dim == alg.d**2) == dec.summary.collinear, name
         # conditional-expectation laws
         p = alg.projection_superoperator()
         assert np.linalg.norm((p @ p).transfer - p.transfer) <= 1e-9, name

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from manlab.algebras import (
     OperatorAlgebra,
+    StructuralSummary,
     algebra_from_generators,
     algebra_intersection,
     algebras_equal,
@@ -18,17 +19,17 @@ from manlab.algebras import (
     diagonal_masa,
     full_algebra,
     haar_algebra_unitary,
-    is_collinear,
     kraus_projection_maps,
     lattice_algebra,
     masa_from_unitary,
     structural_algebra,
     trivial_algebra,
 )
-from manlab.errors import AlgebraError, DecompositionError
+from manlab.errors import AlgebraError, DecompositionError, SpecFileError
 from manlab.linalg import dagger, hs_norm_sq
 from manlab.man import omega_operator
 from manlab.rng import RngStream
+from manlab.specio import spec_from_dict
 
 from helpers import (
     HADAMARD,
@@ -187,12 +188,12 @@ class TestSpectralSolve:
         ref, gens = _spectral_generators(blocks, kind)
         alg = algebra_from_generators(gens, ref.d)
         dec = alg.decomposition()
-        assert sorted(zip(dec.n_vec, dec.d_vec)) == sorted(blocks)
+        assert sorted(dec.shapes) == sorted(blocks)
         assert alg.dim == ref.dim
         assert algebras_equal(alg, krylov_closure(gens, ref.d))
         # the same algebra given by a bare basis: its basis elements are the letters
         bare = strip_structure(alg).decomposition()
-        assert sorted(zip(bare.n_vec, bare.d_vec)) == sorted(blocks)
+        assert sorted(bare.shapes) == sorted(blocks)
 
     def test_degenerate_element_is_refused_for_generators(self, monkeypatch):
         import manlab.algebras as mod
@@ -288,7 +289,7 @@ class TestCommutantIntersectionDim:
         for x, y in ((a, b), (b, a)):
             self._check(x, y, f"{blocks_a}|{blocks_b}")
         for x in (a, b):
-            assert commutant_intersection_dim(x, x) == x.decomposition().d_Z
+            assert commutant_intersection_dim(x, x) == x.decomposition().summary.d_Z
             assert commutant_intersection_dim(x, x.commutant_algebra()) == x.dim
             u = random_unitary(d, 1202)
             self._check(x, x.commutant_algebra().conjugated(u), "rotated commutant")
@@ -337,8 +338,7 @@ class TestCommutantFromBlocks:
             assert algebras_equal(got, want), name
             assert got.commutant_algebra() is alg, name
             dec, comm_dec = alg.decomposition(), got.decomposition()
-            assert sorted(zip(comm_dec.n_vec, comm_dec.d_vec)) == sorted(
-                zip(dec.d_vec, dec.n_vec)), name
+            assert sorted(comm_dec.shapes) == sorted((dj, n) for n, dj in dec.shapes), name
 
     def test_too_large_center_is_refused(self, monkeypatch):
         import manlab.algebras as mod
@@ -359,7 +359,7 @@ class TestCommutantFromBlocks:
         had = masa_from_unitary(HADAMARD).decomposition()
         monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: (had.frame, had.shapes))
         alg = strip_structure(diagonal_masa(2))
-        assert had.algebra_dim == alg.dim and had.commutant_dim == compute_commutant(alg).dim
+        assert had.summary.d_alg == alg.dim and had.summary.d_comm == compute_commutant(alg).dim
         with pytest.raises(DecompositionError, match="leak"):
             alg.decomposition()
 
@@ -465,20 +465,28 @@ class TestDecompose:
         alg = symmetric_operator_algebra()
         assert alg.decomposition() is alg.decomposition()
 
+    def test_summary_is_computed_once_from_the_shapes(self):
+        for name, alg in _generic_fixtures():
+            dec = alg.decomposition()
+            assert dec.summary is dec.summary, name
+            assert dec.summary == StructuralSummary.from_shapes(dec.dim, dec.shapes), name
+            for gone in ("algebra_dim", "commutant_dim", "d_Z", "n_vec", "d_vec"):
+                assert not hasattr(dec, gone), name
+
     def test_full_matrix_algebra(self):
         dec = full_algebra(5).decomposition()
-        assert dec.n_vec == (1,) and dec.d_vec == (5,)
+        assert dec.summary.n == (1,) and dec.summary.d_blocks == (5,)
 
     def test_symmetric_operators(self):
         dec = symmetric_operator_algebra().decomposition()
-        assert sorted(zip(dec.n_vec, dec.d_vec)) == [(1, 1), (1, 3)]
+        assert sorted(dec.shapes) == [(1, 1), (1, 3)]
 
     def test_round_trip_through_random_unitary(self):
         alg = strip_structure(
             structural_algebra([(1, 1), (1, 2)], basis_change=random_unitary(3, 21))
         )
         dec = alg.decomposition()
-        assert sorted(zip(dec.n_vec, dec.d_vec)) == [(1, 1), (1, 2)]
+        assert sorted(dec.shapes) == [(1, 1), (1, 2)]
 
     @pytest.mark.parametrize(
         "blocks",
@@ -490,15 +498,15 @@ class TestDecompose:
             structural_algebra(blocks, basis_change=random_unitary(d, 100 + d))
         )
         dec = alg.decomposition()
-        assert sorted(zip(dec.n_vec, dec.d_vec)) == sorted(blocks)
+        assert sorted(dec.shapes) == sorted(blocks)
 
     def test_bookkeeping_and_block_form(self):
         for name, alg in _generic_fixtures():
             dec = alg.decomposition()
             d = alg.d
-            assert sum(n * dj for n, dj in zip(dec.n_vec, dec.d_vec)) == d, name
-            assert dec.algebra_dim == alg.dim, name
-            assert dec.commutant_dim == compute_commutant(alg).dim, name
+            assert sum(n * dj for n, dj in dec.shapes) == d, name
+            assert dec.summary.d_alg == alg.dim, name
+            assert dec.summary.d_comm == compute_commutant(alg).dim, name
             # projections: orthogonal, complete
             total = np.zeros((d, d), dtype=complex)
             for i, bi in enumerate(dec.blocks):
@@ -526,10 +534,9 @@ class TestDecompose:
     def test_dimension_inequality_and_collinearity(self):
         for name, alg in _generic_fixtures():
             dec = alg.decomposition()
-            lhs = dec.algebra_dim * dec.commutant_dim
-            coll, _ = is_collinear(dec)
+            lhs = dec.summary.d_alg * dec.summary.d_comm
             assert lhs >= alg.d**2 - 1e-9, name
-            assert (abs(lhs - alg.d**2) < 1e-9) == coll, name
+            assert (abs(lhs - alg.d**2) < 1e-9) == dec.summary.collinear, name
 
     def test_determinism(self):
         alg = strip_structure(
@@ -544,20 +551,20 @@ class TestDecompose:
 
 class TestCollinearity:
     def test_factor(self):
-        ok, lam = is_collinear(factor_m2x1().decomposition())
-        assert ok and abs(lam - 1.0) < 1e-12
+        summary = factor_m2x1().decomposition().summary
+        assert summary.collinear and abs(summary.ratio - 1.0) < 1e-12
 
     def test_masa(self):
-        ok, lam = is_collinear(diagonal_masa(4).decomposition())
-        assert ok and abs(lam - 1.0) < 1e-12
+        summary = diagonal_masa(4).decomposition().summary
+        assert summary.collinear and abs(summary.ratio - 1.0) < 1e-12
 
     def test_full(self):
-        ok, lam = is_collinear(full_algebra(3).decomposition())
-        assert ok and abs(lam - 1 / 3) < 1e-12
+        summary = full_algebra(3).decomposition().summary
+        assert summary.collinear and abs(summary.ratio - 1 / 3) < 1e-12
 
     def test_symmetric_not_collinear(self):
-        ok, lam = is_collinear(symmetric_operator_algebra().decomposition())
-        assert not ok and lam is None
+        summary = symmetric_operator_algebra().decomposition().summary
+        assert not summary.collinear and summary.ratio is None
 
 
 class TestBlockBases:
@@ -777,6 +784,33 @@ class TestDefensivePaths:
             full_algebra(2).conjugated(nan)
         with pytest.raises(AlgebraError):
             masa_from_unitary(np.diag([1.0, np.inf]))
+
+    # (matrix, accepted) at the edges of the one unitarity rule
+    # ||U^dag U - 1||_F <= 1e-8 d, shared by the library and the spec parser;
+    # [[1, e], [0, 1]] has residual sqrt(2) e to first order, against 2e-8
+    UNITARITY_EDGES = {
+        "huge-1e200": (np.diag([1e200, 1.0]), False),
+        "huge-1e300": (np.diag([1e300, 1.0]), False),
+        "nan": (np.diag([np.nan, 1.0]), False),
+        "inf": (np.diag([np.inf, 1.0]), False),
+        "residual-inside": (np.array([[1.0, 1.40e-8], [0.0, 1.0]]), True),
+        "residual-outside": (np.array([[1.0, 1.42e-8], [0.0, 1.0]]), False),
+        "entry-above-one": (np.diag([1.0 + 1.5e-8, 1.0, 1.0, 1.0]), True),
+    }
+
+    @pytest.mark.parametrize("edge", sorted(UNITARITY_EDGES))
+    def test_one_unitarity_rule(self, edge):
+        u, accepted = self.UNITARITY_EDGES[edge]
+        payload = np.stack([u.real, u.imag], axis=-1).tolist()
+        spec = {"dim": len(u), "kind": "masa", "unitary": payload}
+        if accepted:
+            assert masa_from_unitary(u).dim == len(u)
+            assert spec_from_dict(spec).dim == len(u)
+            return
+        with pytest.raises(AlgebraError, match="not unitary"):
+            masa_from_unitary(u)
+        with pytest.raises(SpecFileError, match="'unitary'"):
+            spec_from_dict(spec)
 
     def test_non_square_transfer_rejected(self):
         from manlab.linalg import SuperOperator

@@ -135,6 +135,16 @@ class TestSpecIO:
             with pytest.raises(SpecFileError, match=field):
                 spec_from_dict(dict(payload, **{field: big}))
 
+    @pytest.mark.parametrize("big", [1e200, 1e300])
+    def test_huge_aotoc_unitary_is_one_stderr_line(self, specdir, tmp_path, capsys, big):
+        # the library's unitarity check bounds the entries before U^dag U overflows
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"dim": 2, "matrix": _matrix_payload(np.diag([big, 1.0]))}))
+        assert run(["aotoc", str(specdir / "full2.json"), "--unitary", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "manlab: AlgebraError: matrix is not unitary\n"
+
     def test_lattice_region_out_of_range(self):
         with pytest.raises(SpecFileError):
             spec_from_dict({"dim": 4, "kind": "lattice", "site_dims": [2, 2], "region": [3]})

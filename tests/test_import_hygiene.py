@@ -145,7 +145,8 @@ def _constructors(tree: ast.Module, classes: set[str]) -> dict[str, set[str]]:
 
 def test_each_report_record_has_one_constructor():
     # dataclasses.replace builds a record too, past its one constructor
-    sites = {"ManReport": set(), "StructuralSummary": set()}
+    sites = {name: set() for name in ("ManReport", "StructuralSummary", "EstimatorResult",
+                                      "MarkovCheckReport", "QuantumnessReport")}
     copies = []
     for path, source in _sources(os.path.join("src", "manlab")):
         tree = ast.parse(source)
@@ -157,5 +158,8 @@ def test_each_report_record_has_one_constructor():
     assert not copies, copies
     assert sites == {
         "ManReport": {"man.py:_report"},
-        "StructuralSummary": {"man.py:StructuralSummary.from_shapes"},
+        "StructuralSummary": {"algebras.py:StructuralSummary.from_shapes"},
+        "EstimatorResult": {"protocols.py:_result"},
+        "MarkovCheckReport": {"protocols.py:markov_bound_check"},
+        "QuantumnessReport": {"man.py:quantumness"},
     }

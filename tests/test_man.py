@@ -14,7 +14,6 @@ from manlab.algebras import (
     compute_commutant,
     diagonal_masa,
     full_algebra,
-    is_collinear,
     lattice_algebra,
     masa_from_unitary,
     structural_algebra,
@@ -133,9 +132,9 @@ class TestReportLayout:
     def test_closed_form_summaries_match_their_algebras(self):
         report = lattice_man([2, 2, 2], [0], [0, 1, 2])
         for key, region in (("A", [0]), ("B", [0, 1, 2])):
-            explicit = StructuralSummary.from_algebra(lattice_algebra([2, 2, 2], region))
+            explicit = lattice_algebra([2, 2, 2], region).decomposition().summary
             assert report.inputs[key] == explicit
-        summary = StructuralSummary.from_algebra(diagonal_masa(3))
+        summary = diagonal_masa(3).decomposition().summary
         assert masa_man(np.eye(3), fourier_basis(3)).inputs == {"A": summary, "B": summary}
 
     def test_masa_pair_bounds_are_one_minus_one_over_d(self):
@@ -181,7 +180,7 @@ class TestOmegaOperator:
             for alg in (a, b):
                 om = omega_operator(alg)
                 assert abs(om.swap_trace() - alg.d) < 1e-9, name
-                assert abs(om.trace() - alg.decomposition().commutant_dim) < 1e-9, name
+                assert abs(om.trace() - alg.decomposition().summary.d_comm) < 1e-9, name
 
 
 class TestManOmega:
@@ -271,7 +270,7 @@ class TestBlockOverlap:
     def test_self_mode_is_center_dimension(self):
         pairs = concordance_pairs()
         for name, a in [(n, a) for n, a, _ in pairs] + [("sym", symmetric_operator_algebra())]:
-            d_z = a.decomposition().d_Z
+            d_z = a.decomposition().summary.d_Z
             assert _projection_overlap(a) == (float(d_z), d_z), name
             assert abs(ref_hs_overlap(a, algebras.center(a)) - d_z) <= 1e-12, name
 
@@ -695,7 +694,7 @@ class TestAOtoc:
         want = man_projection(ref, ref.commutant_algebra().conjugated(u)).S
         assert abs(got - want) <= 1e-9
         evolved_dec = alg.commutant_algebra().conjugated(u).decomposition()
-        assert sorted(zip(evolved_dec.n_vec, evolved_dec.d_vec)) == [(2, 4), (4, 2)]
+        assert sorted(evolved_dec.shapes) == [(2, 4), (4, 2)]
 
     def test_bipartite_otoc_is_operator_entanglement_form(self):
         # for a factor, the A-OTOC of U equals the entropy-decomposition value
@@ -739,7 +738,7 @@ class TestCrossFormulaInvariants:
             s_entropy = entropy_decomposition_man(a, b).S
             assert abs(s_omega - s_proj) <= 1e-9, name
             assert abs(s_omega - s_entropy) <= 1e-9, name
-            if is_collinear(a.decomposition())[0]:
+            if a.decomposition().summary.collinear:
                 assert abs(man_collinear(a, b).S - s_omega) <= 1e-9, name
 
     def test_symmetry_of_omega_route(self):

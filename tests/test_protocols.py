@@ -414,6 +414,8 @@ class TestRestrictedDistance:
             restricted_distance(SX, np.eye(2), full_algebra(2), np.eye(2))  # trace 2
         with pytest.raises(AlgebraError):
             restricted_distance(np.full((2, 2), np.nan), np.eye(2), full_algebra(2), np.eye(2) / 2)
+        with pytest.raises(AlgebraError, match="non-finite"):
+            restricted_distance(np.eye(2), np.eye(2), full_algebra(2), np.full((2, 2), np.nan))
 
 
 class TestRestrictedDistanceKernel:
