@@ -18,11 +18,12 @@ computed once per decomposition.
 Named algebras, generators, commutants and centers are born from their frame
 (_algebra_from_frame): dim(A) and the decomposition are set at birth, and
 the dim(A) x d x d orthonormal basis is built on first access, by oracles
-only.  Generators, and an algebra given by a bare basis, reach their blocks
-through the spectral solve (_compute_decomposition): eigenspaces of one
-generic element, linked by the letters, polar factors along a spanning tree,
-and a check that every letter reads sum_J 1_{n_J} (x) X_J.  dim(A n B')
-comes from the same solve (commutant_intersection_dim).
+only.  The spectral solve (_compute_decomposition) takes letters and returns
+the blocks of the algebra they generate: eigenspaces of one generic element,
+linked by the letters, polar factors along a spanning tree, and a check that
+every letter reads sum_J 1_{n_J} (x) X_J.  Its letters are generators, the
+elements of A' and B that give dim(A n B'), or a bare basis, whose algebra
+must then have the basis's dimension.
 
 Values are immutable; the lazy caches (basis, decomposition, commutant, and a
 decomposition's classes, blocks and summary) are write-once, so algebras can
@@ -42,6 +43,7 @@ import numpy as np
 from .errors import AlgebraError, DecompositionError
 from .linalg import (
     SuperOperator,
+    _complex_normals,
     _haar_unitaries,
     dagger,
     nullspace,
@@ -73,15 +75,6 @@ _INTERSECTION_RNG = RngStream(seed=0x5CA1AB1E, stream=913)
 
 class _RetryDraw(Exception):
     """Internal: a random draw in the structure solve was degenerate; try again."""
-
-
-class _Letters(NamedTuple):
-    """What the structure solve reads: the letters, a (k, d, d) stack of unit
-    HS norm, and dim(A) when they are a basis of A (None for generators)."""
-
-    d: int
-    letters: np.ndarray
-    dim: Optional[int]
 
 
 class Block(NamedTuple):
@@ -276,22 +269,21 @@ class OperatorAlgebra:
         return self._commutant
 
     def decomposition(self) -> StructuralDecomposition:
+        """The blocks, solved on first access for a bare basis: its elements are the
+        letters, and a basis that spans no algebra generates a larger one."""
         if self._decomposition is None:
-            letters = _Letters(self.d, self.basis, self.dim)  # the basis elements are the letters
-            self._decomposition = _compute_decomposition(letters)
+            dec = _compute_decomposition(self.basis)
+            if dec.summary.d_alg != self.dim:
+                raise DecompositionError(f"the basis spans {self.dim} dimensions but generates "
+                                         f"an algebra of dimension {dec.summary.d_alg}")
+            self._decomposition = dec
         return self._decomposition
 
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
-        """The image algebra U A U^dag, carrying the decomposition along.
-
-        A known decomposition fixes the algebra, so only its frame moves;
-        a bare basis not yet solved is conjugated as it is.
-        """
+        """The image algebra U A U^dag: the decomposition fixes the algebra, so only
+        its frame moves."""
         _check_unitary(u)
-        if self._decomposition is not None:
-            return OperatorAlgebra._from_decomposition(
-                _conjugate_decomposition(self._decomposition, u))
-        return OperatorAlgebra(self.d, u @ self.basis @ dagger(u))
+        return OperatorAlgebra._from_decomposition(_conjugate_decomposition(self.decomposition(), u))
 
 
 # -- construction -----------------------------------------------------------
@@ -307,16 +299,19 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
     """
     letters = []
     for g in gens:
-        g = np.asarray(g, dtype=complex)
+        g = np.asarray(g, dtype=complex, order="C")
         if g.shape != (d, d):
             raise AlgebraError(f"generator shape {g.shape} != ({d}, {d})")
-        norm = np.linalg.norm(g)
-        if not np.isfinite(norm):
+        bound = np.max(np.abs(g.view(float)), initial=0.0)
+        if not np.isfinite(bound):
             raise AlgebraError("generator has non-finite entries")
-        if norm > 0:
+        if bound > 0:
+            # exact scaling to parts below 1, so the HS norm neither underflows nor overflows
+            g = np.ldexp(g.view(float), -np.frexp(bound)[1]).view(complex)
+            norm = np.linalg.norm(g)
             letters += [g / norm, dagger(g) / norm]
     stack = np.stack(letters) if letters else np.empty((0, d, d), dtype=complex)
-    return OperatorAlgebra._from_decomposition(_compute_decomposition(_Letters(d, stack, None)))
+    return OperatorAlgebra._from_decomposition(_compute_decomposition(stack))
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -390,17 +385,24 @@ def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> Operator
     Sites are 0-indexed; region=() gives the scalars C1 and the full site set
     gives L(H).  The commutant is the algebra of the complementary region.
     """
-    site_dims = [int(x) for x in site_dims]
-    if not site_dims or any(x < 1 for x in site_dims):
-        raise AlgebraError("site dimensions must be positive integers")
-    region = sorted(set(int(r) for r in region))
-    for r in region:
-        if r < 0 or r >= len(site_dims):
-            raise AlgebraError(f"region index {r} out of range")
+    site_dims, (region,) = _lattice_regions(site_dims, region)
     comp = [i for i in range(len(site_dims)) if i not in region]
     n = prod(site_dims[i] for i in comp)
     dj = prod(site_dims[i] for i in region)
     return _algebra_from_frame(_site_order_unitary(site_dims, comp + region), ((n, dj),))
+
+
+def _lattice_regions(site_dims: Sequence[int], *regions: Iterable[int]) -> tuple[list, list]:
+    """The site dimensions, checked positive, and each region as its sorted site indices,
+    checked in range: what a lattice algebra or lattice_man reads."""
+    site_dims = [int(x) for x in site_dims]
+    if not site_dims or any(x < 1 for x in site_dims):
+        raise AlgebraError("site dimensions must be positive integers")
+    regions = [sorted(set(int(r) for r in region)) for region in regions]
+    for r in (r for region in regions for r in region):
+        if r < 0 or r >= len(site_dims):
+            raise AlgebraError(f"region index {r} out of range")
+    return site_dims, regions
 
 
 def _site_order_unitary(site_dims, order):
@@ -447,7 +449,8 @@ def _generating_pair(alg: OperatorAlgebra) -> list[np.ndarray]:
     """Two generic hermitian elements of unit HS norm; they generate the algebra."""
     pair = []
     for coeffs in _coefficients(_COMMUTANT_RNG, 0, 2, alg.dim):
-        h = _hermitian_combination(alg.basis, coeffs)
+        m = _combination(alg.basis, coeffs)
+        h = (m + dagger(m)) / 2
         pair.append(h / np.linalg.norm(h))
     return pair
 
@@ -482,8 +485,7 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
     a_comm, b_own = a.commutant_algebra().decomposition(), b.decomposition()
     hs = [_block_hermitian(dec, _INTERSECTION_RNG, counter)
           for counter, dec in enumerate((a_comm, a_comm, b_own, b_own))]
-    letters = np.stack([h / np.linalg.norm(h) for h in hs])
-    dec = _compute_decomposition(_Letters(a.d, letters, None))
+    dec = _compute_decomposition(np.stack([h / np.linalg.norm(h) for h in hs]))
     return dec.summary.d_comm
 
 
@@ -515,46 +517,35 @@ def algebras_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
     return bool(np.linalg.norm(pa - pb) <= EQUALITY_TOL)
 
 
-def _compute_decomposition(alg: _Letters) -> StructuralDecomposition:
-    """The frame from the spectral solve, accepted only when every letter proves it.
+def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
+    """The decomposition of the algebra A that the letters, a (k, d, d) stack of
+    unit HS norm, generate, accepted only when every letter proves it.
 
     Attempt i (_decompose_attempt), for i < _DECOMPOSE_ATTEMPTS, takes its
     generic coefficients from _DECOMPOSE_RNG.normals(i, ...), a counter hash
     that needs no numpy.random.  The stream is fixed, so the same letters
     always give the same frame, put in canonical order here.  It is accepted
-    when it matches dim(A) when that is known, and every letter reads
-    sum_J 1_{n_J} (x) X_J in its coordinates with nothing between blocks.
-    Then A lies in sum_J 1_{n_J} (x) M_{d_J}; the eigenprojections and
-    transports that built the frame lie in A and give every matrix unit, so
-    the two are equal.  A non-generic draw (or a NaN residual) fails these
-    checks, and the last failure is reported in DecompositionError.
+    when every letter reads sum_J 1_{n_J} (x) X_J in its coordinates with
+    nothing between blocks (_check_letters).  Then A lies in
+    sum_J 1_{n_J} (x) M_{d_J}; the eigenprojections and transports that built
+    the frame lie in A and give every matrix unit, so the two are equal.  A
+    non-generic draw (or a NaN residual) raises _RetryDraw, and the last
+    reason is reported in DecompositionError.
     """
-    last_failure = "no attempt made"
     for attempt in range(_DECOMPOSE_ATTEMPTS):
-        draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, len(alg.letters))
+        draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, len(letters))
         try:
-            frame, shapes = _decompose_attempt(alg, draw)
+            dec = StructuralDecomposition(*_canonical_block_order(*_decompose_attempt(letters, draw)))
+            _check_letters(letters, dec)
+            return dec
         except _RetryDraw as exc:
-            last_failure = str(exc)
-            continue
-        dec = StructuralDecomposition(*_canonical_block_order(frame, shapes))
-        if alg.dim is not None and dec.summary.d_alg != alg.dim:
-            last_failure = "dimension bookkeeping mismatch"
-            continue
-        leak, form = _letter_residuals(alg.letters, dec)
-        if not leak <= ISO_TOL:
-            last_failure = "letters leak between central blocks"
-            continue
-        if not form <= ISO_TOL:
-            last_failure = "letters are not of the form 1_n (x) X on a block"
-            continue
-        return dec
+            last_failure = exc
     raise DecompositionError(
         f"central decomposition failed after {_DECOMPOSE_ATTEMPTS} attempts: {last_failure}"
     )
 
 
-def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[np.ndarray, tuple]:
+def _decompose_attempt(letters: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Candidate (frame, shapes) from the eigenspaces of one generic hermitian h in A.
 
     The eigenspaces Q_a of h have dimension n_J, d_J of them per block.  Two
@@ -565,10 +556,10 @@ def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[np.ndarray, tup
     parent a and the strongest letter l on the edge (a singular m is a
     non-generic draw); the frames Q_a R_a are the columns of V_J.
     """
-    evals, evecs = np.linalg.eigh(_generic_element(alg, draw))
+    evals, evecs = np.linalg.eigh(_generic_element(letters, draw))
     clusters = _cluster_indices(evals)  # contiguous runs of the sorted spectrum
     starts = [c[0] for c in clusters]
-    compressed = dagger(evecs) @ alg.letters @ evecs  # the letters in h's eigenbasis
+    compressed = dagger(evecs) @ letters @ evecs  # the letters in h's eigenbasis
     weight = np.sum(np.abs(compressed) ** 2, axis=0)
     weight = np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1)
     isometries, shapes = [], []
@@ -594,14 +585,14 @@ def _decompose_attempt(alg: _Letters, draw: np.ndarray) -> tuple[np.ndarray, tup
             tree.append(rest.pop(j))
         # column p d_J + l is column p of the l-th frame
         iso = np.stack([evecs[:, clusters[a]] @ f for a, f in zip(tree, frames)], axis=2)
-        isometries.append(iso.reshape(alg.d, -1))
+        isometries.append(iso.reshape(len(evecs), -1))
         shapes.append((len(frames[0]), len(tree)))
     return np.concatenate(isometries, axis=1), tuple(shapes)
 
 
-def _letter_residuals(letters: np.ndarray, dec: StructuralDecomposition) -> tuple[float, float]:
-    """Worst HS norms, over the letters, of the parts between blocks and of the
-    parts off the form 1_n (x) X within a block, in the blocks' coordinates."""
+def _check_letters(letters: np.ndarray, dec: StructuralDecomposition) -> None:
+    """Raise _RetryDraw unless every letter, in the blocks' coordinates, has HS norm
+    at most ISO_TOL both between blocks and off the form 1_n (x) X within a block."""
     w = dagger(dec.frame) @ letters @ dec.frame
     k = len(w)
     form = np.zeros(k)
@@ -613,23 +604,23 @@ def _letter_residuals(letters: np.ndarray, dec: StructuralDecomposition) -> tupl
         form += np.sum(np.abs(x) ** 2, axis=(1, 2, 3, 4, 5))
         x[...] = 0.0  # what is left of w lies between blocks
     leak = np.sum(np.abs(w) ** 2, axis=(1, 2))
-    return tuple(float(np.sqrt(np.max(x, initial=0.0))) for x in (leak, form))
+    if not np.sqrt(np.max(leak, initial=0.0)) <= ISO_TOL:
+        raise _RetryDraw("letters leak between central blocks")
+    if not np.sqrt(np.max(form, initial=0.0)) <= ISO_TOL:
+        raise _RetryDraw("letters are not of the form 1_n (x) X on a block")
 
 
-def _generic_element(alg: _Letters, draw: np.ndarray) -> np.ndarray:
-    """A generic hermitian element of A from draw, three rows of random
-    complex coefficients over the letters.
+def _generic_element(letters: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """A generic hermitian element of the algebra the letters generate, from draw,
+    three rows of random complex coefficients over the letters.
 
-    Letters that are a basis span A, so a random combination of them is
-    generic.  Generators span A only with their products, so the element
+    Letters may span that algebra only with their products, so the element
     adds short words: the hermitian part of x + x y + x y z for random
     combinations x, y, z of the letters.
     """
-    if alg.dim is not None:
-        return _hermitian_combination(alg.letters, draw[0])
-    m = word = _combination(alg.letters, draw[0])
+    m = word = _combination(letters, draw[0])
     for coeffs in draw[1:3]:
-        word = word @ _combination(alg.letters, coeffs)
+        word = word @ _combination(letters, coeffs)
         m = m + word
     return (m + dagger(m)) / 2
 
@@ -637,17 +628,11 @@ def _generic_element(alg: _Letters, draw: np.ndarray) -> np.ndarray:
 def _coefficients(rng: RngStream, counter: int, rows: int, k: int) -> np.ndarray:
     """rows x k complex Gaussian coefficients from rng.normals(counter, ...);
     row r takes 2k normals, the real parts first."""
-    z = rng.normals(counter, 2 * rows * k).reshape(rows, 2, k)
-    return z[:, 0] + 1j * z[:, 1]
+    return _complex_normals(rng.normals(counter, 2 * rows * k).reshape(rows, 2 * k), 0, (k,))
 
 
 def _combination(letters, coeffs: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, np.asarray(letters), axes=1)
-
-
-def _hermitian_combination(basis, coeffs: np.ndarray) -> np.ndarray:
-    m = _combination(basis, coeffs)
-    return (m + dagger(m)) / 2
 
 
 def _cluster_indices(evals: np.ndarray) -> list[list[int]]:
@@ -670,15 +655,17 @@ def _canonical_block_order(frame: np.ndarray, shapes: tuple) -> tuple[np.ndarray
     # with the fixed diagonal reference R = diag(r) so reports and caches are
     # reproducible.  Tr(P_J R) = sum_i r_i (P_J)_ii, and (P_J)_ii is the
     # squared norm of row i of V_J.  The columns move only if the order does.
-    index = StructuralDecomposition(np.arange(len(frame)), shapes)  # its frame: column numbers
+    sizes = [n * dj for n, dj in shapes]
+    starts = np.cumsum(sizes) - sizes  # block J is columns starts[J] to starts[J] + sizes[J]
     weight = np.arange(len(frame)) / max(len(frame) - 1, 1) @ np.abs(frame) ** 2
-    trace_r = np.concatenate([weight[cols].reshape(count, -1).sum(axis=1)
-                              for _, _, count, cols in index.classes])
+    trace_r = np.add.reduceat(weight, starts)
     order = sorted(range(len(shapes)),
                    key=lambda j: (shapes[j][1], shapes[j][0], round(float(trace_r[j]), 9)))
     if order != sorted(order):
-        blocks = index.blocks
-        cols = np.concatenate([blocks[j].isometry for j in order])
+        sizes, starts = np.take(sizes, order), np.take(starts, order)
+        new_starts = np.cumsum(sizes) - sizes
+        # column p of the reordered frame, in block J, is column p - new_starts[J] + starts[J]
+        cols = np.arange(len(frame)) - np.repeat(new_starts - starts, sizes)
         frame = np.take(frame, cols, axis=1)  # C-ordered, where frame[:, cols] is not
     return frame, tuple(shapes[j] for j in order)
 

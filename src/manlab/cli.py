@@ -260,7 +260,7 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
             list(spec_a.site_dims), list(spec_a.region), list(spec_b.region), base
         ).to_dict()
     elif cmd in ("masa", "quantumness"):
-        u1, u2 = spec_a.unitary_matrix(), spec_b.unitary_matrix()
+        u1, u2 = spec_a.unitary.array, spec_b.unitary.array
         if cmd == "masa":
             result = man_engine.masa_man(u1, u2, base).to_dict()
         else:

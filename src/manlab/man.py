@@ -42,6 +42,7 @@ from .algebras import (
     StructuralSummary,
     _check_same_ambient,
     _check_unitary,
+    _lattice_regions,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
 )
@@ -377,18 +378,12 @@ def lattice_man(
     c_d = log(d_site^2), and the conditional variant S2(A_S1 | A_S2) counts
     the sites of S1 outside S2.
     """
-    site_dims = [int(x) for x in site_dims]
-    if not site_dims or any(x < 1 for x in site_dims):
-        raise AlgebraError("need at least one site, each of positive dimension")
+    site_dims, regions = _lattice_regions(site_dims, region_1, region_2)
     d_site = site_dims[0]
     if any(x != d_site for x in site_dims):
         raise AlgebraError("closed lattice form requires a uniform site dimension")
     n_sites = len(site_dims)
-    s1 = set(int(x) for x in region_1)
-    s2 = set(int(x) for x in region_2)
-    for r in s1 | s2:
-        if r < 0 or r >= n_sites:
-            raise AlgebraError(f"region index {r} out of range")
+    s1, s2 = map(set, regions)
     d = d_site**n_sites
     c_d = math.log(d_site**2) / math.log(log_base)
     overlap = len(s1 & s2)

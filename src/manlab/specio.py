@@ -56,7 +56,7 @@ def _integer(value, path, field) -> int:
 
 
 class SpecMatrix:
-    """A decoded spec matrix: a read-only complex array, compared and hashed by value."""
+    """A decoded spec matrix: a read-only complex array, compared by value."""
 
     __slots__ = ("array",)
 
@@ -66,9 +66,6 @@ class SpecMatrix:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpecMatrix) and np.array_equal(self.array, other.array)
-
-    def __hash__(self) -> int:
-        return hash((self.array + 0.0).tobytes())  # + 0.0 maps -0.0 to 0.0, as == does
 
     def to_list(self) -> list:
         """The [re, im] pair rows of the schema."""
@@ -106,7 +103,7 @@ def _matrix_error(data, dim: int, path, field):
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Validated, hashable description of one algebra."""
+    """Validated description of one algebra."""
 
     dim: int
     kind: str
@@ -153,12 +150,6 @@ class AlgebraSpec:
         if self.kind == "structural":
             return "structural" + ";".join(f"{n}x{dj}" for n, dj in self.blocks)
         return f"{self.kind}(d={self.dim})"
-
-    def unitary_matrix(self) -> np.ndarray:
-        """The basis unitary of a masa spec, as a complex array."""
-        if self.kind != "masa":
-            raise SpecFileError(f"spec of kind {self.kind!r} carries no basis unitary")
-        return self.unitary.array
 
 
 def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraSpec:

@@ -92,6 +92,14 @@ class TestGenerators:
             with pytest.raises(AlgebraError):
                 algebra_from_generators([SX, np.diag([1.0, bad])], 2)
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200, 1e300, 1.7e308])
+    def test_tiny_and_huge_entries(self, scale):
+        # the HS norm of these finite entries underflows to 0 or overflows
+        e01 = np.zeros((2, 2), dtype=complex)
+        e01[0, 1] = 1
+        assert algebras_equal(algebra_from_generators([scale * SZ], 2), diagonal_masa(2))
+        assert algebras_equal(algebra_from_generators([scale * e01], 2), full_algebra(2))
+
     def test_validate_rejects_non_closed_span(self):
         basis = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2)])
         # span{1, sigma_x} is not closed under products with itself? it is;
@@ -102,6 +110,21 @@ class TestGenerators:
         with pytest.raises(AlgebraError):
             OperatorAlgebra(2, bad).validate()
         OperatorAlgebra(2, basis)  # constructing without validate is fine
+        # the solve returns the algebra the basis generates, M_2; the dimension
+        # check then fails once, without redrawing
+        import manlab.algebras as mod
+
+        calls, attempt = [], mod._decompose_attempt
+
+        def counted(*args):
+            calls.append(args)
+            return attempt(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mod, "_decompose_attempt", counted)
+            with pytest.raises(DecompositionError, match="spans 2 dimensions .* dimension 4"):
+                OperatorAlgebra(2, bad).decomposition()
+        assert len(calls) == 1
 
 
 # Block data per ambient dimension for the seeded generator sets below.
@@ -199,7 +222,7 @@ class TestSpectralSolve:
         import manlab.algebras as mod
 
         gens = [factor_m2x1().project(random_matrix(4, s)) for s in (1, 2)]
-        monkeypatch.setattr(mod, "_generic_element", lambda alg, gen: np.eye(alg.d))
+        monkeypatch.setattr(mod, "_generic_element", lambda letters, draw: np.eye(letters.shape[-1]))
         with pytest.raises(DecompositionError, match="not of the form"):
             algebra_from_generators(gens, 4)
 
@@ -345,7 +368,7 @@ class TestCommutantFromBlocks:
 
         # a degenerate generic element (the identity) merges every block into
         # one eigenspace; that must not pass the checks
-        monkeypatch.setattr(mod, "_generic_element", lambda alg, gen: np.eye(alg.d))
+        monkeypatch.setattr(mod, "_generic_element", lambda letters, draw: np.eye(letters.shape[-1]))
         with pytest.raises(DecompositionError):
             strip_structure(factor_m2x1()).decomposition()
         with pytest.raises(DecompositionError):

@@ -145,6 +145,18 @@ class TestSpecIO:
         assert captured.out == ""
         assert captured.err == "manlab: AlgebraError: matrix is not unitary\n"
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_generator_scale(self, tmp_path, capsys, scale):
+        # finite entries whose HS norm underflows to 0 or overflows
+        path = tmp_path / "g.json"
+        payload = {"dim": 2, "kind": "generators",
+                   "matrices": [_matrix_payload(np.diag([scale, -scale]))]}
+        path.write_text(json.dumps(payload))
+        assert run(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["result"]["d_alg"] == 2
+
     def test_lattice_region_out_of_range(self):
         with pytest.raises(SpecFileError):
             spec_from_dict({"dim": 4, "kind": "lattice", "site_dims": [2, 2], "region": [3]})

@@ -591,10 +591,15 @@ class TestLatticeMan:
         with pytest.raises(AlgebraError):
             lattice_man([2, 3], [0], [1])
 
-    @pytest.mark.parametrize("site_dims", [[0, 0], [-2, -2]])
+    @pytest.mark.parametrize("site_dims", [[0, 0], [-2, -2], []])
     def test_non_positive_site_dims_rejected(self, site_dims):
         with pytest.raises(AlgebraError, match="positive"):
             lattice_man(site_dims, [0], [1])
+
+    @pytest.mark.parametrize("region_1, region_2", [([-1], [0]), ([0], [0, 2])])
+    def test_region_out_of_range_rejected(self, region_1, region_2):
+        with pytest.raises(AlgebraError, match="out of range"):
+            lattice_man([2, 2], region_1, region_2)
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
