@@ -12,7 +12,7 @@ Usage:
 import argparse
 
 from manlab.cli import _csv_row, emit_csv
-from manlab.man import lattice_man
+from manlab.report import lattice_man
 
 
 def main():

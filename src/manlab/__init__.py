@@ -3,7 +3,10 @@
 The names below are re-exported from the submodules that define them and are
 resolved on first access (PEP 562), so ``import manlab`` and ``python -m
 manlab.cli`` load only the modules a caller actually uses: a command that
-never samples never compiles the protocol simulators.
+never samples never compiles the protocol simulators.  Each name is listed
+under the module that defines it: the report records and ``lattice_man``
+under ``report`` (no numpy), the MASA closed forms under ``masa`` (no
+structure solve).
 """
 
 from importlib import import_module
@@ -37,20 +40,18 @@ _EXPORTS = {
         "structural_algebra",
         "trivial_algebra",
     ),
+    "report": ("ManReport", "lattice_man"),
+    "masa": ("masa_man", "quantumness"),
     "man": (
-        "ManReport",
         "OmegaOperator",
         "a_otoc",
         "entropy_decomposition_man",
-        "lattice_man",
         "man_bounds",
         "man_collinear",
         "man_omega",
         "man_projection",
-        "masa_man",
         "omega_operator",
         "orbit_averaged_man",
-        "quantumness",
         "self_man",
     ),
     "protocols": (

@@ -11,9 +11,11 @@ A's with the factors of each block swapped, the center's is A's own, and
 conjugation is one product U V.
 
 Everything read of the shapes alone, d(A) = sum_J d_J^2, d(A') = sum_J n_J^2,
-d_Z and the collinearity ratio n_J/d_J, is one StructuralSummary, built by
-StructuralSummary.from_shapes and read as StructuralDecomposition.summary,
-computed once per decomposition.
+d_Z and the collinearity ratio n_J/d_J, is one StructuralSummary, a record
+of manlab.report built by StructuralSummary.from_shapes and read as
+StructuralDecomposition.summary, computed once per decomposition.  Every
+unitary a frame is built from passes the one unitarity rule,
+manlab.masa._check_unitary.
 
 Named algebras, generators, commutants and centers are born from their frame
 (_algebra_from_frame): dim(A) and the decomposition are set at birth, and
@@ -49,6 +51,8 @@ from .linalg import (
     nullspace,
     orthonormalize_hs,  # noqa: F401  (held here for perfbench/tracer.py)
 )
+from .masa import _check_unitary
+from .report import StructuralSummary, _lattice_regions
 from .rng import RngStream
 
 # Residual tolerance for "X belongs to the algebra" checks.
@@ -88,41 +92,6 @@ class Block(NamedTuple):
     def projector(self) -> np.ndarray:
         """The central projector P_J = V_J V_J^dag, formed on each read; for oracles and tests."""
         return self.isometry @ dagger(self.isometry)
-
-
-@dataclass(frozen=True)
-class StructuralSummary:
-    """What the closed forms read of an algebra on C^d with blocks 1_{n_J} (x) M_{d_J}:
-    d(A) = sum_J d_J^2, d(A') = sum_J n_J^2, d_Z, the n_J and d_J, and the common
-    ratio n_J/d_J when it is block-independent (a collinear algebra), else None."""
-
-    d: int
-    d_alg: int
-    d_comm: int
-    d_Z: int
-    n: tuple[int, ...]
-    d_blocks: tuple[int, ...]
-    collinear: bool
-    ratio: Optional[float]
-
-    @classmethod
-    def from_shapes(cls, d: int, shapes: Sequence[tuple[int, int]]) -> "StructuralSummary":
-        """The summary of an algebra on C^d with blocks 1_{n_J} (x) M_{d_J}."""
-        ratios = [n / dj for n, dj in shapes]
-        collinear = max(ratios) - min(ratios) <= 1e-9
-        return cls(
-            d=d,
-            d_alg=sum(dj * dj for _, dj in shapes),
-            d_comm=sum(n * n for n, _ in shapes),
-            d_Z=len(shapes),
-            n=tuple(n for n, _ in shapes),
-            d_blocks=tuple(dj for _, dj in shapes),
-            collinear=collinear,
-            ratio=ratios[0] if collinear else None,
-        )
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -390,19 +359,6 @@ def lattice_algebra(site_dims: Sequence[int], region: Iterable[int]) -> Operator
     n = prod(site_dims[i] for i in comp)
     dj = prod(site_dims[i] for i in region)
     return _algebra_from_frame(_site_order_unitary(site_dims, comp + region), ((n, dj),))
-
-
-def _lattice_regions(site_dims: Sequence[int], *regions: Iterable[int]) -> tuple[list, list]:
-    """The site dimensions, checked positive, and each region as its sorted site indices,
-    checked in range: what a lattice algebra or lattice_man reads."""
-    site_dims = [int(x) for x in site_dims]
-    if not site_dims or any(x < 1 for x in site_dims):
-        raise AlgebraError("site dimensions must be positive integers")
-    regions = [sorted(set(int(r) for r in region)) for region in regions]
-    for r in (r for region in regions for r in region):
-        if r < 0 or r >= len(site_dims):
-            raise AlgebraError(f"region index {r} out of range")
-    return site_dims, regions
 
 
 def _site_order_unitary(site_dims, order):
@@ -677,24 +633,6 @@ def _conjugate_decomposition(dec: StructuralDecomposition, u: np.ndarray) -> Str
 def _check_same_ambient(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
     if a.d != b.d:
         raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
-
-
-def _is_unitary(u: np.ndarray) -> bool:
-    """Whether the square matrix u has ||U^dag U - 1||_F <= 1e-8 d.
-
-    That residual bounds every |u_ij|^2 - 1, so the entries are bounded
-    first: the product then stays finite, and NaN and inf fail the comparison.
-    """
-    tol = 1e-8 * len(u)
-    return bool(np.max(np.abs(u), initial=0.0) <= np.sqrt(1.0 + tol)
-                and np.linalg.norm(dagger(u) @ u - np.eye(len(u))) <= tol)
-
-
-def _check_unitary(u: np.ndarray) -> None:
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise AlgebraError("expected a square matrix")
-    if not _is_unitary(u):
-        raise AlgebraError("matrix is not unitary")
 
 
 # -- block bases, projections, sampling --------------------------------------

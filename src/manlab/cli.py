@@ -2,9 +2,11 @@
 
 Every subcommand prints one JSON run report to stdout; every number in it is
 produced by exactly one engine operation, named in the ``method`` tag next to
-it.  A command loads its inputs once: ``lattice``, ``masa`` and
-``quantumness`` read their two specs (``_load_specs``), every other command
-builds the algebras of its spec files (``_load``).
+it.  A command loads its inputs once: every spec file is parsed, the two
+specs of a pair are checked to share ``dim`` (exit 2, the second file and
+field ``dim`` named), and only then is anything built.  ``lattice``,
+``masa`` and ``quantumness`` read their two specs (``_load_specs``), every
+other command builds the algebras of its spec files (``_load``).
 
 ``--csv`` also writes a CSV file: a fixed header, then one row per case
 (``_csv_row``).  ``analyze`` and ``markov-check`` write the header only, a
@@ -12,10 +14,14 @@ sweep writes a row per grid point, and every other command writes one row.
 The S column holds the result's S, else its Monte-Carlo estimate, else the
 exact orbit value of ``orbit-avg``.
 
-The Monte-Carlo and protocol simulators (``protocols``) are imported only by
-the commands that sample, so no command pays for what it does not run.  No
-command imports ``numpy.random``: every draw, the ``--shots`` noise included,
-comes from the counter hash in ``rng``.
+A command imports only the modules it computes with (``_modules``), before
+the report's clock starts.  ``lattice`` and ``sweep lattice`` answer from
+``manlab.report`` and never load numpy; ``masa`` and ``quantumness`` load
+numpy and ``manlab.masa`` but not the structure solve; every other command
+loads ``algebras`` and ``man``, and only the commands that sample load the
+Monte-Carlo and protocol simulators (``protocols``).  No command imports
+``numpy.random``: every draw, the ``--shots`` noise included, comes from the
+counter hash in ``rng``.
 """
 
 from __future__ import annotations
@@ -28,17 +34,14 @@ import math
 import os
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-# The engine modules come before numpy: compiled from source, their parse memory
-# is freed before numpy loads, which reuses it instead of growing the heap.
-from .algebras import OperatorAlgebra
-from . import man as man_engine
 from .errors import ManlabError, SpecFileError
-from .rng import RngStream
+from .report import lattice_man
 from .specio import MAX_AMBIENT_DIM, AlgebraSpec, parse_matrix_file, parse_spec, spec_from_dict
 
-import numpy as np
+if TYPE_CHECKING:
+    from .algebras import OperatorAlgebra
 
 CSV_COLUMNS = [
     "case", "method", "S", "S2",
@@ -52,7 +55,9 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    # a numpy scalar exists only once a command has loaded numpy
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
@@ -82,15 +87,24 @@ def _input_entry(path: str, spec: AlgebraSpec, alg: Optional[OperatorAlgebra]) -
     return entry
 
 
+def _check_pair_dims(paths, specs: list[AlgebraSpec]) -> None:
+    """The two specs of a pair must share `dim`; checked before anything is built,
+    so a mismatch costs no structure solve, and the second file is named."""
+    if len(specs) == 2 and specs[0].dim != specs[1].dim:
+        raise SpecFileError(f"dim {specs[1].dim} does not match dim {specs[0].dim} of {paths[0]}",
+                            paths[1], "dim")
+
+
 def _load(args, *paths: str) -> tuple[list[OperatorAlgebra], list[dict], str]:
     """The algebras of the spec files, their input entries and the "A|B" case label.
 
     A path given twice is parsed and built once, and both places get the
     same algebra object.
     """
+    specs = {path: parse_spec(path, allow_large=args.allow_large) for path in dict.fromkeys(paths)}
+    _check_pair_dims(paths, [specs[path] for path in paths])
     loaded = {}
-    for path in dict.fromkeys(paths):
-        spec = parse_spec(path, allow_large=args.allow_large)
+    for path, spec in specs.items():
         alg = spec.to_algebra()
         loaded[path] = (alg, _input_entry(path, spec, alg), spec.label())
     algs, inputs, labels = zip(*(loaded[path] for path in paths))
@@ -98,13 +112,14 @@ def _load(args, *paths: str) -> tuple[list[OperatorAlgebra], list[dict], str]:
 
 
 def _load_specs(args, kind: str) -> tuple[list[AlgebraSpec], list[dict], str]:
-    """The two specs of a closed-form command, checked to be of `kind`, with their
-    input entries and the "A|B" case label; no algebra is built."""
+    """The two specs of a closed-form command, checked to be of `kind` and of one
+    `dim`, with their input entries and the "A|B" case label; no algebra is built."""
     paths = (args.spec_a, args.spec_b)
     specs = [parse_spec(path, allow_large=args.allow_large) for path in paths]
     for spec, path in zip(specs, paths):
         if spec.kind != kind:
             raise SpecFileError(f"{args.command} subcommand needs kind={kind} specs", path, "kind")
+    _check_pair_dims(paths, specs)
     inputs = [_input_entry(path, spec, None) for path, spec in zip(paths, specs)]
     return specs, inputs, "|".join(spec.label() for spec in specs)
 
@@ -208,16 +223,33 @@ def _is_sampling(args) -> bool:
             or (args.command == "orbit-avg" and args.samples is not None))
 
 
+def _modules(args) -> tuple[str, ...]:
+    """The manlab modules the command computes with, in the order it imports them.
+
+    The engine's algebras come before man: compiled from source, algebras'
+    parse memory is freed before numpy loads, which reuses it instead of
+    growing the heap.
+    """
+    if args.command == "lattice" or (args.command == "sweep" and args.grid == "lattice"):
+        return ()
+    if args.command in ("masa", "quantumness"):
+        return ("masa",)
+    return ("algebras", "man", "protocols") if _is_sampling(args) else ("algebras", "man")
+
+
 def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict]]:
     """Returns (result payload, input entries, csv rows)."""
     cmd = args.command
     if cmd == "sweep":
         return _sweep(args, seed, base)
-    rng = RngStream(seed)
     if cmd in ("lattice", "masa", "quantumness"):
         kind = "lattice" if cmd == "lattice" else "masa"
         (spec_a, spec_b), inputs, case = _load_specs(args, kind)
     else:
+        from . import man as man_engine
+        from .rng import RngStream
+
+        rng = RngStream(seed)
         paths = [getattr(args, name, None) for name in ("spec", "spec_a", "spec_b")]
         algs, inputs, case = _load(args, *[p for p in paths if p is not None])
         a, b = (algs + [None])[:2]
@@ -256,15 +288,17 @@ def _dispatch(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict
     elif cmd == "lattice":
         if spec_a.site_dims != spec_b.site_dims:
             raise SpecFileError("the two lattice specs must share site_dims", args.spec_b)
-        result = man_engine.lattice_man(
+        result = lattice_man(
             list(spec_a.site_dims), list(spec_a.region), list(spec_b.region), base
         ).to_dict()
     elif cmd in ("masa", "quantumness"):
+        from .masa import masa_man, quantumness
+
         u1, u2 = spec_a.unitary.array, spec_b.unitary.array
         if cmd == "masa":
-            result = man_engine.masa_man(u1, u2, base).to_dict()
+            result = masa_man(u1, u2, base).to_dict()
         else:
-            result = {"method": "man.quantumness", **man_engine.quantumness(u1, u2).to_dict()}
+            result = {"method": "man.quantumness", **quantumness(u1, u2).to_dict()}
     elif cmd == "aotoc":
         u = parse_matrix_file(args.unitary, expected_dim=a.d)
         result = man_engine.a_otoc(a, u, base).to_dict()
@@ -318,11 +352,13 @@ def _sweep(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict]]:
         else:
             pair_list = [(tuple(sites[:k]), tuple(sites[:k])) for k in range(args.sites + 1)]
         for s1, s2 in pair_list:
-            report = man_engine.lattice_man(site_dims, s1, s2, base).to_dict()
+            report = lattice_man(site_dims, s1, s2, base).to_dict()
             case = f"S1={list(s1)}|S2={list(s2)}"
             cases.append({"case": case, **report})
             rows.append(_csv_row(case, report, seed))
     else:
+        from . import man as man_engine
+
         for dj in args.dims:
             spec = spec_from_dict({"dim": dj, "kind": "structural", "blocks": [[1, dj]]},
                                   allow_large=args.allow_large)
@@ -334,18 +370,32 @@ def _sweep(args, seed: int, base: float) -> tuple[dict, list[dict], list[dict]]:
     return result, [], rows
 
 
+def _parse(argv: list[str]):
+    """The parsed arguments, with the modules their command computes with imported.
+
+    Loading modules is start-up: like every other import it stays off the
+    report's clock.  --help and a bad flag raise SystemExit, as argparse does.
+    """
+    args = _build_parser().parse_args(argv)
+    for name in _modules(args):
+        # the import statement's own path, which `python -X importtime` lists
+        # (importlib.import_module's is not listed)
+        __import__(f"{__package__}.{name}")
+    return args
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     """Parse argv, execute, print the run report; returns the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if _is_sampling(args):
-        # loading modules is start-up: like every other import it stays off
-        # the report's clock, and only the sampling branches use this one
-        from . import protocols  # noqa: F401
+    return _execute(args, argv)
+
+
+def _execute(args, argv: list[str]) -> int:
+    """Run the parsed command and print its report; returns the exit code."""
     t0 = time.perf_counter()
     try:
         seed = _resolve_seed(args)
@@ -380,11 +430,15 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
+    argv = sys.argv[1:]
+    args = _parse(argv)
     # What start-up allocated (the modules, numpy) lives until exit.  Frozen, the
     # collector no longer rescans it, so a collection during the command costs
-    # the command's own objects, whatever the size of the modules.
+    # the command's own objects, whatever the size of the modules.  The freeze
+    # follows _parse: objects allocated after it would stay in the collector's
+    # generations.
     gc.freeze()
-    sys.exit(run())
+    sys.exit(_execute(args, argv))
 
 
 if __name__ == "__main__":

@@ -18,13 +18,17 @@ therefore share their arithmetic and check the report plumbing, not the
 kernel.  It runs one product per pair of shape classes, so a MASA pair is one
 d x d product.  The kernel's checks are the d^4 oracles (omega_operator, the
 dense references of the test suite) and the direct Monte-Carlo oracle.  Every
-report, the closed forms (self_man, lattice_man, masa_man) included, is built
-by _report from StructuralSummary records: the route's own bounds, then
-_pair_bounds.  Routes given an algebra read its decomposition's summary;
-lattice_man and masa_man build no algebra and call
-StructuralSummary.from_shapes.  The pair routes reach _report through
+report is built by manlab.report._report from StructuralSummary records: the
+route's own bounds, then _pair_bounds.  Routes given an algebra read its
+decomposition's summary.  The pair routes reach _report through
 _pair_report, which reads dim(A n B') from commutant_intersection_dim only
 for the routes that ask and a collinear A.
+
+The closed forms that build no algebra live outside the engine, so the
+commands that run them load neither this module nor the structure solve:
+lattice_man in manlab.report (no numpy) and masa_man and quantumness in
+manlab.masa.  This module still holds their names, where
+perfbench/tracer.py patches them.
 
 The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 """
@@ -32,99 +36,43 @@ The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .algebras import (
     OperatorAlgebra,
-    StructuralSummary,
     _check_same_ambient,
-    _check_unitary,
-    _lattice_regions,
     algebra_intersection,  # noqa: F401  (held here for perfbench/tracer.py)
     commutant_intersection_dim,
 )
 from .errors import AlgebraError, NonCollinearError, NumericalConsistencyError
 from .linalg import dagger, swap_operator, swap_perm
-
-CLAMP_MARGIN = 1e-9
-FORMULA_TOL = 1e-9
+from .masa import masa_man, quantumness  # noqa: F401  (held here for perfbench/tracer.py)
+from .report import (
+    FORMULA_TOL,
+    ManReport,
+    _check_within,
+    _log_purity,
+    _pair_bounds,
+    _report,
+    clamp_unit,
+    lattice_man,  # noqa: F401  (held here for perfbench/tracer.py)
+)
 
 __all__ = [
-    "CLAMP_MARGIN",
-    "ManReport",
     "OmegaOperator",
-    "QuantumnessReport",
-    "StructuralSummary",
     "a_otoc",
-    "clamp_unit",
     "entropy_decomposition_man",
-    "lattice_man",
-    "log_man",
     "man_bounds",
     "man_collinear",
     "man_omega",
     "man_projection",
-    "masa_man",
     "omega_operator",
     "orbit_averaged_man",
-    "quantumness",
     "self_man",
 ]
-
-
-def clamp_unit(x: float, margin: float = CLAMP_MARGIN) -> float:
-    """Snap rounding excursions outside [0, 1] back; larger ones, and NaN, are bugs."""
-    if not -margin <= x <= 1.0 + margin:
-        raise NumericalConsistencyError(f"value {x!r} outside [0,1] beyond margin {margin}")
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return 1.0
-    return float(x)
-
-
-def _check_within(s: float, bounds: dict[str, float]) -> None:
-    """Raise when S exceeds any of the upper bounds beyond the clamp margin."""
-    for name, bound in bounds.items():
-        if s > bound + CLAMP_MARGIN:
-            raise NumericalConsistencyError(f"S = {s} exceeds {name} = {bound}")
-
-
-def log_man(s: float, base: float = 2.0) -> float:
-    """S2 = -log(1 - S); +inf sentinel at S = 1."""
-    if s >= 1.0:
-        return math.inf
-    return -math.log1p(-s) / math.log(base) + 0.0
-
-
-def _log_purity(purity: float, base: float) -> float:
-    """S2 = -log(purity), the purity form of log_man for closed forms; +inf at purity 0."""
-    return -math.log(purity) / math.log(base) + 0.0 if purity > 0 else math.inf
-
-
-@dataclass(frozen=True)
-class ManReport:
-    S: float
-    S2: float
-    method: str
-    bounds: dict[str, float]
-    inputs: dict[str, StructuralSummary]
-    log_base: float = 2.0
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_within(self.S, self.bounds)
-        expected = log_man(self.S, self.log_base)
-        if math.isfinite(expected) and abs(self.S2 - expected) > FORMULA_TOL:
-            raise NumericalConsistencyError(
-                f"S2 = {self.S2} inconsistent with -log(1-S) = {expected}"
-            )
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "inputs": {k: v.to_dict() for k, v in self.inputs.items()}}
 
 
 @dataclass(frozen=True)
@@ -214,34 +162,6 @@ def _projection_overlap(
     cores = _block_pair_cores(a.decomposition(), b.decomposition())
     overlap = float(sum(c.sum(axis=(-2, -1)) / (n_j * d_k) for n_j, _, _, d_k, c, _ in cores))
     return overlap, b.decomposition().summary.d_comm
-
-
-def _pair_bounds(d, summary_a, summary_b, intersection_dim=None):
-    """The commutant and weak bounds; the intersection bound too when dim(A n B') is given."""
-    bounds = {
-        "commutant_bound": 1.0 - max(summary_a.d_comm, summary_b.d_comm) / d**2,
-        "weak_bound": 1.0 - 1.0 / min(summary_a.d_alg, summary_b.d_alg),
-    }
-    if intersection_dim is not None:
-        bounds["intersection_bound"] = 1.0 - intersection_dim / summary_a.d_alg
-    return bounds
-
-
-def _report(d, inputs, s, method, log_base, extras, s2=None, bounds=None,
-            intersection_dim=None) -> ManReport:
-    """The one builder of a ManReport: S2 defaults to log_man(s), and the route's
-    own bounds come first, then _pair_bounds of the summaries inputs["A"] and
-    inputs["B"] (A again for a self report)."""
-    pair = _pair_bounds(d, inputs["A"], inputs.get("B", inputs["A"]), intersection_dim)
-    return ManReport(
-        S=s,
-        S2=log_man(s, log_base) if s2 is None else s2,
-        method=method,
-        bounds={**(bounds or {}), **pair},
-        inputs=inputs,
-        log_base=log_base,
-        extras=extras,
-    )
 
 
 def _pair_report(a, b, s, method, log_base, extras=None, intersection=False) -> ManReport:
@@ -364,113 +284,6 @@ def orbit_averaged_man(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
     s_bl = 1.0 - b.decomposition().summary.d_comm / d**2
     s_ll = 1.0 - 1.0 / d**2
     return s_al * s_bl / s_ll
-
-
-def lattice_man(
-    site_dims: Sequence[int],
-    region_1: Sequence[int],
-    region_2: Sequence[int],
-    log_base: float = 2.0,
-) -> ManReport:
-    """Closed-form MAN of two local lattice algebras with uniform site dim.
-
-    S = 1 - d_site^(-2 |S1 n S2|); the log version is extensive with slope
-    c_d = log(d_site^2), and the conditional variant S2(A_S1 | A_S2) counts
-    the sites of S1 outside S2.
-    """
-    site_dims, regions = _lattice_regions(site_dims, region_1, region_2)
-    d_site = site_dims[0]
-    if any(x != d_site for x in site_dims):
-        raise AlgebraError("closed lattice form requires a uniform site dimension")
-    n_sites = len(site_dims)
-    s1, s2 = map(set, regions)
-    d = d_site**n_sites
-    c_d = math.log(d_site**2) / math.log(log_base)
-    overlap = len(s1 & s2)
-    s = clamp_unit(1.0 - float(d_site) ** (-2 * overlap))
-    # A_R is M_{d_site^|R|} on R, times the identity on the other sites
-    sa, sb = (StructuralSummary.from_shapes(d, [(d_site ** (n_sites - len(r)), d_site ** len(r))])
-              for r in (s1, s2))
-    extras = {
-        "c_d": c_d,
-        "overlap": overlap,
-        "s2_conditional": c_d * len(s1 - s2),
-        "nc_1": clamp_unit(1.0 - float(d_site) ** (-2 * len(s1))),
-        "nc_2": clamp_unit(1.0 - float(d_site) ** (-2 * len(s2))),
-        "nc2_1": c_d * len(s1),
-        "nc2_2": c_d * len(s2),
-    }
-    # A_{S1} meets the commutant A_{S2^c} in A_{S1 \ S2}; the resulting bound
-    # is saturated because the two projections commute.
-    inter_dim = (d_site ** len(s1 - s2)) ** 2
-    return _report(d, {"A": sa, "B": sb}, s, "man.lattice", log_base, extras, s2=c_d * overlap,
-                   intersection_dim=inter_dim)
-
-
-def _masa_overlaps(basis_1: np.ndarray, basis_2: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """(d, X, purity) for two checked orthonormal bases: X_ij = |<i|j~>|^2 is
-    bistochastic, and the purity sum_ij X_ij^2 / d is 1 - S of the two MASAs."""
-    u1, u2 = np.asarray(basis_1, dtype=complex), np.asarray(basis_2, dtype=complex)
-    _check_unitary(u1)
-    _check_unitary(u2)
-    if u1.shape != u2.shape:
-        raise AlgebraError("bases have different dimensions")
-    x = np.abs(dagger(u1) @ u2) ** 2
-    return len(u1), x, float(np.sum(x**2)) / len(u1)
-
-
-def masa_man(
-    basis_1: np.ndarray, basis_2: np.ndarray, log_base: float = 2.0
-) -> ManReport:
-    """MAN of two maximal abelian algebras: mean linear entropy of overlaps.
-
-    The i-th probability vector is p_i(j) = |<i|j~>|^2; S averages its linear
-    entropy over i and vanishes iff the two bases generate the same algebra.
-    """
-    d, _, purity = _masa_overlaps(basis_1, basis_2)
-    sa = StructuralSummary.from_shapes(d, ((1, 1),) * d)
-    return _report(d, {"A": sa, "B": sa}, clamp_unit(1.0 - purity), "man.masa", log_base,
-                   {"purity": purity}, s2=_log_purity(purity, log_base))
-
-
-@dataclass(frozen=True)
-class QuantumnessReport:
-    Q: float
-    S: float
-    d: int
-    lower_holds: bool
-    upper_holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "Q": self.Q,
-            "S": self.S,
-            "d": self.d,
-            "dQ": self.d * self.Q,
-            "lower_holds": self.lower_holds,
-            "upper_holds": self.upper_holds,
-        }
-
-
-def quantumness(basis_1: np.ndarray, basis_2: np.ndarray) -> QuantumnessReport:
-    """Largest mean variance of unit-norm observables of one MASA in the other's basis.
-
-    The supremum over hermitian A = sum_k a_k |k~><k~| with ||A||_2 = 1 is the
-    top eigenvalue of (1 - X^T X)/d for the bistochastic overlap matrix
-    X_ij = |<i|j~>|^2, and is sandwiched by Q <= S <= d Q.
-    """
-    d, x, purity = _masa_overlaps(basis_1, basis_2)
-    gram = x.T @ x
-    evals = np.linalg.eigvalsh(np.eye(d) - (gram + gram.T) / 2)
-    q = clamp_unit(float(evals[-1]) / d, margin=1e-12)
-    s = clamp_unit(1.0 - purity)  # masa_man's S
-    return QuantumnessReport(
-        Q=q,
-        S=s,
-        d=d,
-        lower_holds=q <= s + FORMULA_TOL,
-        upper_holds=s <= d * q + FORMULA_TOL,
-    )
 
 
 def a_otoc(alg: OperatorAlgebra, u: np.ndarray, log_base: float = 2.0) -> ManReport:

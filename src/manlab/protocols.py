@@ -37,7 +37,6 @@ import numpy as np
 from .algebras import (
     OperatorAlgebra,
     _check_same_ambient,
-    _check_unitary,
     _conjugate_decomposition,
     _haar_algebra_unitaries,
     center,  # noqa: F401  (perfbench/tracer.py patches this name here)
@@ -49,8 +48,10 @@ from .errors import (
     NonCollinearError,
 )
 from .linalg import _haar_states, _haar_unitaries, dagger
-from .man import CLAMP_MARGIN, _block_swap_trace, _projection_overlap, clamp_unit, man_omega
+from .man import _block_swap_trace, _projection_overlap, man_omega
+from .masa import _check_unitary
 from .purestates import PairOverlaps, center_overlaps, reduced
+from .report import CLAMP_MARGIN, clamp_unit
 from .rng import RngStream
 
 # Sub-stream roles, so one user seed drives independent draw families.

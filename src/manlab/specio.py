@@ -10,6 +10,11 @@ sites 0-indexed):
     {"dim": 8, "kind": "lattice", "site_dims": [2,2,2], "region": [0,1]}
     {"dim": 4, "kind": "full"}
     {"dim": 4, "kind": "trivial"}
+
+numpy is imported only where a matrix is decoded or compared, and the
+algebras only where a spec builds one (``to_algebra``): a spec without a
+matrix, a lattice say, is parsed by the standard library alone, behind the
+same guardrail.
 """
 
 from __future__ import annotations
@@ -18,21 +23,14 @@ import json
 from dataclasses import dataclass
 from math import isfinite, prod
 from numbers import Integral
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .algebras import (
-    OperatorAlgebra,
-    _is_unitary,
-    algebra_from_generators,
-    full_algebra,
-    lattice_algebra,
-    masa_from_unitary,
-    structural_algebra,
-    trivial_algebra,
-)
 from .errors import SpecFileError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .algebras import OperatorAlgebra
 
 KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 
@@ -65,10 +63,14 @@ class SpecMatrix:
         self.array = array
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         return isinstance(other, SpecMatrix) and np.array_equal(self.array, other.array)
 
     def to_list(self) -> list:
         """The [re, im] pair rows of the schema."""
+        import numpy as np
+
         return np.stack([self.array.real, self.array.imag], axis=-1).tolist()
 
 
@@ -78,6 +80,8 @@ def _decode_matrix(data, dim: int, path, field) -> np.ndarray:
     Anything that is not a (dim, dim, 2) array of finite floats goes to
     _matrix_error, which names what is wrong.
     """
+    import numpy as np
+
     try:
         pairs = np.ascontiguousarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -131,6 +135,15 @@ class AlgebraSpec:
         return out
 
     def to_algebra(self) -> OperatorAlgebra:
+        from .algebras import (
+            algebra_from_generators,
+            full_algebra,
+            lattice_algebra,
+            masa_from_unitary,
+            structural_algebra,
+            trivial_algebra,
+        )
+
         if self.kind == "generators":
             return algebra_from_generators([m.array for m in self.matrices], self.dim)
         if self.kind == "structural":
@@ -227,6 +240,8 @@ def spec_from_dict(data: dict, path=None, allow_large: bool = False) -> AlgebraS
 
 
 def _check_unitary_payload(arr: np.ndarray, path, field) -> None:
+    from .masa import _is_unitary
+
     if not _is_unitary(arr):
         raise SpecFileError("matrix is not unitary (columns not orthonormal)", path, field)
 

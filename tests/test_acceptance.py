@@ -27,14 +27,14 @@ from manlab.algebras import (
 from manlab.linalg import dagger
 from manlab.man import (
     entropy_decomposition_man,
-    lattice_man,
     man_collinear,
     man_omega,
     man_projection,
     orbit_averaged_man,
-    quantumness,
     self_man,
 )
+from manlab.masa import quantumness
+from manlab.report import lattice_man
 from manlab.protocols import (
     algebra_state,
     markov_bound_check,

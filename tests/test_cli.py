@@ -21,6 +21,7 @@ from manlab.linalg import haar_unitary
 from manlab.man import man_omega
 from manlab.rng import RngStream
 from manlab.specio import (
+    AlgebraSpec,
     parse_matrix_file,
     parse_spec,
     serialize_spec,
@@ -424,7 +425,7 @@ class TestRepeatedSpecPath:
     # a path named twice is parsed and solved once; a copy of the file at a
     # second path gives the same result, and the protocols keep the pair variant
     def test_one_parse_and_solve_per_distinct_path(self, tmp_path, capsys, monkeypatch):
-        import manlab.specio as specio
+        import manlab.algebras as algebras
 
         calls = []
 
@@ -441,8 +442,8 @@ class TestRepeatedSpecPath:
         (tmp_path / "copy.json").write_text(text)
         g, copy = str(tmp_path / "g.json"), str(tmp_path / "copy.json")
         monkeypatch.setattr(cli, "parse_spec", counting("parse", cli.parse_spec))
-        monkeypatch.setattr(specio, "algebra_from_generators",
-                            counting("solve", specio.algebra_from_generators))
+        monkeypatch.setattr(algebras, "algebra_from_generators",
+                            counting("solve", algebras.algebra_from_generators))
         commands = [(["man"], []), (["man"], ["--method", "entropy"]), (["bounds"], []),
                     (["orbit-avg"], []), (["man"], ["--method", "mc", "--samples", "20"]),
                     (["protocol", "choi"], []), (["protocol", "stochastic"], []),
@@ -530,6 +531,43 @@ class TestCliErrors:
         other.write_text(json.dumps(
             {"dim": 4, "kind": "lattice", "site_dims": [4], "region": [0]}))
         assert run(["lattice", str(specdir / "lat01.json"), str(other)]) == 2
+
+    def test_lattice_sites_must_match_at_equal_dim(self, specdir, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(
+            {"dim": 8, "kind": "lattice", "site_dims": [4, 2], "region": [0]}))
+        assert run(["lattice", str(specdir / "lat01.json"), str(other)]) == 2
+        assert capsys.readouterr().err == f"manlab: {other}: the two lattice specs must share site_dims\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["man", "gen4.json", "genz.json"],
+        ["bounds", "gen4.json", "genz.json"],
+        ["orbit-avg", "gen4.json", "genz.json"],
+        ["markov-check", "gen4.json", "genz.json", "--epsilon", "0.5"],
+        ["protocol", "choi", "gen4.json", "genz.json"],
+        ["protocol", "stochastic", "gen4.json", "genz.json", "--samples", "20"],
+        ["masa", "bell4.json", "had2.json"],
+        ["quantumness", "bell4.json", "had2.json"],
+        ["lattice", "m2x1.json", "lat01.json"],
+    ], ids=lambda argv: "-".join(a for a in argv[:2] if not a.endswith(".json")))
+    def test_pair_dims_must_match(self, specdir, capsys, monkeypatch, argv):
+        # exit 2 naming the second file and its dim before any algebra is built,
+        # so a generators pair costs no structure solve
+        (specdir / "gen4.json").write_text(json.dumps({"dim": 4, "kind": "generators", "matrices": [
+            _matrix_payload(np.kron(np.diag([1.0, -1.0]), np.eye(2)))]}))
+
+        def refuse(spec):
+            raise AssertionError(f"built the {spec.kind} algebra of a mismatched pair")
+
+        monkeypatch.setattr(AlgebraSpec, "to_algebra", refuse)
+        paths = [str(specdir / a) if a.endswith(".json") else a for a in argv]
+        first, second = [p for p in paths if p.endswith(".json")]
+        assert run(paths) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        dims = [json.loads(open(p).read())["dim"] for p in (first, second)]
+        assert captured.err == (f"manlab: {second}: field 'dim': dim {dims[1]} does not match "
+                                f"dim {dims[0]} of {first}\n")
 
     def test_markov_needs_epsilon(self, specdir, capsys):
         code = run(["markov-check", str(specdir / "diag2.json"), str(specdir / "full2.json")])
@@ -911,6 +949,55 @@ class TestColdImports:
         for argv in argvs:
             loaded = _imported_modules(["-m", "manlab.cli", *argv]) & self.SAMPLING
             assert loaded <= baseline, (argv, loaded - baseline)
+
+    def test_lattice_commands_load_no_numpy(self, specdir):
+        # the closed form is integer arithmetic: no numpy, no engine
+        lat = [str(specdir / "lat01.json"), str(specdir / "lat12.json")]
+        for argv in (["lattice", *lat], ["lattice", *lat, "--csv", str(specdir / "l.csv")],
+                     ["sweep", "lattice"], ["sweep", "lattice", "--sites", "2", "--pairs"]):
+            loaded = _imported_modules(["-m", "manlab.cli", *argv])
+            assert not {m for m in loaded if m == "numpy" or m.startswith("numpy.")}, argv
+            assert {m for m in loaded if m.startswith("manlab.")} == {
+                "manlab.errors", "manlab.report", "manlab.specio"}, argv
+
+    def test_masa_commands_load_no_engine(self, specdir):
+        # one overlap matrix: numpy, but no structure solve and no random streams
+        for command in ("masa", "quantumness"):
+            loaded = _imported_modules(["-m", "manlab.cli", command, str(specdir / "diag2.json"),
+                                        str(specdir / "had2.json")])
+            assert "manlab.masa" in loaded, command
+            assert not loaded & {"manlab.algebras", "manlab.man", "manlab.rng"}, command
+
+    def test_numeric_commands_freeze_after_their_imports(self, specdir):
+        # gc.freeze() must see numpy and the engine already loaded, or their
+        # objects stay in the collector's generations for the whole command
+        probe = (
+            "import gc, json, sys\n"
+            "import manlab.cli\n"
+            "seen = []\n"
+            "gc.freeze = lambda: seen.append(sorted(m for m in sys.modules\n"
+            "                                       if m == 'numpy' or m.startswith('manlab.')))\n"
+            "sys.argv = ['manlab', *sys.argv[1:]]\n"
+            "try:\n"
+            "    manlab.cli.main()\n"
+            "except SystemExit as exc:\n"
+            "    print(json.dumps({'code': exc.code, 'seen': seen}), file=sys.stderr)\n"
+        )
+        src = os.path.dirname(os.path.dirname(manlab.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        s, g = str(specdir / "sym2.json"), str(specdir / "genz.json")
+        engine = {"numpy", "manlab.algebras", "manlab.linalg", "manlab.man", "manlab.rng"}
+        for argv, modules in ((["man", s, s], engine), (["bounds", s, s], engine),
+                              (["analyze", g], engine),
+                              (["man", s, s, "--method", "mc", "--samples", "10"],
+                               engine | {"manlab.protocols"})):
+            proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            outcome = json.loads(proc.stderr.splitlines()[-1])
+            assert outcome["code"] == 0, proc.stderr
+            (seen,) = outcome["seen"]
+            assert modules <= set(seen), (argv, modules - set(seen))
 
     def test_sampling_commands_load_no_numpy_random(self, specdir):
         # every draw, the binomial shots included, comes from the counter hash

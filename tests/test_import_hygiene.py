@@ -15,7 +15,7 @@ SRC = os.path.join(ROOT, "src", "manlab")
 # are held; each carries `# noqa: F401` and is listed in the tracer's TARGETS.
 TRACER_PINS = {
     "manlab.algebras": {"orthonormalize_hs"},
-    "manlab.man": {"algebra_intersection"},
+    "manlab.man": {"algebra_intersection", "lattice_man", "masa_man", "quantumness"},
     "manlab.protocols": {"center", "haar_algebra_unitary"},
 }
 
@@ -159,11 +159,11 @@ def test_each_report_record_has_one_constructor():
                    ("replace", "dataclasses.replace")]
     assert not copies, copies
     assert sites == {
-        "ManReport": {"man.py:_report"},
-        "StructuralSummary": {"algebras.py:StructuralSummary.from_shapes"},
+        "ManReport": {"report.py:_report"},
+        "StructuralSummary": {"report.py:StructuralSummary.from_shapes"},
         "EstimatorResult": {"protocols.py:_result"},
         "MarkovCheckReport": {"protocols.py:markov_bound_check"},
-        "QuantumnessReport": {"man.py:quantumness"},
+        "QuantumnessReport": {"masa.py:quantumness"},
         "StructuralDecomposition": {"algebras.py:_algebra_from_frame",
                                     "algebras.py:_compute_decomposition",
                                     "algebras.py:_conjugate_decomposition"},

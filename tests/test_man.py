@@ -26,24 +26,19 @@ from manlab.errors import (
 )
 from manlab.linalg import dagger, swap_operator, swap_perm
 from manlab.man import (
-    ManReport,
-    StructuralSummary,
     _projection_overlap,
     a_otoc,
-    clamp_unit,
     entropy_decomposition_man,
-    lattice_man,
-    log_man,
     man_bounds,
     man_collinear,
     man_omega,
     man_projection,
-    masa_man,
     omega_operator,
     orbit_averaged_man,
-    quantumness,
     self_man,
 )
+from manlab.masa import masa_man, quantumness
+from manlab.report import ManReport, StructuralSummary, clamp_unit, lattice_man, log_man
 from manlab.protocols import mc_orbit_averaged_man, protocol_stochastic
 from manlab.rng import RngStream
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from manlab import man as man_engine
+from manlab import report as man_report
 from manlab import protocols
 from manlab.algebras import (
     _haar_algebra_unitaries,
@@ -540,13 +540,13 @@ class TestMarkovCheck:
         b = masa_from_unitary(haar_unitary(16, RngStream(3)))
         report = markov_bound_check(trivial_algebra(16), b, epsilon=0.5, samples=5,
                                     state_samples=2, rng=RNG)
-        assert 0.0 < report.S <= man_engine.CLAMP_MARGIN
+        assert 0.0 < report.S <= man_report.CLAMP_MARGIN
         assert report.bound == report.bound_alt == 0.0
 
     def test_bound_keeps_the_square_root_of_s(self):
         a, b = diagonal_masa(2), full_algebra(2)
         report = markov_bound_check(a, b, epsilon=0.5, samples=5, state_samples=2, rng=RNG)
-        assert report.S > man_engine.CLAMP_MARGIN
+        assert report.S > man_report.CLAMP_MARGIN
         assert report.bound == 2 * report.c_value / 0.5 * math.sqrt(report.S)
         assert report.bound_alt == 2 * report.c_value_alt / 0.5 * math.sqrt(report.S)
 
