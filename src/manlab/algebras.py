@@ -676,18 +676,30 @@ def _haar_algebra_unitaries(
     """Haar unitaries of the algebra at counters start..stop-1, as a stack.
 
     Counter i draws the Ginibre matrices of the blocks in block order from
-    rng.normals(i, ...), all counters in one rng.normal_rows call; each
-    block's factors then go through one stacked QR and
-    sum_J V_J (1_n (x) U_J) V_J^dag is formed by batched matmul.
+    rng.normals(i, ...), all counters in one rng.normal_rows call.  Blocks
+    are sorted by (d_J, n_J), so each run of equal d_J reads one contiguous
+    slice of every row and takes all its U_J in one stacked QR, which
+    factors each matrix on its own.  The kron 1_n (x) U_J is built only for
+    n_J > 1, and sum_J V_J (1_n (x) U_J) V_J^dag is summed block by block in
+    block order by batched matmul: merging a run into one product would
+    round differently, and these bits are pinned.
     """
     rows = rng.normal_rows(start, stop, 2 * dec.summary.d_alg)
-    u = np.zeros((stop - start, dec.dim, dec.dim), dtype=complex)
-    offset = 0
-    for b in dec.blocks:
-        uj = _haar_unitaries(rows, offset, b.d)
-        offset += 2 * b.d * b.d
-        # the stacked np.kron(np.eye(n), uj)
-        core = np.eye(b.n)[:, None, :, None] * uj[:, None, :, None, :]
-        core = core.reshape(-1, b.n * b.d, b.n * b.d)
-        u += b.isometry @ core @ dagger(b.isometry)
+    u, offset = None, 0
+    for dj, run in groupby(dec.blocks, key=lambda b: b.d):
+        run = tuple(run)
+        width = 2 * dj * dj * len(run)
+        factors = _haar_unitaries(
+            rows[:, offset: offset + width].reshape(len(rows), len(run), -1), 0, dj)
+        offset += width
+        for k, b in enumerate(run):
+            core = factors[:, k]
+            if b.n > 1:  # the stacked np.kron(np.eye(n), U_J)
+                core = np.eye(b.n)[:, None, :, None] * core[:, None, :, None, :]
+                core = core.reshape(-1, b.n * dj, b.n * dj)
+            term = b.isometry @ core @ dagger(b.isometry)
+            if u is None:
+                u = term
+            else:
+                u += term
     return u

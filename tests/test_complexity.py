@@ -8,7 +8,10 @@ pin the orders instead:
   constant routes make as many calls into numpy at d = 64 as at d = 8, so no
   route loops over blocks;
 * memory: the tracemalloc peak of each route grows by at most 4.5x when d
-  doubles (d^2 arrays grow 4x, a d^3 array would grow 8x).
+  doubles (d^2 arrays grow 4x, a d^3 array would grow 8x);
+* the Monte-Carlo estimators: the same memory order at a fixed sample count,
+  a peak that four times the samples leaves flat (the chunk budget), and one
+  QR per run of equal irrep size d_J in each Haar draw of an algebra.
 
 Counts are compared across d, never against absolute values, so every numpy
 version agrees.  `@` products emit no profile event; the memory contract
@@ -22,9 +25,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from manlab.algebras import masa_from_unitary, structural_algebra
+from manlab.algebras import _haar_algebra_unitaries, masa_from_unitary, structural_algebra
 from manlab.linalg import haar_unitary
 from manlab.man import a_otoc, entropy_decomposition_man, man_omega, man_projection, self_man
+from manlab.protocols import (
+    markov_bound_check,
+    mc_man_direct,
+    mc_orbit_averaged_man,
+    protocol_stochastic,
+)
 from manlab.rng import RngStream
 
 NUMPY_DIR = os.path.dirname(np.__file__)
@@ -116,3 +125,50 @@ def test_route_memory_grows_as_d_squared(pair):
         if peaks[1] > MEMORY_RATIO * peaks[0]:
             over[route] = peaks
     assert not over, (pair, over)
+
+
+ESTIMATORS = {
+    "mc_man_direct": lambda a, b, n: mc_man_direct(a, b, n, RngStream(4)),
+    "mc_orbit_averaged_man": lambda a, b, n: mc_orbit_averaged_man(a, b, n, RngStream(5)),
+    "markov_bound_check": lambda a, b, n: markov_bound_check(
+        a, b, epsilon=0.5, samples=n, state_samples=2, rng=RngStream(6)),
+    "protocol_stochastic": lambda a, b, n: protocol_stochastic(a, b, samples=n, rng=RngStream(7)),
+}
+
+
+def _estimator_cases():
+    # sampled protocol_stochastic needs a collinear A: of the three pairs, only masa
+    for pair in ("struct", "high-n", "masa"):
+        for name in ESTIMATORS:
+            if name != "protocol_stochastic" or pair == "masa":
+                yield pair, name
+
+
+@pytest.mark.parametrize("pair,estimator", list(_estimator_cases()))
+def test_estimator_memory_grows_as_d_squared(pair, estimator):
+    # two samples fit one chunk at both d, so no chunk-sized floor hides a d^3 array
+    peaks = [_peak_bytes(ESTIMATORS[estimator], *_pair(pair, d), 2) for d in (32, 64)]
+    assert peaks[1] <= MEMORY_RATIO * peaks[0], peaks
+
+
+@pytest.mark.parametrize("pair,estimator", list(_estimator_cases()))
+def test_estimator_memory_is_flat_in_samples(pair, estimator):
+    # chunks hold a fixed number of entries; 16 samples at d = 32 already fill two
+    # chunks, since one chunk's arrays are still held while the next is drawn
+    peaks = [_peak_bytes(ESTIMATORS[estimator], *_pair(pair, 32), n) for n in (16, 64)]
+    assert abs(peaks[1] / peaks[0] - 1) < 0.1, peaks
+
+
+@pytest.mark.parametrize("shapes,runs", [
+    ([(1, 1)] * 64, 1),
+    ([(1, 2), (1, 2), (2, 2)], 1),
+    ([(2, 8), (1, 16)], 2),
+])
+def test_haar_draw_makes_one_qr_per_irrep_size(shapes, runs, monkeypatch):
+    d = sum(n * dj for n, dj in shapes)
+    dec = structural_algebra(shapes, haar_unitary(d, RngStream(1))).decomposition()
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda z: calls.append(z.shape) or qr(z))
+    _haar_algebra_unitaries(dec, RngStream(2), 0, 4)
+    assert len(calls) == runs, calls

@@ -622,6 +622,8 @@ class TestCounterSemantics:
         ("d4", (((2, 2),), ((1, 2), (2, 1))), 41),
         ("d8", (((2, 2), (2, 2)), ((1, 2), (3, 2))), 42),
         ("d16", (((2, 4), (4, 2)), ((4, 4),)), 43),
+        # one run of eight blocks against two shape classes of one irrep size
+        ("masa8", (((1, 1),) * 8, ((1, 2), (1, 2), (2, 2))), 44),
     )
 
     @pytest.fixture(scope="class")
