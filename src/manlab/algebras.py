@@ -5,8 +5,9 @@ the shapes (n_J, d_J), sorted by (d_J, n_J), with the algebra acting as
 1_{n_J} (x) M_{d_J} on the columns of V_J and the commutant as
 M_{n_J} (x) 1_{d_J}.  Each run of equal shapes is one column range, read by
 StructuralDecomposition.classes alone; kernels run one product per class.
-Blocks (n_J, d_J, V_J), views of the frame, serve the oracles and the Haar
-sampler.  Only this module builds or permutes a frame: the commutant's is
+Blocks (n_J, d_J, V_J), views of the frame, serve the oracles and
+haar_algebra_unitary; the estimators' Haar draws are written per class into
+the frame (_haar_block_diagonal).  Only this module builds or permutes a frame: the commutant's is
 A's with the factors of each block swapped, the center's is A's own, and
 conjugation is one product U V.
 
@@ -670,36 +671,71 @@ def haar_algebra_unitary(
     return _haar_algebra_unitaries(dec, rng, counter, counter + 1)[0]
 
 
-def _haar_algebra_unitaries(
+def _haar_factors(
     dec: StructuralDecomposition, rng: RngStream, start: int, stop: int
-) -> np.ndarray:
-    """Haar unitaries of the algebra at counters start..stop-1, as a stack.
+) -> list[np.ndarray]:
+    """The Haar factors U_J at counters start..stop-1: per shape class, a
+    (samples, count, d_J, d_J) stack.
 
     Counter i draws the Ginibre matrices of the blocks in block order from
     rng.normals(i, ...), all counters in one rng.normal_rows call.  Blocks
     are sorted by (d_J, n_J), so each run of equal d_J reads one contiguous
     slice of every row and takes all its U_J in one stacked QR, which
-    factors each matrix on its own.  The kron 1_n (x) U_J is built only for
-    n_J > 1, and sum_J V_J (1_n (x) U_J) V_J^dag is summed block by block in
-    block order by batched matmul: merging a run into one product would
-    round differently, and these bits are pinned.
+    factors each matrix on its own: a U_J has the same bits whichever
+    reader takes it.
     """
     rows = rng.normal_rows(start, stop, 2 * dec.summary.d_alg)
-    u, offset = None, 0
-    for dj, run in groupby(dec.blocks, key=lambda b: b.d):
-        run = tuple(run)
-        width = 2 * dj * dj * len(run)
-        factors = _haar_unitaries(
-            rows[:, offset: offset + width].reshape(len(rows), len(run), -1), 0, dj)
+    factors, offset = [], 0
+    for dj, run in groupby(dec.classes, key=lambda c: c[1]):
+        counts = [count for _, _, count, _ in run]
+        width = 2 * dj * dj * sum(counts)
+        stack = _haar_unitaries(
+            rows[:, offset: offset + width].reshape(len(rows), sum(counts), -1), 0, dj)
         offset += width
-        for k, b in enumerate(run):
-            core = factors[:, k]
-            if b.n > 1:  # the stacked np.kron(np.eye(n), U_J)
-                core = np.eye(b.n)[:, None, :, None] * core[:, None, :, None, :]
-                core = core.reshape(-1, b.n * dj, b.n * dj)
-            term = b.isometry @ core @ dagger(b.isometry)
-            if u is None:
-                u = term
-            else:
-                u += term
+        for count in counts:
+            factors.append(stack[:, :count])
+            stack = stack[:, count:]
+    return factors
+
+
+def _haar_algebra_unitaries(
+    dec: StructuralDecomposition, rng: RngStream, start: int, stop: int
+) -> np.ndarray:
+    """Haar unitaries of the algebra at counters start..stop-1, as a (samples, d, d) stack.
+
+    The reader behind haar_algebra_unitary: the factors of _haar_factors,
+    composed as sum_J V_J (1_n (x) U_J) V_J^dag block by block in block
+    order by batched matmul, the kron 1_n (x) U_J built only for n_J > 1.
+    Merging a run into one product would round differently, and these bits
+    are pinned.  The estimators never form U; they read the same draws in
+    the frame through _haar_block_diagonal.
+    """
+    cores = (f[:, k] for f in _haar_factors(dec, rng, start, stop) for k in range(f.shape[1]))
+    u = None
+    for b, core in zip(dec.blocks, cores):
+        if b.n > 1:  # the stacked np.kron(np.eye(n), U_J)
+            core = np.eye(b.n)[:, None, :, None] * core[:, None, :, None, :]
+            core = core.reshape(-1, b.n * b.d, b.n * b.d)
+        term = b.isometry @ core @ dagger(b.isometry)
+        if u is None:
+            u = term
+        else:
+            u += term
     return u
+
+
+def _haar_block_diagonal(
+    dec: StructuralDecomposition, rng: RngStream, start: int, stop: int
+) -> np.ndarray:
+    """The Haar draws of _haar_algebra_unitaries read in the decomposition's frame:
+    D = V^dag U V = sum_J 1_{n_J} (x) U_J, block diagonal, as a (samples, d, d) stack.
+
+    One assignment per shape class writes the U_J of all its blocks onto the
+    (r, r) diagonal blocks of each block's (n_J, d_J, n_J, d_J) view, so D
+    holds the factors' bits exactly and a MASA's d blocks cost no Python loop.
+    """
+    out = np.zeros((stop - start, dec.dim, dec.dim), dtype=complex)
+    for (n, dj, count, cols), factors in zip(dec.classes, _haar_factors(dec, rng, start, stop)):
+        run = out[:, cols, cols].reshape(-1, count, n, dj, count, n, dj)
+        np.einsum("sbrlbrm->sbrlm", run)[...] = factors[:, :, None]
+    return out

@@ -9,13 +9,23 @@ outcome probabilities.  Every estimator reads a state through one block
 reduction, ``purestates.reduced`` in the decomposition's frame, at O(d^2)
 work per state.
 
+The estimators read an algebra's Haar unitaries in the algebra's frame and
+never form them as d x d matrices: with U = V_A D_A V_A^dag, D_A =
+sum_J 1_{n_J} (x) U_J block diagonal (``algebras._haar_block_diagonal``),
+and X = V_A^dag W_B fixed for a call, the direct oracle reads ||[U, V]|| as
+||[D_A, X D_B X^dag]|| and the Markov check reads W_B^dag U^dag phi as
+X^dag D_A^dag (V_A^dag phi).  The per-block composition of U serves
+``haar_algebra_unitary`` alone.
+
 Sample i of every estimator draws from the stream at counter i, so estimates
 are reproducible from (seed, samples) regardless of evaluation order or
 chunking.  The estimators work on stacks: the normals of a chunk of samples
 come from one vectorized counter-hash call per stream
 (``RngStream.normal_rows``, whose row i - start is ``normals(i, width)``),
 and the linear algebra (QR, commutators, projections, block traces,
-eigenvalues) then runs once per chunk on the whole stack.  The binomial shot
+eigenvalues) then runs once per chunk on the whole stack.  ``_per_sample``
+drives the chunks of every sampled estimator, each in its own call, so a
+chunk's arrays are released before the next is drawn.  The binomial shot
 noise of ``shots`` comes from the same hash (``RngStream.uniform_rows``):
 swap-test value j draws at counter j of its own stream, by inversion at small
 means and by Hormann's BTRS otherwise.  Chunks hold at most
@@ -40,7 +50,7 @@ from .algebras import (
     OperatorAlgebra,
     _check_same_ambient,
     _conjugate_decomposition,
-    _haar_algebra_unitaries,
+    _haar_block_diagonal,
     center,  # noqa: F401  (perfbench/tracer.py patches this name here)
     haar_algebra_unitary,  # noqa: F401  (perfbench/tracer.py patches this name here)
 )
@@ -52,7 +62,7 @@ from .errors import (
 from .linalg import _haar_states, _haar_unitaries, dagger
 from .man import _block_swap_trace, _projection_overlap, man_omega
 from .masa import _check_unitary
-from .purestates import PairOverlaps, center_overlaps, reduced
+from .purestates import PairOverlaps, amplitudes, center_overlaps, reduce_amplitudes
 from .report import CLAMP_MARGIN, clamp_unit
 from .rng import RngStream
 
@@ -138,11 +148,19 @@ def algebra_state(alg: OperatorAlgebra) -> AlgebraState:
     return AlgebraState(alg.projection_superoperator().choi(), alg.d)
 
 
-def _chunks(samples: int, per_sample: int):
-    """(start, stop) ranges covering range(samples), each within the element budget."""
+def _per_sample(samples: int, per_sample: int, chunk, *shape: int) -> np.ndarray:
+    """The values of samples 0..samples-1, a (samples, *shape) array, from chunk(start, stop).
+
+    Each chunk covers as many samples as fit the element budget at
+    `per_sample` entries each, and is computed in its own call, so one
+    chunk's arrays are released before the next chunk is drawn.
+    """
+    out = np.empty((samples, *shape))
     step = max(1, _CHUNK_ELEMENTS // per_sample)
     for start in range(0, samples, step):
-        yield start, min(start + step, samples)
+        stop = min(start + step, samples)
+        out[start:stop] = chunk(start, stop)
+    return out
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
@@ -155,20 +173,32 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
 def mc_man_direct(
     a: OperatorAlgebra, b: OperatorAlgebra, samples: int, rng: RngStream
 ) -> EstimatorResult:
-    """Unbiased sampling of the defining average ||[U, V]||^2 / (2d)."""
+    """Unbiased sampling of the defining average ||[U, V]||^2 / (2d), read in A's frame.
+
+    With U = V_A D_A V_A^dag and V = W_B D_B W_B^dag (D block diagonal, from
+    _haar_block_diagonal), the norm is ||D_A G - G D_A|| with
+    G = X D_B X^dag and X = V_A^dag W_B fixed for the call: four stacked
+    products per chunk, whatever the block count.  The difference is taken
+    directly; the expanded 2d - 2 Re Tr(U V U^dag V^dag) would cancel
+    catastrophically for a commuting pair.
+    """
     _check_same_ambient(a, b)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    d = a.d
     dec_a, dec_b = a.decomposition(), b.decomposition()
     rng_a = rng.substream(_STREAM_UNITARIES_A)
     rng_b = rng.substream(_STREAM_UNITARIES_B)
-    vals = np.empty(samples)
-    for start, stop in _chunks(samples, a.d * a.d):
-        u = _haar_algebra_unitaries(dec_a, rng_a, start, stop)
-        v = _haar_algebra_unitaries(dec_b, rng_b, start, stop)
-        comm = (u @ v - v @ u).reshape(stop - start, -1)
-        vals[start:stop] = np.sum(np.abs(comm) ** 2, axis=1) / (2 * a.d)
-    return _result("mc.direct", *_mean_and_se(vals), rng, samples)
+    x = dagger(dec_a.frame) @ dec_b.frame
+    x_dag = dagger(x)
+
+    def chunk(start, stop):
+        d_a = _haar_block_diagonal(dec_a, rng_a, start, stop)
+        g = x @ _haar_block_diagonal(dec_b, rng_b, start, stop) @ x_dag
+        comm = (d_a @ g - g @ d_a).reshape(stop - start, -1)
+        return np.sum(np.abs(comm) ** 2, axis=1) / (2 * d)
+
+    return _result("mc.direct", *_mean_and_se(_per_sample(samples, d * d, chunk)), rng, samples)
 
 
 def _self_mode(a: OperatorAlgebra, b: Optional[OperatorAlgebra]) -> bool:
@@ -390,10 +420,8 @@ def protocol_stochastic(
     else:
         overlaps = PairOverlaps(a.decomposition(), b.commutant_algebra().decomposition())
     rng_states = rng.substream(_STREAM_STATES)
-    xy = np.empty((samples, 2))
-    for start, stop in _chunks(samples, d * d):
-        phi = _haar_states(rng_states.normal_rows(start, stop, 2 * d), d)
-        xy[start:stop] = overlaps(phi)
+    xy = _per_sample(samples, d * d, lambda start, stop: overlaps(
+        _haar_states(rng_states.normal_rows(start, stop, 2 * d), d)), 2)
     if shots is not None:
         # value j of x_0, y_0, x_1, y_1, ... draws at counter j of the shot stream
         xy = _swap_tests(xy.reshape(-1), shots, rng.substream(_STREAM_SHOTS))[0].reshape(samples, 2)
@@ -449,13 +477,20 @@ def _restricted_distances(dec, psi, chi, weights) -> np.ndarray:
     """sum_J ||sum_s w_s (R_J(psi_s) - R_J(chi_s))||_1 per group, without input checks.
 
     dec is the observer's decomposition, psi and chi are (g, s, d) stacks of
-    states and weights is (g, s); R_J comes from purestates.reduced, which
-    builds it exactly hermitian.
+    states and weights is (g, s).
     """
     g, s, d = psi.shape
+    return _frame_distances(dec, *(amplitudes(dec, w.reshape(g * s, d)) for w in (psi, chi)), weights)
+
+
+def _frame_distances(dec, psi, chi, weights) -> np.ndarray:
+    """_restricted_distances for the states' amplitudes in dec's frame, as (g s, d) rows.
+
+    R_J comes from purestates.reduce_amplitudes, which builds it exactly hermitian.
+    """
+    g, s = weights.shape
     total = np.zeros(g)
-    for r_psi, r_chi in zip(reduced(dec, psi.reshape(g * s, d)),
-                            reduced(dec, chi.reshape(g * s, d))):
+    for r_psi, r_chi in zip(reduce_amplitudes(dec, psi), reduce_amplitudes(dec, chi)):
         gap = np.einsum("gs,gsblm->gblm", weights, (r_psi - r_chi).reshape(g, s, *r_psi.shape[1:]))
         total += np.sum(np.abs(np.linalg.eigvalsh(gap)), axis=(-2, -1))  # one call per class
     return total
@@ -496,6 +531,12 @@ def markov_bound_check(
     bound is a genuine one.  The constant is c(B) = 2 sqrt(2 d(B) r) with
     r = max_J d_J/n_J over the observer's blocks; the alternative reading
     with r outside the square root is reported alongside for comparison.
+
+    The observer reads U^dag phi in B's frame: with U = V_A D_U V_A^dag (D_U
+    block diagonal, from _haar_block_diagonal) and X = V_A^dag W_B,
+    W_B^dag U^dag phi = X^dag D_U^dag (V_A^dag phi), so neither U nor V is
+    formed.  Every product is taken per sample on its (state_samples, d)
+    block of rows, so the chunking cannot change a value.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -506,7 +547,7 @@ def markov_bound_check(
     s_value = man_omega(a, b).S
     dec_a = a.decomposition()
     dec_b = b.decomposition()
-    ratio_max = max(dj / n for n, dj in dec_b.shapes)
+    ratio_max = max(dj / n for n, dj, _, _ in dec_b.classes)
     d_b = dec_b.summary.d_alg
     c_value = 2.0 * math.sqrt(2.0 * d_b * ratio_max)
     c_alt = 2.0 * math.sqrt(2.0 * d_b) * ratio_max
@@ -519,17 +560,20 @@ def markov_bound_check(
     rng_v = rng.substream(_STREAM_UNITARIES_B)
     rng_s = rng.substream(_STREAM_STATES)
     d = a.d
-    best = np.empty(samples)
-    for start, stop in _chunks(samples, state_samples * d * d):
-        u = _haar_algebra_unitaries(dec_a, rng_u, start, stop)
-        v = _haar_algebra_unitaries(dec_a, rng_v, start, stop)
+    # as rows, W_B^dag U^dag phi is phi^T conj(V_A) conj(D_U) conj(X)
+    frame_conj = dec_a.frame.conj()
+    x_conj = (dagger(dec_a.frame) @ dec_b.frame).conj()
+
+    def chunk(start, stop):
         # state j of sample i sits at counter i * state_samples + j
         rows = rng_s.normal_rows(start * state_samples, stop * state_samples, 2 * d)
-        phi = _haar_states(rows, d).reshape(stop - start, state_samples, d)
-        # U^dag |phi><phi| U is the pure state of U^dag phi, the row phi^T conj(U)
-        psi, chi = ((phi @ w.conj()).reshape(-1, 1, d) for w in (u, v))
-        dist = _restricted_distances(dec_b, psi, chi, np.ones((len(psi), 1)))
-        best[start:stop] = dist.reshape(stop - start, state_samples).max(axis=1)
+        amp = _haar_states(rows, d).reshape(stop - start, state_samples, d) @ frame_conj
+        psi, chi = ((amp @ _haar_block_diagonal(dec_a, r, start, stop).conj() @ x_conj)
+                    .reshape(-1, d) for r in (rng_u, rng_v))
+        dist = _frame_distances(dec_b, psi, chi, np.ones((len(psi), 1)))
+        return dist.reshape(stop - start, state_samples).max(axis=1)
+
+    best = _per_sample(samples, state_samples * d * d, chunk)
     hits = int(np.count_nonzero(best >= epsilon))
     overall_max = float(best.max())
     p_hat = hits / samples
@@ -555,8 +599,9 @@ def mc_orbit_averaged_man(
     d = a.d
     dec_a, dec_b = a.decomposition(), b.decomposition()
     rng_orbit = rng.substream(_STREAM_ORBIT)
-    vals = np.empty(samples)
-    for start, stop in _chunks(samples, d * d):
+
+    def chunk(start, stop):
         u = _haar_unitaries(rng_orbit.normal_rows(start, stop, 2 * d * d), 0, d)
-        vals[start:stop] = 1.0 - _block_swap_trace(dec_a, _conjugate_decomposition(dec_b, u)) / d
-    return _result("mc.orbit", *_mean_and_se(vals), rng, samples)
+        return 1.0 - _block_swap_trace(dec_a, _conjugate_decomposition(dec_b, u)) / d
+
+    return _result("mc.orbit", *_mean_and_se(_per_sample(samples, d * d, chunk)), rng, samples)

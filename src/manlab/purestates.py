@@ -1,9 +1,12 @@
 """Projections of pure states onto block-born algebras, from block data alone.
 
 Every state estimator in protocols reads a state through one block
-reduction, ``reduced``: with amplitudes a = V^dag phi in the decomposition's
-frame, read a_J as (n_J, d_J), R_J = Tr_{n_J}[V_J^dag rho V_J] = a_J^T conj(a_J),
-O(d^2) work per state; P(rho) = sum_J V_J (1_{n_J}/n_J (x) R_J) V_J^dag.
+reduction, ``reduced``, in two steps: ``amplitudes`` takes a = V^dag phi in
+the decomposition's frame, and ``reduce_amplitudes`` reads a_J as
+(n_J, d_J), R_J = Tr_{n_J}[V_J^dag rho V_J] = a_J^T conj(a_J), O(d^2) work
+per state; P(rho) = sum_J V_J (1_{n_J}/n_J (x) R_J) V_J^dag.  A caller that
+already holds a state's amplitudes in the frame, as markov_bound_check does
+for its rotated states, hands them straight to the reduction.
 Each shape class of the decomposition is one batched product, its R_J
 stacked on a block axis, so a MASA's d blocks cost no Python loop.
 Sampled protocol_stochastic takes from it the overlap x = <P_A rho, P_T rho>
@@ -14,9 +17,11 @@ matrix is built.
 
 A state's values do not depend on how many others share its chunk: the
 amplitudes are one (1, d) product per state (a plain (c, d) product with
-c = 1 takes a vector kernel that rounds differently), the frame cores of all
-states are stacked as (c d, d) rows against one fixed matrix, and every sum
-runs along a state's own axes.
+c = 1 takes a vector kernel that rounds differently from the matrix kernel
+of c > 1, so a product whose row count follows the chunk would let the
+chunking change a value), the frame cores of all states are stacked as
+(c d, d) rows against one fixed matrix, and every sum runs along a state's
+own axes.
 """
 
 from __future__ import annotations
@@ -26,11 +31,20 @@ import numpy as np
 from .linalg import dagger
 
 
-def reduced(dec, phi: np.ndarray) -> list[np.ndarray]:
-    """R_J for each shape class of dec, each (c, count, d_J, d_J), for a (c, d) stack of states."""
-    amp = (phi[:, None, :] @ dec.frame.conj())[:, 0]
+def amplitudes(dec, phi: np.ndarray) -> np.ndarray:
+    """a = V^dag phi for each state of a (c, d) stack, as (c, d) rows: one (1, d) product per state."""
+    return (phi[:, None, :] @ dec.frame.conj())[:, 0]
+
+
+def reduce_amplitudes(dec, amp: np.ndarray) -> list[np.ndarray]:
+    """R_J for each shape class of dec, each (c, count, d_J, d_J), from (c, d) amplitudes in dec's frame."""
     runs = [amp[:, cols].reshape(len(amp), count, n, dj) for n, dj, count, cols in dec.classes]
     return [np.einsum("cbrl,cbrm->cblm", a, a.conj()) for a in runs]
+
+
+def reduced(dec, phi: np.ndarray) -> list[np.ndarray]:
+    """R_J for each shape class of dec, each (c, count, d_J, d_J), for a (c, d) stack of states."""
+    return reduce_amplitudes(dec, amplitudes(dec, phi))
 
 
 def core(dec, rs: list[np.ndarray]) -> np.ndarray:

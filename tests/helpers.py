@@ -302,6 +302,37 @@ def ref_mc_man_direct(a, b, samples: int, rng: RngStream) -> tuple[float, float]
     return _ref_mean_and_se(vals)
 
 
+def ref_block_diagonal(dec, rng: RngStream, counter: int) -> np.ndarray:
+    """The draw of ref_haar_algebra_unitary read in dec's frame: sum_J 1_{n_J} (x) U_J."""
+    normals = rng.normals(counter, sum(2 * b.d * b.d for b in dec.blocks))
+    out = np.zeros((dec.dim, dec.dim), dtype=complex)
+    offset = at = 0
+    for b in dec.blocks:
+        uj = ref_haar_unitary(b.d, normals[offset:])
+        offset += 2 * b.d * b.d
+        out[at: at + b.n * b.d, at: at + b.n * b.d] = np.kron(np.eye(b.n), uj)
+        at += b.n * b.d
+    return out
+
+
+def ref_mc_direct_frame_values(a, b, samples: int, rng: RngStream) -> np.ndarray:
+    """Per-sample ||[D_A, X D_B X^dag]||^2 / (2d) with X = V_A^dag W_B, one 2-D product at a time."""
+    dec_a, dec_b = a.decomposition(), b.decomposition()
+    rng_a = rng.substream(_STREAM_UNITARIES_A)
+    rng_b = rng.substream(_STREAM_UNITARIES_B)
+    x = dec_a.frame.conj().T @ dec_b.frame
+    vals = np.empty(samples)
+    for i in range(samples):
+        d_a = ref_block_diagonal(dec_a, rng_a, i)
+        g = x @ ref_block_diagonal(dec_b, rng_b, i) @ x.conj().T
+        vals[i] = float(np.sum(np.abs(d_a @ g - g @ d_a) ** 2)) / (2 * a.d)
+    return vals
+
+
+def ref_mc_man_direct_frame(a, b, samples: int, rng: RngStream) -> tuple[float, float]:
+    return _ref_mean_and_se(ref_mc_direct_frame_values(a, b, samples, rng))
+
+
 def ref_mc_orbit(a, b, samples: int, rng: RngStream) -> tuple[float, float]:
     d = a.d
     dec_a, dec_b = a.decomposition(), b.decomposition()

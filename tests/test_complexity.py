@@ -10,12 +10,14 @@ pin the orders instead:
 * memory: the tracemalloc peak of each route grows by at most 4.5x when d
   doubles (d^2 arrays grow 4x, a d^3 array would grow 8x);
 * the Monte-Carlo estimators: the same memory order at a fixed sample count,
-  a peak that four times the samples leaves flat (the chunk budget), and one
-  QR per run of equal irrep size d_J in each Haar draw of an algebra.
+  a peak that four times the samples leaves flat (the chunk budget) and that
+  four chunks leave at one chunk's, one QR per run of equal irrep size d_J in
+  each Haar draw of an algebra, and as many lines of manlab's own code run
+  for one sample on a MASA pair at d = 64 as at d = 8.
 
 Counts are compared across d, never against absolute values, so every numpy
 version agrees.  `@` products emit no profile event; the memory contract
-covers them.
+and the line count cover them.
 """
 
 import os
@@ -25,6 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import manlab
 from manlab.algebras import _haar_algebra_unitaries, masa_from_unitary, structural_algebra
 from manlab.linalg import haar_unitary
 from manlab.man import a_otoc, entropy_decomposition_man, man_omega, man_projection, self_man
@@ -37,6 +40,7 @@ from manlab.protocols import (
 from manlab.rng import RngStream
 
 NUMPY_DIR = os.path.dirname(np.__file__)
+MANLAB_DIR = os.path.dirname(manlab.__file__)
 MEMORY_RATIO = 4.5
 
 
@@ -62,6 +66,29 @@ def _numpy_calls(fn, *args) -> int:
         fn(*args)
     finally:
         sys.setprofile(None)
+    return count
+
+
+def _manlab_lines(fn, *args) -> int:
+    """Line events in files under manlab's package directory while fn runs.
+
+    A Python loop per block shows here whatever its body calls, `@` products
+    included, where _numpy_calls sees none of them."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(MANLAB_DIR) else None
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
     return count
 
 
@@ -172,3 +199,33 @@ def test_haar_draw_makes_one_qr_per_irrep_size(shapes, runs, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", lambda z: calls.append(z.shape) or qr(z))
     _haar_algebra_unitaries(dec, RngStream(2), 0, 4)
     assert len(calls) == runs, calls
+
+
+@pytest.mark.parametrize("pair,estimator", list(_estimator_cases()))
+def test_estimator_peak_is_one_chunk(pair, estimator):
+    # at d = 32 one chunk is 8 samples (Markov with 2 states per sample: 4); each
+    # chunk's arrays are released before the next is drawn, so four chunks peak as one
+    one = 4 if estimator == "markov_bound_check" else 8
+    peaks = [_peak_bytes(ESTIMATORS[estimator], *_pair(pair, 32), n) for n in (one, 4 * one)]
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+LINE_ESTIMATORS = {
+    "mc_man_direct": lambda a, b: mc_man_direct(a, b, 1, RngStream(4)),
+    "markov_bound_check": lambda a, b: markov_bound_check(
+        a, b, epsilon=0.5, samples=1, state_samples=1, rng=RngStream(6)),
+    "mc_orbit_averaged_man": lambda a, b: mc_orbit_averaged_man(a, b, 1, RngStream(5)),
+}
+
+
+@pytest.mark.parametrize("estimator", list(LINE_ESTIMATORS))
+def test_estimators_run_no_python_loop_per_block(estimator):
+    # one sample is one chunk at every d; the decompositions' lazy reads are done
+    # first, so only the estimator's own lines are counted
+    counts = []
+    for d in (8, 64):
+        a, b = _masa_pair(d)
+        for dec in (a.decomposition(), b.decomposition()):
+            dec.classes, dec.blocks, dec.summary
+        counts.append(_manlab_lines(LINE_ESTIMATORS[estimator], a, b))
+    assert counts[0] == counts[1] > 0, (estimator, counts)

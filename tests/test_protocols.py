@@ -46,7 +46,9 @@ from helpers import (
     random_unitary,
     ref_haar_algebra_unitary,
     ref_markov,
+    ref_mc_direct_frame_values,
     ref_mc_man_direct,
+    ref_mc_man_direct_frame,
     ref_mc_orbit,
     ref_restricted_distance,
     ref_binomial,
@@ -646,7 +648,26 @@ class TestCounterSemantics:
                                         (full_algebra(2), diagonal_masa(2))]
         for k, (a, b) in enumerate(cases):
             res = mc_man_direct(a, b, 150, RngStream(45, k))
-            assert (res.estimate, res.std_error) == ref_mc_man_direct(a, b, 150, RngStream(45, k))
+            assert (res.estimate, res.std_error) == ref_mc_man_direct_frame(a, b, 150, RngStream(45, k))
+
+    def test_mc_direct_frame_matches_dense(self, pairs):
+        # the frame formula ||[D_A, X D_B X^dag]||^2 against the paper's ||UV - VU||^2,
+        # sample by sample, on the cases of test_mc_direct_bitwise
+        cases = list(pairs.values()) + [(factor_m2x1(), bell_masa()),
+                                        (full_algebra(2), diagonal_masa(2))]
+        for k, (a, b) in enumerate(cases):
+            rng = RngStream(45, k)
+            frame = ref_mc_direct_frame_values(a, b, 150, rng)
+            assert np.all(frame >= 0.0), k
+            rng_a = rng.substream(protocols._STREAM_UNITARIES_A)
+            rng_b = rng.substream(protocols._STREAM_UNITARIES_B)
+            for i, value in enumerate(frame):
+                u = ref_haar_algebra_unitary(a.decomposition(), rng_a, i)
+                v = ref_haar_algebra_unitary(b.decomposition(), rng_b, i)
+                assert abs(value - np.sum(np.abs(u @ v - v @ u) ** 2) / (2 * a.d)) <= 1e-14, (k, i)
+            assert abs(np.mean(frame) - ref_mc_man_direct(a, b, 150, rng)[0]) <= 1e-14, k
+            # A against A': no cancellation, so a commuting pair reads its rounding squared
+            assert np.all(ref_mc_direct_frame_values(a, a.commutant_algebra(), 150, rng) < 1e-24), k
 
     def test_orbit_matches_loop(self, pairs):
         for k, (a, b) in enumerate(pairs.values()):
