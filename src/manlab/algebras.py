@@ -23,10 +23,12 @@ Named algebras, generators, commutants and centers are born from their frame
 the dim(A) x d x d orthonormal basis is built on first access, by oracles
 only.  The spectral solve (_compute_decomposition) takes letters and returns
 the blocks of the algebra they generate: eigenspaces of one generic element,
-linked by the letters, polar factors along a spanning tree, and a check that
-every letter reads sum_J 1_{n_J} (x) X_J.  Its letters are generators, the
-elements of A' and B that give dim(A n B'), or a bare basis, whose algebra
-must then have the basis's dimension.
+linked by the letters, polar factors along a maximum spanning forest of the
+links (Prim's, O(k) per step over k eigenspaces) from one stacked eigh per
+eigenspace dimension, and a check that every letter reads
+sum_J 1_{n_J} (x) X_J.  Its letters are generators, the elements of A' and
+B that give dim(A n B') (read in the frame of A'), or a bare basis, whose
+algebra must then have the basis's dimension.
 
 Values are immutable; the lazy caches (basis, decomposition, commutant, and a
 decomposition's classes, blocks and summary) are write-once, so algebras can
@@ -36,7 +38,7 @@ be shared read-only across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -406,7 +408,7 @@ def _generating_pair(alg: OperatorAlgebra) -> list[np.ndarray]:
     """Two generic hermitian elements of unit HS norm; they generate the algebra."""
     pair = []
     for coeffs in _coefficients(_COMMUTANT_RNG, 0, 2, alg.dim):
-        m = _combination(alg.basis, coeffs)
+        m = np.tensordot(coeffs, alg.basis, axes=1)
         h = (m + dagger(m)) / 2
         pair.append(h / np.linalg.norm(h))
     return pair
@@ -436,26 +438,37 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
     A n B' = (A' u B)': two generic hermitian elements of A' and two of B,
     each built from the blocks, generate the algebra C = A' v B, and the
     spectral solve gives its blocks, so dim(A n B') = dim C' = sum_J n_J^2.
+    The letters are read in the frame V of A', which leaves dim C' as it is:
+    there A''s two are block diagonal and take no product, and B's two are
+    X (sum_K 1 (x) H_K) X^dag with X = V^dag W_B, one product for both.
     algebra_intersection(a, b.commutant_algebra()) is the oracle.
     """
     _check_same_ambient(a, b)
     a_comm, b_own = a.commutant_algebra().decomposition(), b.decomposition()
-    hs = [_block_hermitian(dec, _INTERSECTION_RNG, counter)
-          for counter, dec in enumerate((a_comm, a_comm, b_own, b_own))]
+    x = dagger(a_comm.frame) @ b_own.frame
+    hs = [_block_hermitian(a_comm, 0), _block_hermitian(a_comm, 1),
+          _block_hermitian(b_own, 2, x), _block_hermitian(b_own, 3, x)]
     dec = _compute_decomposition(np.stack([h / np.linalg.norm(h) for h in hs]))
     return dec.summary.d_comm
 
 
-def _block_hermitian(dec: StructuralDecomposition, rng: RngStream, counter: int) -> np.ndarray:
-    """sum_J V_J (1_{n_J} (x) H_J) V_J^dag, one product per shape class of dec, with
-    H_J the hermitian parts of complex Gaussian matrices from rng at counter."""
-    z = _coefficients(rng, counter, 1, dec.summary.d_alg)[0]
-    h = 0.0
+def _block_hermitian(dec: StructuralDecomposition, counter: int,
+                     frame: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum_J 1_{n_J} (x) H_J in dec's own frame, written onto its diagonal blocks, or
+    read through `frame` as frame (sum_J ...) frame^dag, one product pair per shape
+    class; H_J the hermitian parts of complex Gaussian matrices from
+    _INTERSECTION_RNG at counter."""
+    z = _coefficients(_INTERSECTION_RNG, counter, 1, dec.summary.d_alg)[0]
+    h = np.zeros((dec.dim, dec.dim), dtype=complex) if frame is None else 0.0
     for n, dj, count, cols in dec.classes:
         x, z = z[:count * dj * dj].reshape(count, dj, dj), z[count * dj * dj:]
-        v = dec.frame[:, cols]
-        core = v.reshape(-1, count, n, dj) @ ((x + dagger(x)) / 2)
-        h = h + core.reshape(v.shape) @ dagger(v)
+        x = (x + dagger(x)) / 2
+        if frame is None:
+            run = h[cols, cols].reshape(count, n, dj, count, n, dj)
+            np.einsum("brlbrm->brlm", run)[...] = x[:, None]
+        else:
+            v = frame[:, cols]
+            h = h + (v.reshape(-1, count, n, dj) @ x).reshape(v.shape) @ dagger(v)
     return h
 
 
@@ -480,8 +493,9 @@ def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
 
     Attempt i (_decompose_attempt), for i < _DECOMPOSE_ATTEMPTS, takes its
     generic coefficients from _DECOMPOSE_RNG.normals(i, ...), a counter hash
-    that needs no numpy.random.  The stream is fixed, so the same letters
-    always give the same frame, put in canonical order here.  It is accepted
+    that needs no numpy.random, drawn once per process (_attempt_draw).  The
+    stream is fixed, so the same letters always give the same frame, put in
+    canonical order here.  It is accepted
     when every letter reads sum_J 1_{n_J} (x) X_J in its coordinates with
     nothing between blocks (_check_letters).  Then A lies in
     sum_J 1_{n_J} (x) M_{d_J}; the eigenprojections and transports that built
@@ -490,7 +504,7 @@ def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
     reason is reported in DecompositionError.
     """
     for attempt in range(_DECOMPOSE_ATTEMPTS):
-        draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, len(letters))
+        draw = _attempt_draw(attempt, len(letters))
         try:
             dec = StructuralDecomposition(*_canonical_block_order(*_decompose_attempt(letters, draw)))
             _check_letters(letters, dec)
@@ -502,49 +516,111 @@ def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
     )
 
 
+@lru_cache(maxsize=4 * _DECOMPOSE_ATTEMPTS)
+def _attempt_draw(attempt: int, k: int) -> np.ndarray:
+    """The coefficients of an attempt over k letters, read-only: every solve with k
+    letters reads the same ones, so each is drawn once per process (for the
+    last few letter counts)."""
+    draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, k)
+    draw.setflags(write=False)
+    return draw
+
+
 def _decompose_attempt(letters: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Candidate (frame, shapes) from the eigenspaces of one generic hermitian h in A.
 
     The eigenspaces Q_a of h have dimension n_J, d_J of them per block.  Two
-    lie in one block when some letter l links them (Q_a^dag l Q_b != 0): the
-    letters generate A, so the components of that graph are the blocks.  On
-    a maximum spanning tree of the link weights, the frame R_b of eigenspace
-    b is the polar factor m (m^dag m)^(-1/2) of m = (Q_a R_a)^dag l Q_b for its
-    parent a and the strongest letter l on the edge (a singular m is a
-    non-generic draw); the frames Q_a R_a are the columns of V_J.
+    lie in one block when some letter l links them (T = Q_a^dag l Q_b != 0):
+    the letters generate A, so the components of that graph are the blocks.
+    Along a maximum spanning forest of the link weights (_spanning_forest),
+    the frame of eigenspace b is R_b = P(T)^dag R_a for its parent a and the
+    strongest letter on the edge, P(T) = T (T^dag T)^(-1/2) the polar factor
+    (_tree_frames); the frames Q_a R_a of a block, one product per block, are
+    the columns of V_J.  A link between eigenspaces of different dimension,
+    or a singular T, is a non-generic draw.
     """
     evals, evecs = np.linalg.eigh(_generic_element(letters, draw))
     clusters = _cluster_indices(evals)  # contiguous runs of the sorted spectrum
-    starts = [c[0] for c in clusters]
+    starts = np.array([c[0] for c in clusters])
+    sizes = np.array([len(c) for c in clusters])
     compressed = dagger(evecs) @ letters @ evecs  # the letters in h's eigenbasis
     weight = np.sum(np.abs(compressed) ** 2, axis=0)
     weight = np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1)
-    isometries, shapes = [], []
-    rest = list(range(len(clusters)))
-    while rest:
-        tree = [rest.pop(0)]
-        frames = [np.eye(len(clusters[tree[0]]), dtype=complex)]
-        while rest:
-            links = weight[np.ix_(tree, rest)]
-            i, j = np.unravel_index(np.argmax(links), links.shape)
-            if links[i, j] <= ISO_TOL**2:
-                break
-            a, b = clusters[tree[i]], clusters[rest[j]]
-            if len(b) != len(a):
-                raise _RetryDraw("eigenspaces of one block differ in dimension")
-            transports = compressed[:, a][:, :, b]  # Q_a^dag l Q_b for every letter l
-            best = np.argmax(np.linalg.norm(transports, axis=(1, 2)))
-            m = dagger(frames[i]) @ transports[best]
-            lam, w = np.linalg.eigh(dagger(m) @ m)
-            if not lam[0] > ISO_TOL**2 * lam[-1]:
-                raise _RetryDraw("transport between eigenspaces is singular")
-            frames.append(dagger((m @ w / np.sqrt(lam)) @ dagger(w)))
-            tree.append(rest.pop(j))
-        # column p d_J + l is column p of the l-th frame
-        iso = np.stack([evecs[:, clusters[a]] @ f for a, f in zip(tree, frames)], axis=2)
-        isometries.append(iso.reshape(len(evecs), -1))
-        shapes.append((len(frames[0]), len(tree)))
-    return np.concatenate(isometries, axis=1), tuple(shapes)
+    trees, edges, mismatch = _spanning_forest(weight, sizes)
+    # a singular link before the mismatched one is the first failure
+    frames = _tree_frames(compressed, starts, sizes, edges)
+    if mismatch:
+        raise _RetryDraw("eigenspaces of one block differ in dimension")
+    # the clusters' columns in tree order; then column p d_J + l of a block is
+    # column p of its l-th frame
+    order = [c for tree in trees for c in tree]
+    widths = sizes[order]
+    frame = np.take(evecs, np.arange(len(evecs)) - np.repeat(
+        np.cumsum(widths) - widths - starts[order], widths), axis=1)
+    shapes, start = [], 0
+    for root, *rest in trees:
+        n, dj = int(sizes[root]), 1 + len(rest)
+        stop = start + n * dj
+        if rest:
+            q = frame[:, start:stop].reshape(-1, dj, n).transpose(1, 0, 2)
+            iso = q @ np.stack([np.eye(n)] + [frames[c] for c in rest])
+            frame[:, start:stop] = iso.transpose(1, 2, 0).reshape(len(frame), -1)
+        shapes.append((n, dj))
+        start = stop
+    return frame, tuple(shapes)
+
+
+def _spanning_forest(weight: np.ndarray, sizes: np.ndarray) -> tuple[list, list, bool]:
+    """Prim's maximum spanning forest over the link weights above ISO_TOL^2, as
+    (trees, edges, mismatch): each tree's clusters in joining order, the lowest
+    first, and the (parent, child) edges in that order.  best and parent hold
+    the strongest link from the tree to each cluster outside it (those of
+    earlier trees are at most ISO_TOL^2), so a step costs O(k) for k clusters.
+    A link between clusters of different size stops it with mismatch set.
+    """
+    k = len(weight)
+    outside = np.ones(k, dtype=bool)
+    best, parent = np.full(k, -np.inf), np.zeros(k, dtype=int)
+    trees, edges = [], []
+    for _ in range(k):
+        b = int(np.argmax(best))
+        if best[b] > ISO_TOL**2:
+            a = int(parent[b])
+            if sizes[a] != sizes[b]:
+                return trees, edges, True
+            edges.append((a, b))
+            trees[-1].append(b)
+        else:  # nothing links this tree to the rest: the lowest cluster left roots the next
+            b = int(np.argmax(outside))
+            trees.append([b])
+        outside[b], best[b] = False, -np.inf
+        closer = outside & (weight[b] > best)  # a tie keeps the earlier parent
+        best[closer] = weight[b, closer]
+        parent[closer] = b
+    return trees, edges, False
+
+
+def _tree_frames(compressed: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                 edges: list) -> dict:
+    """R_b = P(T)^dag R_a for each edge (a, b), R = 1 at a root, with T = Q_a^dag l Q_b
+    for the letter l of largest norm on the edge.  Per cluster size, one gather
+    takes every letter's T and one stacked eigh T^dag T = W diag(lam) W^dag,
+    so P(T) = T W diag(lam)^(-1/2) W^dag."""
+    adjoints = {}
+    for n in sorted({int(sizes[b]) for _, b in edges}):
+        a, b = np.array([e for e in edges if sizes[e[1]] == n]).T
+        span = np.arange(n)
+        t = compressed[:, (starts[a][:, None] + span)[:, :, None],
+                       (starts[b][:, None] + span)[:, None, :]]  # (letters, edges, n, n)
+        t = t[np.argmax(np.linalg.norm(t, axis=(2, 3)), axis=0), np.arange(len(b))]
+        lam, w = np.linalg.eigh(dagger(t) @ t)
+        if not np.all(lam[:, 0] > ISO_TOL**2 * lam[:, -1]):
+            raise _RetryDraw("transport between eigenspaces is singular")
+        adjoints.update(zip(b.tolist(), dagger((t @ w / np.sqrt(lam)[:, None, :]) @ dagger(w))))
+    frames = {}
+    for a, b in edges:
+        frames[b] = adjoints[b] @ frames[a] if a in frames else adjoints[b]
+    return frames
 
 
 def _check_letters(letters: np.ndarray, dec: StructuralDecomposition) -> None:
@@ -572,24 +648,20 @@ def _generic_element(letters: np.ndarray, draw: np.ndarray) -> np.ndarray:
     three rows of random complex coefficients over the letters.
 
     Letters may span that algebra only with their products, so the element
-    adds short words: the hermitian part of x + x y + x y z for random
-    combinations x, y, z of the letters.
+    adds short words: the hermitian part of x + x y + x y z for the random
+    combinations x, y, z of the letters, all three from one product.
     """
-    m = word = _combination(letters, draw[0])
-    for coeffs in draw[1:3]:
-        word = word @ _combination(letters, coeffs)
-        m = m + word
+    d = letters.shape[-1]
+    x, y, z = (draw @ letters.reshape(-1, d * d)).reshape(3, d, d)
+    word = x @ y
+    m = x + word + word @ z
     return (m + dagger(m)) / 2
 
 
 def _coefficients(rng: RngStream, counter: int, rows: int, k: int) -> np.ndarray:
     """rows x k complex Gaussian coefficients from rng.normals(counter, ...);
     row r takes 2k normals, the real parts first."""
-    return _complex_normals(rng.normals(counter, 2 * rows * k).reshape(rows, 2 * k), 0, (k,))
-
-
-def _combination(letters, coeffs: np.ndarray) -> np.ndarray:
-    return np.tensordot(coeffs, np.asarray(letters), axes=1)
+    return _complex_normals(rng.normals(counter, 2 * rows * k).reshape(rows, 2 * k), (k,))
 
 
 def _cluster_indices(evals: np.ndarray) -> list[list[int]]:
@@ -690,7 +762,7 @@ def _haar_factors(
         counts = [count for _, _, count, _ in run]
         width = 2 * dj * dj * sum(counts)
         stack = _haar_unitaries(
-            rows[:, offset: offset + width].reshape(len(rows), sum(counts), -1), 0, dj)
+            rows[:, offset: offset + width].reshape(len(rows), sum(counts), -1), dj)
         offset += width
         for count in counts:
             factors.append(stack[:, :count])

@@ -112,20 +112,20 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return out.reshape(side, side)
 
 
-def _complex_normals(rows: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
-    """re + i im per row: size(shape) reals from `offset` on, then as many imaginaries."""
+def _complex_normals(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """re + i im per row: the first size(shape) reals, then as many imaginaries."""
     size = prod(shape)
-    z = rows[..., offset: offset + size] + 1j * rows[..., offset + size: offset + 2 * size]
+    z = rows[..., :size] + 1j * rows[..., size: 2 * size]
     return z.reshape(*rows.shape[:-1], *shape)
 
 
-def _haar_unitaries(rows: np.ndarray, offset: int, d: int) -> np.ndarray:
-    """Haar unitaries, one per row, from the 2 d^2 normals of each row at `offset`.
+def _haar_unitaries(rows: np.ndarray, d: int) -> np.ndarray:
+    """Haar unitaries, one per row, from the first 2 d^2 normals of each row.
 
     QR of the complex Ginibre matrix, then the R-diagonal phases; the whole
     stack goes through one np.linalg.qr call.
     """
-    z = _complex_normals(rows, offset, (d, d)) / np.sqrt(2)
+    z = _complex_normals(rows, (d, d)) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
@@ -134,7 +134,7 @@ def _haar_unitaries(rows: np.ndarray, offset: int, d: int) -> np.ndarray:
 
 def _haar_states(rows: np.ndarray, d: int) -> np.ndarray:
     """Haar-random unit vectors, one per row, from the first 2 d normals of each row."""
-    z = _complex_normals(rows, 0, (d,))
+    z = _complex_normals(rows, (d,))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
@@ -148,7 +148,7 @@ def haar_unitary(d: int, rng: RngStream, counter: int = 0) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _haar_unitaries(rng.normals(counter, 2 * d * d), 0, d)
+    return _haar_unitaries(rng.normals(counter, 2 * d * d), d)
 
 
 def haar_state(d: int, rng: RngStream, counter: int = 0) -> np.ndarray:

@@ -601,7 +601,7 @@ def mc_orbit_averaged_man(
     rng_orbit = rng.substream(_STREAM_ORBIT)
 
     def chunk(start, stop):
-        u = _haar_unitaries(rng_orbit.normal_rows(start, stop, 2 * d * d), 0, d)
+        u = _haar_unitaries(rng_orbit.normal_rows(start, stop, 2 * d * d), d)
         return 1.0 - _block_swap_trace(dec_a, _conjugate_decomposition(dec_b, u)) / d
 
     return _result("mc.orbit", *_mean_and_se(_per_sample(samples, d * d, chunk)), rng, samples)

@@ -226,6 +226,29 @@ class TestSpectralSolve:
         with pytest.raises(DecompositionError, match="not of the form"):
             algebra_from_generators(gens, 4)
 
+    def test_linked_eigenspaces_of_different_dimension_are_refused(self, monkeypatch):
+        import manlab.algebras as mod
+
+        # h = diag(0, 0, 1) has eigenspaces of dimension 2 and 1, and generic letters of
+        # M_3 link them; the eigenspaces of one block all have one dimension
+        gens = [random_matrix(3, s) for s in (1, 2)]
+        h = np.diag([0.0, 0.0, 1.0]) + 0j
+        monkeypatch.setattr(mod, "_generic_element", lambda letters, draw: h)
+        with pytest.raises(DecompositionError, match="differ in dimension"):
+            algebra_from_generators(gens, 3)
+
+    def test_singular_transport_is_refused(self, monkeypatch):
+        import manlab.algebras as mod
+
+        # h = diag(0, 0, 1, 1) and the letters |0><2|, |2><0|: the only link between the
+        # two eigenspaces of dimension 2 has rank one, so it carries no frame
+        e02 = np.zeros((4, 4), dtype=complex)
+        e02[0, 2] = 1.0
+        h = np.diag([0.0, 0.0, 1.0, 1.0]) + 0j
+        monkeypatch.setattr(mod, "_generic_element", lambda letters, draw: h)
+        with pytest.raises(DecompositionError, match="singular"):
+            algebra_from_generators([e02], 4)
+
 
 def _intersection_pairs():
     pairs = [(name, a, b) for name, a, b in concordance_pairs()]

@@ -950,6 +950,24 @@ class TestColdImports:
             loaded = _imported_modules(["-m", "manlab.cli", *argv]) & self.SAMPLING
             assert loaded <= baseline, (argv, loaded - baseline)
 
+    def test_generators_commands_load_no_masked_arrays(self, specdir, tmp_path):
+        # np.unique imports numpy.ma on its first call, about 9 ms of a command; the
+        # structure solve and dim(A n B') need nothing of it
+        sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+        gens = tmp_path / "gens.json"
+        gens.write_text(json.dumps({"dim": 4, "kind": "generators", "matrices": [
+            _matrix_payload(np.kron(sx, np.eye(2))), _matrix_payload(np.kron(sz, np.eye(2)))]}))
+
+        def masked(args):
+            return {m for m in _imported_modules(args) if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+        baseline = masked(["-c", "import numpy"])
+        g, z = str(gens), str(specdir / "genz.json")
+        for argv in (["analyze", g], ["selfman", g], ["man", g, g], ["bounds", g, g],
+                     ["analyze", z]):
+            loaded = masked(["-m", "manlab.cli", *argv])
+            assert loaded <= baseline, (argv, loaded - baseline)
+
     def test_lattice_commands_load_no_numpy(self, specdir):
         # the closed form is integer arithmetic: no numpy, no engine
         lat = [str(specdir / "lat01.json"), str(specdir / "lat12.json")]

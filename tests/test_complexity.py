@@ -9,6 +9,9 @@ pin the orders instead:
   route loops over blocks;
 * memory: the tracemalloc peak of each route grows by at most 4.5x when d
   doubles (d^2 arrays grow 4x, a d^3 array would grow 8x);
+* the structure solve: one eigh of the generic element plus one stacked eigh
+  per size of eigenspace that the spanning forest links, whatever the block
+  count, and the same memory order for generators and dim(A n B');
 * the Monte-Carlo estimators: the same memory order at a fixed sample count,
   a peak that four times the samples leaves flat (the chunk budget) and that
   four chunks leave at one chunk's, one QR per run of equal irrep size d_J in
@@ -28,8 +31,14 @@ import numpy as np
 import pytest
 
 import manlab
-from manlab.algebras import _haar_algebra_unitaries, masa_from_unitary, structural_algebra
-from manlab.linalg import haar_unitary
+from manlab.algebras import (
+    _haar_algebra_unitaries,
+    algebra_from_generators,
+    commutant_intersection_dim,
+    masa_from_unitary,
+    structural_algebra,
+)
+from manlab.linalg import dagger, haar_unitary
 from manlab.man import a_otoc, entropy_decomposition_man, man_omega, man_projection, self_man
 from manlab.protocols import (
     markov_bound_check,
@@ -102,6 +111,7 @@ def _shapes(name, d):
         "struct": [(2, d // 4), (1, d // 2)],
         "high-n": [(d // 4, 2), (d // 2, 1)],
         "masa": [(1, 1)] * d,
+        "full": [(1, d)],
     }[name]
 
 
@@ -229,3 +239,48 @@ def test_estimators_run_no_python_loop_per_block(estimator):
             dec.classes, dec.blocks, dec.summary
         counts.append(_manlab_lines(LINE_ESTIMATORS[estimator], a, b))
     assert counts[0] == counts[1] > 0, (estimator, counts)
+
+
+def _generators(name, d, count=2):
+    """count elements of the named algebra in a Haar basis, a Haar unitary core on
+    each block: one has distinct eigenvalues on a masa, and two generate the algebra."""
+    dec = structural_algebra(_shapes(name, d), haar_unitary(d, RngStream(1))).decomposition()
+    gens = []
+    for seed in range(count):
+        x = np.zeros((d, d), dtype=complex)
+        for j, b in enumerate(dec.blocks):
+            core = np.kron(np.eye(b.n), haar_unitary(b.d, RngStream(10 + seed), counter=j))
+            x += b.isometry @ core @ dagger(b.isometry)
+        gens.append(x)
+    return gens
+
+
+@pytest.mark.parametrize("name,count,eighs", [
+    ("masa", 1, 1),    # d eigenspaces of dimension 1 and no link between them
+    ("full", 2, 2),    # d - 1 links between eigenspaces of dimension 1
+    ("struct", 2, 3),  # links between eigenspaces of dimension 2, and of dimension 1
+    ("high-n", 2, 2),  # one link between two eigenspaces of dimension d/4
+])
+def test_structure_solve_makes_one_eigh_per_cluster_size(name, count, eighs, monkeypatch):
+    d = 64
+    gens = _generators(name, d, count)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    alg = algebra_from_generators(gens, d)
+    # a retried draw would count twice
+    assert sorted(alg.decomposition().shapes) == sorted(_shapes(name, d))
+    assert len(calls) == eighs, calls
+
+
+@pytest.mark.parametrize("pair", ["struct", "high-n", "masa"])
+def test_structure_solve_memory_grows_as_d_squared(pair):
+    peaks = {"algebra_from_generators": [], "commutant_intersection_dim": []}
+    for d in (32, 64):
+        gens = _generators(pair, d)
+        peaks["algebra_from_generators"].append(_peak_bytes(algebra_from_generators, gens, d))
+        # fresh algebras: the commutant frame is built inside the call at both d
+        peaks["commutant_intersection_dim"].append(
+            _peak_bytes(commutant_intersection_dim, *_pair(pair, d)))
+    over = {route: p for route, p in peaks.items() if p[1] > MEMORY_RATIO * p[0]}
+    assert not over, (pair, peaks)
