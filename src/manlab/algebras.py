@@ -23,12 +23,11 @@ Named algebras, generators, commutants and centers are born from their frame
 the dim(A) x d x d orthonormal basis is built on first access, by oracles
 only.  The spectral solve (_compute_decomposition) takes letters and returns
 the blocks of the algebra they generate: eigenspaces of one generic element,
-linked by the letters, polar factors along a maximum spanning forest of the
-links (Prim's, O(k) per step over k eigenspaces) from one stacked eigh per
-eigenspace dimension, and a check that every letter reads
-sum_J 1_{n_J} (x) X_J.  Its letters are generators, the elements of A' and
-B that give dim(A n B') (read in the frame of A'), or a bare basis, whose
-algebra must then have the basis's dimension.
+linked by the letters, polar factors along Prim's maximum spanning forest
+of the links from one stacked eigh per eigenspace dimension, and a check
+that every letter reads sum_J 1_{n_J} (x) X_J.  Its letters are generators,
+elements of A' and B in A''s frame that give dim(A n B'), or a bare basis,
+whose algebra must then have the basis's dimension.
 
 Values are immutable; the lazy caches (basis, decomposition, commutant, and a
 decomposition's classes, blocks and summary) are write-once, so algebras can
@@ -38,7 +37,7 @@ be shared read-only across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import groupby
 from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -438,9 +437,8 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
     A n B' = (A' u B)': two generic hermitian elements of A' and two of B,
     each built from the blocks, generate the algebra C = A' v B, and the
     spectral solve gives its blocks, so dim(A n B') = dim C' = sum_J n_J^2.
-    The letters are read in the frame V of A', which leaves dim C' as it is:
-    there A''s two are block diagonal and take no product, and B's two are
-    X (sum_K 1 (x) H_K) X^dag with X = V^dag W_B, one product for both.
+    They are read in the frame V of A': A''s two are block diagonal there,
+    and B's two take X = V^dag W_B, one product for both.
     algebra_intersection(a, b.commutant_algebra()) is the oracle.
     """
     _check_same_ambient(a, b)
@@ -493,9 +491,8 @@ def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
 
     Attempt i (_decompose_attempt), for i < _DECOMPOSE_ATTEMPTS, takes its
     generic coefficients from _DECOMPOSE_RNG.normals(i, ...), a counter hash
-    that needs no numpy.random, drawn once per process (_attempt_draw).  The
-    stream is fixed, so the same letters always give the same frame, put in
-    canonical order here.  It is accepted
+    that needs no numpy.random.  The stream is fixed, so the same letters
+    always give the same frame, put in canonical order here.  It is accepted
     when every letter reads sum_J 1_{n_J} (x) X_J in its coordinates with
     nothing between blocks (_check_letters).  Then A lies in
     sum_J 1_{n_J} (x) M_{d_J}; the eigenprojections and transports that built
@@ -504,7 +501,7 @@ def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
     reason is reported in DecompositionError.
     """
     for attempt in range(_DECOMPOSE_ATTEMPTS):
-        draw = _attempt_draw(attempt, len(letters))
+        draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, len(letters))
         try:
             dec = StructuralDecomposition(*_canonical_block_order(*_decompose_attempt(letters, draw)))
             _check_letters(letters, dec)
@@ -516,33 +513,20 @@ def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
     )
 
 
-@lru_cache(maxsize=4 * _DECOMPOSE_ATTEMPTS)
-def _attempt_draw(attempt: int, k: int) -> np.ndarray:
-    """The coefficients of an attempt over k letters, read-only: every solve with k
-    letters reads the same ones, so each is drawn once per process (for the
-    last few letter counts)."""
-    draw = _coefficients(_DECOMPOSE_RNG, attempt, 3, k)
-    draw.setflags(write=False)
-    return draw
-
-
 def _decompose_attempt(letters: np.ndarray, draw: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Candidate (frame, shapes) from the eigenspaces of one generic hermitian h in A.
 
     The eigenspaces Q_a of h have dimension n_J, d_J of them per block.  Two
-    lie in one block when some letter l links them (T = Q_a^dag l Q_b != 0):
-    the letters generate A, so the components of that graph are the blocks.
-    Along a maximum spanning forest of the link weights (_spanning_forest),
-    the frame of eigenspace b is R_b = P(T)^dag R_a for its parent a and the
-    strongest letter on the edge, P(T) = T (T^dag T)^(-1/2) the polar factor
-    (_tree_frames); the frames Q_a R_a of a block, one product per block, are
-    the columns of V_J.  A link between eigenspaces of different dimension,
-    or a singular T, is a non-generic draw.
+    lie in one block when some letter l links them (T = Q_a^dag l Q_b != 0),
+    so the components of that graph are the blocks.  Along a maximum spanning
+    forest of the links (_spanning_forest), R_b = P(T)^dag R_a for the parent
+    a, the strongest letter and P(T) the polar factor (_tree_frames); the
+    Q_a R_a of a block, one product, are the columns of V_J.  A link between
+    eigenspaces of different dimension, or a singular T, is a non-generic draw.
     """
     evals, evecs = np.linalg.eigh(_generic_element(letters, draw))
     clusters = _cluster_indices(evals)  # contiguous runs of the sorted spectrum
-    starts = np.array([c[0] for c in clusters])
-    sizes = np.array([len(c) for c in clusters])
+    starts, sizes = np.array([(c[0], len(c)) for c in clusters]).T
     compressed = dagger(evecs) @ letters @ evecs  # the letters in h's eigenbasis
     weight = np.sum(np.abs(compressed) ** 2, axis=0)
     weight = np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1)
@@ -551,22 +535,19 @@ def _decompose_attempt(letters: np.ndarray, draw: np.ndarray) -> tuple[np.ndarra
     frames = _tree_frames(compressed, starts, sizes, edges)
     if mismatch:
         raise _RetryDraw("eigenspaces of one block differ in dimension")
-    # the clusters' columns in tree order; then column p d_J + l of a block is
-    # column p of its l-th frame
+    # the clusters' columns in tree order; column p d_J + l of a block is column p
+    # of its l-th frame
     order = [c for tree in trees for c in tree]
-    widths = sizes[order]
-    frame = np.take(evecs, np.arange(len(evecs)) - np.repeat(
-        np.cumsum(widths) - widths - starts[order], widths), axis=1)
+    frame = _take_runs(evecs, starts[order], sizes[order])
     shapes, start = [], 0
     for root, *rest in trees:
         n, dj = int(sizes[root]), 1 + len(rest)
-        stop = start + n * dj
+        cols, start = slice(start, start + n * dj), start + n * dj
         if rest:
-            q = frame[:, start:stop].reshape(-1, dj, n).transpose(1, 0, 2)
+            q = frame[:, cols].reshape(-1, dj, n).transpose(1, 0, 2)
             iso = q @ np.stack([np.eye(n)] + [frames[c] for c in rest])
-            frame[:, start:stop] = iso.transpose(1, 2, 0).reshape(len(frame), -1)
+            frame[:, cols] = iso.transpose(1, 2, 0).reshape(len(frame), -1)
         shapes.append((n, dj))
-        start = stop
     return frame, tuple(shapes)
 
 
@@ -574,29 +555,24 @@ def _spanning_forest(weight: np.ndarray, sizes: np.ndarray) -> tuple[list, list,
     """Prim's maximum spanning forest over the link weights above ISO_TOL^2, as
     (trees, edges, mismatch): each tree's clusters in joining order, the lowest
     first, and the (parent, child) edges in that order.  best and parent hold
-    the strongest link from the tree to each cluster outside it (those of
-    earlier trees are at most ISO_TOL^2), so a step costs O(k) for k clusters.
-    A link between clusters of different size stops it with mismatch set.
-    """
+    each outside cluster's strongest link into the tree, so a step costs O(k).
+    A link between clusters of different size stops it with mismatch set."""
     k = len(weight)
-    outside = np.ones(k, dtype=bool)
-    best, parent = np.full(k, -np.inf), np.zeros(k, dtype=int)
+    outside, best, parent = np.ones(k, dtype=bool), np.full(k, -np.inf), np.zeros(k, dtype=int)
     trees, edges = [], []
     for _ in range(k):
         b = int(np.argmax(best))
-        if best[b] > ISO_TOL**2:
-            a = int(parent[b])
-            if sizes[a] != sizes[b]:
-                return trees, edges, True
-            edges.append((a, b))
-            trees[-1].append(b)
-        else:  # nothing links this tree to the rest: the lowest cluster left roots the next
+        if not best[b] > ISO_TOL**2:  # no link on: the lowest cluster left roots a new tree
             b = int(np.argmax(outside))
             trees.append([b])
+        elif sizes[parent[b]] != sizes[b]:
+            return trees, edges, True
+        else:
+            edges.append((int(parent[b]), b))
+            trees[-1].append(b)
         outside[b], best[b] = False, -np.inf
         closer = outside & (weight[b] > best)  # a tie keeps the earlier parent
-        best[closer] = weight[b, closer]
-        parent[closer] = b
+        best[closer], parent[closer] = weight[b, closer], b
     return trees, edges, False
 
 
@@ -609,9 +585,8 @@ def _tree_frames(compressed: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     adjoints = {}
     for n in sorted({int(sizes[b]) for _, b in edges}):
         a, b = np.array([e for e in edges if sizes[e[1]] == n]).T
-        span = np.arange(n)
-        t = compressed[:, (starts[a][:, None] + span)[:, :, None],
-                       (starts[b][:, None] + span)[:, None, :]]  # (letters, edges, n, n)
+        span = np.arange(n)  # t is (letters, edges, n, n)
+        t = compressed[:, starts[a, None, None] + span[:, None], starts[b, None, None] + span]
         t = t[np.argmax(np.linalg.norm(t, axis=(2, 3)), axis=0), np.arange(len(b))]
         lam, w = np.linalg.eigh(dagger(t) @ t)
         if not np.all(lam[:, 0] > ISO_TOL**2 * lam[:, -1]):
@@ -691,12 +666,15 @@ def _canonical_block_order(frame: np.ndarray, shapes: tuple) -> tuple[np.ndarray
     order = sorted(range(len(shapes)),
                    key=lambda j: (shapes[j][1], shapes[j][0], round(float(trace_r[j]), 9)))
     if order != sorted(order):
-        sizes, starts = np.take(sizes, order), np.take(starts, order)
-        new_starts = np.cumsum(sizes) - sizes
-        # column p of the reordered frame, in block J, is column p - new_starts[J] + starts[J]
-        cols = np.arange(len(frame)) - np.repeat(new_starts - starts, sizes)
-        frame = np.take(frame, cols, axis=1)  # C-ordered, where frame[:, cols] is not
+        frame = _take_runs(frame, starts[order], np.take(sizes, order))
     return frame, tuple(shapes[j] for j in order)
+
+
+def _take_runs(frame: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The column runs frame[:, s:s + w] for (s, w) in zip(starts, widths), side by side,
+    as one take: C-ordered, where frame[:, cols] is not."""
+    cols = np.arange(frame.shape[1]) - np.repeat(np.cumsum(widths) - widths - starts, widths)
+    return np.take(frame, cols, axis=1)
 
 
 def _conjugate_decomposition(dec: StructuralDecomposition, u: np.ndarray) -> StructuralDecomposition:
