@@ -6,7 +6,7 @@ manlab.cli`` load only the modules a caller actually uses: a command that
 never samples never compiles the protocol simulators.  Each name is listed
 under the module that defines it: the report records and ``lattice_man``
 under ``report`` (no numpy), the MASA closed forms under ``masa`` (no
-structure solve).
+structure solve), the d^2 x d^2 oracles under ``oracles``, which no command loads.
 """
 
 from importlib import import_module
@@ -14,23 +14,17 @@ from importlib import import_module
 _EXPORTS = {
     "rng": ("RngStream",),
     "linalg": (
-        "SuperOperator",
         "haar_state",
         "haar_unitary",
         "hs_inner",
         "hs_norm_sq",
         "orthonormalize_hs",
-        "partial_trace",
-        "swap_operator",
     ),
     "algebras": (
-        "BlockBases",
         "OperatorAlgebra",
         "StructuralDecomposition",
         "algebra_from_generators",
         "algebra_intersection",
-        "algebras_equal",
-        "block_bases",
         "center",
         "diagonal_masa",
         "full_algebra",
@@ -43,27 +37,35 @@ _EXPORTS = {
     "report": ("ManReport", "lattice_man"),
     "masa": ("masa_man", "quantumness"),
     "man": (
-        "OmegaOperator",
         "a_otoc",
         "entropy_decomposition_man",
         "man_bounds",
         "man_collinear",
         "man_omega",
         "man_projection",
-        "omega_operator",
         "orbit_averaged_man",
         "self_man",
     ),
     "protocols": (
-        "AlgebraState",
         "EstimatorResult",
-        "algebra_state",
         "markov_bound_check",
         "mc_man_direct",
         "mc_orbit_averaged_man",
         "protocol_choi",
         "protocol_stochastic",
         "restricted_distance",
+    ),
+    "oracles": (
+        "AlgebraState",
+        "BlockBases",
+        "OmegaOperator",
+        "SuperOperator",
+        "algebra_state",
+        "algebras_equal",
+        "block_bases",
+        "omega_operator",
+        "partial_trace",
+        "swap_operator",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

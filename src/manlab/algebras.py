@@ -5,11 +5,11 @@ the shapes (n_J, d_J), sorted by (d_J, n_J), with the algebra acting as
 1_{n_J} (x) M_{d_J} on the columns of V_J and the commutant as
 M_{n_J} (x) 1_{d_J}.  Each run of equal shapes is one column range, read by
 StructuralDecomposition.classes alone; kernels run one product per class.
-Blocks (n_J, d_J, V_J), views of the frame, serve the oracles and
-haar_algebra_unitary; the estimators' Haar draws are written per class into
-the frame (_haar_block_diagonal).  Only this module builds or permutes a frame: the commutant's is
-A's with the factors of each block swapped, the center's is A's own, and
-conjugation is one product U V.
+Blocks (n_J, d_J, V_J), views of the frame, serve the oracles (the d^2 x d^2
+ones live in manlab.oracles); StructuralDecomposition.block_diagonal writes
+sum_J 1_{n_J} (x) X_J into the frame, one assignment per class.  Only this
+module builds or permutes a frame: the commutant's is A's with the factors of
+each block swapped, the center's is A's own, and conjugation is one product U V.
 
 Everything read of the shapes alone, d(A) = sum_J d_J^2, d(A') = sum_J n_J^2,
 d_Z and the collinearity ratio n_J/d_J, is one StructuralSummary, a record
@@ -46,7 +46,6 @@ import numpy as np
 
 from .errors import AlgebraError, DecompositionError
 from .linalg import (
-    SuperOperator,
     _complex_normals,
     _haar_unitaries,
     dagger,
@@ -65,8 +64,6 @@ ISO_TOL = 1e-8
 # Relative eigenvalue-gap threshold when clustering the spectrum of a generic
 # element; separates exact degeneracy from generic splitting.
 CLUSTER_RTOL = 1e-7
-# Two algebras are equal when their HS projectors differ by less than this.
-EQUALITY_TOL = 1e-8
 
 # Fixed streams for the randomness internal to the structure solve (the generic
 # element) and to the generating pair of compute_commutant(); constants keep
@@ -130,15 +127,15 @@ class StructuralDecomposition:
         """The structural data of these shapes, computed on first read."""
         return StructuralSummary.from_shapes(self.dim, self.shapes)
 
-
-@dataclass(frozen=True)
-class BlockBases:
-    """The two families e_alpha (spanning A) and e_tilde_beta (spanning A')."""
-
-    e: tuple[np.ndarray, ...]
-    e_labels: tuple[tuple[int, int, int], ...]
-    e_tilde: tuple[np.ndarray, ...]
-    e_tilde_labels: tuple[tuple[int, int, int], ...]
+    def block_diagonal(self, cores, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """sum_J 1_{n_J} (x) X_J in the frame's coordinates, a (*lead, d, d) stack, from one
+        (*lead, count, d_J, d_J) array of X_J per shape class, written exactly onto the
+        diagonal blocks of each block's (n_J, d_J, n_J, d_J) view, one assignment per class."""
+        out = np.zeros((*lead, self.dim, self.dim), dtype=complex)
+        for (n, dj, count, cols), x in zip(self.classes, cores):
+            run = out[..., cols, cols].reshape(*lead, count, n, dj, count, n, dj)
+            np.einsum("...brlbrm->...brlm", run)[...] = x[..., None, :, :]
+        return out
 
 
 class OperatorAlgebra:
@@ -204,7 +201,9 @@ class OperatorAlgebra:
         return bool(np.linalg.norm(x - self.project(x)) <= MEMBERSHIP_TOL * scale)
 
     def projection_superoperator(self) -> SuperOperator:
-        """Conditional expectation onto the algebra (HS-orthogonal, CP, unital)."""
+        """Conditional expectation onto the algebra (HS-orthogonal, CP, unital); an oracle."""
+        from .oracles import SuperOperator
+
         return SuperOperator.hs_projection(list(self.basis))
 
     def validate(self) -> None:
@@ -393,6 +392,7 @@ def compute_commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     entry between them, give every matrix unit.  So X commutes with the
     algebra exactly when it commutes with h_1 and h_2, and the system is
     2d^2 x d^2 whatever dim(A) is.
+    Held here for perfbench/tracer.py until ROADMAP item 1b moves it to manlab.oracles.
     """
     d = alg.d
     eye = np.eye(d, dtype=complex)
@@ -420,6 +420,7 @@ def algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlge
     algebra and Q_b the other, x = c Q_a lies in B exactly when c R = 0 for
     R = Q_a - (Q_a Q_b^dag) Q_b.  Those c are the conjugated left singular
     vectors of R with zero singular value, the nullspace of R^T.
+    Held here for perfbench/tracer.py until ROADMAP item 1b moves it to manlab.oracles.
     """
     _check_same_ambient(a, b)
     if a.dim > b.dim:
@@ -452,37 +453,27 @@ def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:
 
 def _block_hermitian(dec: StructuralDecomposition, counter: int,
                      frame: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum_J 1_{n_J} (x) H_J in dec's own frame, written onto its diagonal blocks, or
-    read through `frame` as frame (sum_J ...) frame^dag, one product pair per shape
-    class; H_J the hermitian parts of complex Gaussian matrices from
-    _INTERSECTION_RNG at counter."""
+    """sum_J 1_{n_J} (x) H_J in dec's own frame (dec.block_diagonal), or read through
+    `frame` as frame (sum_J ...) frame^dag, one product pair per shape class; H_J the
+    hermitian parts of complex Gaussian matrices from _INTERSECTION_RNG at counter."""
     z = _coefficients(_INTERSECTION_RNG, counter, 1, dec.summary.d_alg)[0]
-    h = np.zeros((dec.dim, dec.dim), dtype=complex) if frame is None else 0.0
+    h, cores = 0.0, []
     for n, dj, count, cols in dec.classes:
         x, z = z[:count * dj * dj].reshape(count, dj, dj), z[count * dj * dj:]
         x = (x + dagger(x)) / 2
         if frame is None:
-            run = h[cols, cols].reshape(count, n, dj, count, n, dj)
-            np.einsum("brlbrm->brlm", run)[...] = x[:, None]
+            cores.append(x)
         else:
             v = frame[:, cols]
             h = h + (v.reshape(-1, count, n, dj) @ x).reshape(v.shape) @ dagger(v)
-    return h
+    return dec.block_diagonal(cores) if frame is None else h
 
 
 def center(alg: OperatorAlgebra) -> OperatorAlgebra:
-    """Z(A) = sum_J C P_J, born from A's frame with the scalar shapes (n_J d_J, 1)."""
+    """Z(A) = sum_J C P_J, born from A's frame with the scalar shapes (n_J d_J, 1).
+    Held here for perfbench/tracer.py until ROADMAP item 1b moves it to manlab.oracles."""
     dec = alg.decomposition()
     return _algebra_from_frame(dec.frame, [(n * dj, 1) for n, dj in dec.shapes])
-
-
-def algebras_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
-    """Basis-free equality: HS distance between the two projectors."""
-    if a.d != b.d:
-        return False
-    pa = a.projection_superoperator().transfer
-    pb = b.projection_superoperator().transfer
-    return bool(np.linalg.norm(pa - pb) <= EQUALITY_TOL)
 
 
 def _compute_decomposition(letters: np.ndarray) -> StructuralDecomposition:
@@ -686,38 +677,14 @@ def _check_same_ambient(a: OperatorAlgebra, b: OperatorAlgebra) -> None:
         raise AlgebraError(f"ambient dimensions differ: {a.d} vs {b.d}")
 
 
-# -- block bases, projections, sampling --------------------------------------
-
-
-def block_bases(dec: StructuralDecomposition) -> BlockBases:
-    e, e_labels, et, et_labels = [], [], [], []
-    for j, b in enumerate(dec.blocks):
-        iso = b.isometry
-        for l in range(b.d):
-            for m in range(b.d):
-                unit = np.zeros((b.d, b.d), dtype=complex)
-                unit[l, m] = 1.0
-                e.append(iso @ np.kron(np.eye(b.n) / np.sqrt(b.d), unit) @ dagger(iso))
-                e_labels.append((j, l, m))
-        for p in range(b.n):
-            for q in range(b.n):
-                unit = np.zeros((b.n, b.n), dtype=complex)
-                unit[p, q] = 1.0
-                et.append(iso @ np.kron(unit, np.eye(b.d) / np.sqrt(b.n)) @ dagger(iso))
-                et_labels.append((j, p, q))
-    return BlockBases(tuple(e), tuple(e_labels), tuple(et), tuple(et_labels))
-
-
-def kraus_projection_maps(dec: StructuralDecomposition) -> tuple[SuperOperator, SuperOperator]:
-    """(P_A, P_A') in Kraus form built from the block bases."""
-    bases = block_bases(dec)
-    return SuperOperator.from_kraus(bases.e_tilde), SuperOperator.from_kraus(bases.e)
+# -- sampling ---------------------------------------------------------------
 
 
 def haar_algebra_unitary(
     dec: StructuralDecomposition, rng: RngStream, counter: int = 0
 ) -> np.ndarray:
-    """Haar unitary of the algebra: independent Haar factors on each irrep."""
+    """Haar unitary of the algebra: independent Haar factors on each irrep.
+    Held here for perfbench/tracer.py until ROADMAP item 1b moves it to manlab.oracles."""
     return _haar_algebra_unitaries(dec, rng, counter, counter + 1)[0]
 
 
@@ -777,15 +744,6 @@ def _haar_algebra_unitaries(
 def _haar_block_diagonal(
     dec: StructuralDecomposition, rng: RngStream, start: int, stop: int
 ) -> np.ndarray:
-    """The Haar draws of _haar_algebra_unitaries read in the decomposition's frame:
-    D = V^dag U V = sum_J 1_{n_J} (x) U_J, block diagonal, as a (samples, d, d) stack.
-
-    One assignment per shape class writes the U_J of all its blocks onto the
-    (r, r) diagonal blocks of each block's (n_J, d_J, n_J, d_J) view, so D
-    holds the factors' bits exactly and a MASA's d blocks cost no Python loop.
-    """
-    out = np.zeros((stop - start, dec.dim, dec.dim), dtype=complex)
-    for (n, dj, count, cols), factors in zip(dec.classes, _haar_factors(dec, rng, start, stop)):
-        run = out[:, cols, cols].reshape(-1, count, n, dj, count, n, dj)
-        np.einsum("sbrlbrm->sbrlm", run)[...] = factors[:, :, None]
-    return out
+    """The Haar draws of _haar_algebra_unitaries in the decomposition's frame: the block
+    diagonal D = V^dag U V = sum_J 1_{n_J} (x) U_J, as a (samples, d, d) stack."""
+    return dec.block_diagonal(_haar_factors(dec, rng, start, stop), (stop - start,))

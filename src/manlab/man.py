@@ -16,8 +16,8 @@ exact protocol modes) reads its block pairs from one kernel,
 _block_pair_cores, and weighs the per-pair cores its own way; the routes
 therefore share their arithmetic and check the report plumbing, not the
 kernel.  It runs one product per pair of shape classes, so a MASA pair is one
-d x d product.  The kernel's checks are the d^4 oracles (omega_operator, the
-dense references of the test suite) and the direct Monte-Carlo oracle.  Every
+d x d product.  The kernel's checks are the d^4 oracles of manlab.oracles and
+the test suite's dense references, and the direct Monte-Carlo oracle.  Every
 report is built by manlab.report._report from StructuralSummary records: the
 route's own bounds, then _pair_bounds.  Routes given an algebra read its
 decomposition's summary.  The pair routes reach _report through
@@ -27,8 +27,8 @@ for the routes that ask and a collinear A.
 The closed forms that build no algebra live outside the engine, so the
 commands that run them load neither this module nor the structure solve:
 lattice_man in manlab.report (no numpy) and masa_man and quantumness in
-manlab.masa.  This module still holds their names, where
-perfbench/tracer.py patches them.
+manlab.masa.  This module still holds their names, and the oracle
+algebra_intersection's, where perfbench/tracer.py patches them.
 
 The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 """
@@ -36,7 +36,6 @@ The logarithmic variant is S2 = -log(1 - S); base 2 unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,7 +47,7 @@ from .algebras import (
     commutant_intersection_dim,
 )
 from .errors import AlgebraError, NonCollinearError, NumericalConsistencyError
-from .linalg import dagger, swap_operator, swap_perm
+from .linalg import dagger
 from .masa import masa_man, quantumness  # noqa: F401  (held here for perfbench/tracer.py)
 from .report import (
     FORMULA_TOL,
@@ -62,47 +61,15 @@ from .report import (
 )
 
 __all__ = [
-    "OmegaOperator",
     "a_otoc",
     "entropy_decomposition_man",
     "man_bounds",
     "man_collinear",
     "man_omega",
     "man_projection",
-    "omega_operator",
     "orbit_averaged_man",
     "self_man",
 ]
-
-
-@dataclass(frozen=True)
-class OmegaOperator:
-    """Omega_A = E_{U in A}[U (x) U^dag] = sum_a e_a (x) e_a^dag."""
-
-    matrix: np.ndarray
-    d: int
-
-    def swap_trace(self) -> float:
-        """Tr(S Omega) = d for any unital hermitian-closed algebra."""
-        return float(np.real(np.trace(self.matrix[swap_perm(self.d)])))
-
-    def trace(self) -> float:
-        """Tr(Omega) = d(A')."""
-        return float(np.real(np.trace(self.matrix)))
-
-
-def omega_operator(alg: OperatorAlgebra) -> OmegaOperator:
-    """Build the d^2 x d^2 Omega_A explicitly: the oracle for man_omega's block trace.
-
-    Conjugates 1_n^(x2) (x) S_{d_J} / d_J into place per central block.
-    """
-    d = alg.d
-    omega = np.zeros((d * d, d * d), dtype=complex)
-    for b in alg.decomposition().blocks:
-        iso2 = np.kron(b.isometry, b.isometry)
-        core = swap_operator([b.n, b.d], {1})  # swaps the two d_J factors of (C^n (x) C^d)^(x2)
-        omega += iso2 @ core @ dagger(iso2) / b.d
-    return OmegaOperator(omega, d)
 
 
 def _gram_sq(x):

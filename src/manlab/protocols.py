@@ -7,7 +7,7 @@ quantity the way a laboratory would: swap-test expectations over Choi-type
 (protocol 2).  Shot noise, when requested, is binomial on the swap-test
 outcome probabilities.  Every estimator reads a state through one block
 reduction, ``purestates.reduced`` in the decomposition's frame, at O(d^2)
-work per state.
+work per state; only ``manlab.oracles`` builds the d^2 x d^2 algebra states.
 
 The estimators read an algebra's Haar unitaries in the algebra's frame and
 never form them as d x d matrices: with U = V_A D_A V_A^dag, D_A =
@@ -82,10 +82,8 @@ _STREAM_ORBIT = 5
 _CHUNK_ELEMENTS = 8192
 
 __all__ = [
-    "AlgebraState",
     "EstimatorResult",
     "MarkovCheckReport",
-    "algebra_state",
     "markov_bound_check",
     "mc_man_direct",
     "mc_orbit_averaged_man",
@@ -110,20 +108,6 @@ class EstimatorResult:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class AlgebraState:
-    """Choi state of the conditional expectation; purity d(A)/d^2."""
-
-    rho: np.ndarray
-    d: int
-
-    def purity(self) -> float:
-        return float(np.real(np.sum(self.rho * self.rho.T)))
-
-    def renyi2(self, log_base: float = 2.0) -> float:
-        return -math.log(self.purity()) / math.log(log_base)
-
-
 def _result(method: str, estimate: float, std_error: float, rng: Optional[RngStream],
             samples: int = 0, shots: Optional[int] = None,
             extras: Optional[dict] = None) -> EstimatorResult:
@@ -141,11 +125,6 @@ def _check_denominator(den: float, se: float) -> None:
         raise IllConditionedEstimatorError(
             f"denominator estimate {den:.3e} is within 3 std errors ({se:.3e}) of zero"
         )
-
-
-def algebra_state(alg: OperatorAlgebra) -> AlgebraState:
-    """The d^2 x d^2 Choi state of P_A: the oracle behind protocol_choi's block overlaps."""
-    return AlgebraState(alg.projection_superoperator().choi(), alg.d)
 
 
 def _per_sample(samples: int, per_sample: int, chunk, *shape: int) -> np.ndarray:

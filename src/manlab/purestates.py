@@ -49,13 +49,7 @@ def reduced(dec, phi: np.ndarray) -> list[np.ndarray]:
 
 def core(dec, rs: list[np.ndarray]) -> np.ndarray:
     """V^dag P(rho) V = sum_J 1_{n_J}/n_J (x) R_J, as (c, d, d), from the R_J of `reduced`."""
-    c, d = len(rs[0]), dec.dim
-    out = np.zeros((c, d, d), dtype=complex)
-    for (n, dj, count, cols), r in zip(dec.classes, rs):
-        run = out[:, cols, cols].reshape(c, count, n, dj, count, n, dj)
-        # the (r, r) diagonal blocks of each block's (n_J, d_J, n_J, d_J) view, written in place
-        np.einsum("cbrlbrm->cbrlm", run)[...] = (r / n)[:, :, None]
-    return out
+    return dec.block_diagonal((r / n for (n, *_), r in zip(dec.classes, rs)), (len(rs[0]),))
 
 
 class PairOverlaps:

@@ -74,8 +74,8 @@ class RngStream:
     def generator(self, counter: int = 0) -> np.random.Generator:
         """Philox generator positioned at `counter`; same arguments, same draws.
 
-        No estimator uses it: every draw in the package comes from the counter
-        hash.  Calling it imports ``numpy.random``.
+        No estimator uses it, calling it imports ``numpy.random``, and it is
+        held for perfbench/tracer.py until ROADMAP item 1b.
         """
         _check_counters(counter, counter + 1)
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)

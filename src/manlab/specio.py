@@ -36,9 +36,9 @@ KINDS = ("generators", "structural", "masa", "lattice", "full", "trivial")
 
 # Refuse larger ambients unless explicitly overridden.  No command builds a
 # d^2 x d^2 superoperator or a dense algebra basis: every route reads block
-# data, and only the oracles (algebras_equal, algebra_state, the bases that
-# OperatorAlgebra builds on first access) are d^4.  The largest production
-# objects are d x d, but the spec files themselves grow as d^2 entries.
+# data, and only the oracles are d^4 (manlab.oracles, which no command loads,
+# and the bases that OperatorAlgebra builds on first access).  The largest
+# production objects are d x d, but the spec files grow as d^2 entries.
 MAX_AMBIENT_DIM = 64
 
 

@@ -11,7 +11,6 @@ from manlab.algebras import (
     OperatorAlgebra,
     StructuralDecomposition,
     algebra_from_generators,
-    block_bases,
     compute_commutant,
     diagonal_masa,
     full_algebra,
@@ -24,9 +23,9 @@ from manlab.linalg import (
     RANK_RTOL,
     dagger,
     orthonormalize_hs,
-    swap_operator,
 )
 from manlab.man import _block_swap_trace
+from manlab.oracles import block_bases, swap_operator
 from manlab.protocols import (
     _STREAM_ORBIT,
     _STREAM_SHOTS,

@@ -14,11 +14,9 @@ import numpy as np
 
 from manlab.algebras import (
     algebra_from_generators,
-    algebras_equal,
     compute_commutant,
     diagonal_masa,
     full_algebra,
-    kraus_projection_maps,
     lattice_algebra,
     masa_from_unitary,
     structural_algebra,
@@ -34,9 +32,9 @@ from manlab.man import (
     self_man,
 )
 from manlab.masa import quantumness
+from manlab.oracles import algebra_state, algebras_equal, kraus_projection_maps
 from manlab.report import lattice_man
 from manlab.protocols import (
-    algebra_state,
     markov_bound_check,
     mc_man_direct,
     mc_orbit_averaged_man,

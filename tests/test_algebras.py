@@ -11,15 +11,12 @@ from manlab.algebras import (
     StructuralSummary,
     algebra_from_generators,
     algebra_intersection,
-    algebras_equal,
-    block_bases,
     center,
     commutant_intersection_dim,
     compute_commutant,
     diagonal_masa,
     full_algebra,
     haar_algebra_unitary,
-    kraus_projection_maps,
     lattice_algebra,
     masa_from_unitary,
     structural_algebra,
@@ -27,7 +24,7 @@ from manlab.algebras import (
 )
 from manlab.errors import AlgebraError, DecompositionError, SpecFileError
 from manlab.linalg import dagger, hs_norm_sq
-from manlab.man import omega_operator
+from manlab.oracles import algebras_equal, block_bases, kraus_projection_maps, omega_operator
 from manlab.rng import RngStream
 from manlab.specio import spec_from_dict
 
@@ -674,7 +671,7 @@ class TestProjectionMap:
             x = random_matrix(4, 300 + k)
             assert np.linalg.norm(kraus_p.apply(x) - subspace_p.apply(x)) < 1e-9
         # and it is the compression form X -> Tr_2(X) (x) 1/2
-        from manlab.linalg import partial_trace
+        from manlab.oracles import partial_trace
 
         x = random_matrix(4, 5)
         expected = np.kron(partial_trace(x, [2, 2], {0}), np.eye(2) / 2)
@@ -859,7 +856,7 @@ class TestDefensivePaths:
             spec_from_dict(spec)
 
     def test_non_square_transfer_rejected(self):
-        from manlab.linalg import SuperOperator
+        from manlab.oracles import SuperOperator
 
         with pytest.raises(ValueError):
             SuperOperator(np.zeros((3, 4)))

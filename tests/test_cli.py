@@ -347,7 +347,7 @@ class TestNoOmegaInProduction:
         def forbidden(*args, **kwargs):
             raise AssertionError("omega_operator called outside the oracle tests")
 
-        monkeypatch.setattr("manlab.man.omega_operator", forbidden)
+        monkeypatch.setattr("manlab.oracles.omega_operator", forbidden)
         monkeypatch.setattr("manlab.protocols.omega_operator", forbidden, raising=False)
         m2x1, full4 = str(specdir / "m2x1.json"), str(specdir / "full4.json")
         res = _run_json(capsys, ["man", m2x1, full4])["result"]
@@ -376,9 +376,9 @@ class TestNoDenseOverlapInProduction:
                 raise AssertionError(f"{name} called by an overlap route")
             return forbidden
 
-        monkeypatch.setattr("manlab.linalg.SuperOperator.hs_projection",
+        monkeypatch.setattr("manlab.oracles.SuperOperator.hs_projection",
                             forbid("SuperOperator.hs_projection"))
-        monkeypatch.setattr("manlab.protocols.algebra_state", forbid("algebra_state"))
+        monkeypatch.setattr("manlab.oracles.algebra_state", forbid("algebra_state"))
         m2x1, bell4 = str(specdir / "m2x1.json"), str(specdir / "bell4.json")
         res = _run_json(capsys, ["man", m2x1, bell4, "--method", "collinear"])["result"]
         assert abs(res["S"] - 0.75) < 1e-12
@@ -479,7 +479,8 @@ class TestOneBasisPerAlgebra:
             return wrapper
 
         monkeypatch.setattr(mod, "_block_algebra_basis", counting)
-        monkeypatch.setattr(mod, "block_bases", recording("block_bases", mod.block_bases))
+        monkeypatch.setattr("manlab.oracles.block_bases",
+                            recording("block_bases", manlab.block_bases))
         monkeypatch.setattr(mod.OperatorAlgebra, "project",
                             recording("project", mod.OperatorAlgebra.project))
         rot = tmp_path / "rot4.json"
@@ -1016,6 +1017,24 @@ class TestColdImports:
             assert outcome["code"] == 0, proc.stderr
             (seen,) = outcome["seen"]
             assert modules <= set(seen), (argv, modules - set(seen))
+
+    def test_numeric_commands_load_the_engine_and_no_oracles(self, specdir):
+        # the d^2 x d^2 oracles live in manlab.oracles, which no command compiles;
+        # every `protocol` variant runs in manlab.protocols, the exact choi mode too
+        engine = {f"manlab.{name}" for name in ("errors", "report", "specio", "masa", "rng",
+                                                "linalg", "algebras", "man")}
+        g, s, m = (str(specdir / name) for name in ("genz.json", "sym2.json", "m2x1.json"))
+        exact = [["analyze", g], ["selfman", g], ["man", g, g], ["bounds", g, g],
+                 ["aotoc", m, "--unitary", str(specdir / "swap_u.json")]]
+        sampling = [["man", s, s, "--method", "mc", "--samples", "10"],
+                    ["markov-check", s, s, "--epsilon", "0.5", "--samples", "10"],
+                    ["protocol", "stochastic", m, s, "--samples", "10"], ["protocol", "choi", m, s]]
+        for argvs, modules in ((exact, engine),
+                               (sampling, engine | {"manlab.protocols", "manlab.purestates"})):
+            for argv in argvs:
+                loaded = {name for name in _imported_modules(["-m", "manlab.cli", *argv])
+                          if name.startswith("manlab.")}
+                assert loaded == modules, (argv, loaded ^ modules)
 
     def test_sampling_commands_load_no_numpy_random(self, specdir):
         # every draw, the binomial shots included, comes from the counter hash

@@ -1,8 +1,10 @@
 """Every top-level import in src/manlab is used by the module that makes it, every
-name manlab exports is used, no function is a second name for another, and each
-report record has one constructor."""
+name manlab exports is used and resolves to its definition, every __all__ entry
+is defined where it is listed, no module loads manlab.oracles at import time, no
+function is a second name for another, and each report record has one constructor."""
 
 import ast
+import importlib
 import os
 
 import manlab
@@ -79,6 +81,65 @@ def test_every_export_is_used():
     unused = sorted(name for names in manlab._EXPORTS.values() for name in names
                     if name not in used)
     assert not unused, unused
+
+
+def test_every_export_resolves_to_its_definition():
+    # manlab.<name> is the object its listed module defines, not one it imports
+    wrong = []
+    for module, names in manlab._EXPORTS.items():
+        home = importlib.import_module(f"manlab.{module}")
+        for name in names:
+            value = getattr(manlab, name)
+            if value is not getattr(home, name, None) or value.__module__ != home.__name__:
+                wrong.append(f"{module}.{name}")
+    assert not wrong, wrong
+
+
+def test_every_all_entry_is_defined_in_its_module():
+    # a module's __all__ names what the module itself defines
+    missing, listing = [], []
+    for path, source in _sources(os.path.join("src", "manlab")):
+        defined, listed = set(), []
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined |= names
+                if "__all__" in names and isinstance(node.value, (ast.List, ast.Tuple)):
+                    listed = [elt.value for elt in node.value.elts]
+        if listed:
+            listing.append(os.path.basename(path))
+        missing += [f"{os.path.basename(path)}:{name}" for name in listed if name not in defined]
+    assert listing, "no module lists __all__"
+    assert not missing, missing
+
+
+def _import_time_nodes(node):
+    """The nodes under `node` that run when its module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_the_oracles_at_top_level():
+    # `import manlab.man, manlab.protocols` must load no d^2 x d^2 code: only a
+    # function body, run by an oracle caller, may import manlab.oracles
+    offenders = []
+    for path, source in _sources(os.path.join("src", "manlab")):
+        for node in _import_time_nodes(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["manlab" if node.level else "", node.module]))
+                targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            else:
+                continue
+            if "manlab.oracles" in targets:
+                offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert not offenders, offenders
 
 
 def _forwarded_callee(func: ast.FunctionDef):

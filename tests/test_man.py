@@ -10,7 +10,6 @@ from manlab import algebras
 from manlab import man as man_engine
 from manlab.algebras import (
     algebra_from_generators,
-    block_bases,
     compute_commutant,
     diagonal_masa,
     full_algebra,
@@ -24,7 +23,7 @@ from manlab.errors import (
     NonCollinearError,
     NumericalConsistencyError,
 )
-from manlab.linalg import dagger, swap_operator, swap_perm
+from manlab.linalg import dagger
 from manlab.man import (
     _projection_overlap,
     a_otoc,
@@ -33,11 +32,11 @@ from manlab.man import (
     man_collinear,
     man_omega,
     man_projection,
-    omega_operator,
     orbit_averaged_man,
     self_man,
 )
 from manlab.masa import masa_man, quantumness
+from manlab.oracles import block_bases, omega_operator, swap_operator, swap_perm
 from manlab.report import ManReport, StructuralSummary, clamp_unit, lattice_man, log_man
 from manlab.protocols import mc_orbit_averaged_man, protocol_stochastic
 from manlab.rng import RngStream
@@ -808,7 +807,7 @@ class TestFactorAbelianRenyi:
         # S2(A:B) = -log((1/d) sum_i ||rho_i||^2) with rho_i the conditional
         # expectation of |i><i| onto the commutant; convexity bounds it by the
         # mean 2-Renyi entropy of the rho_i, with equality at Bell bases.
-        from manlab.linalg import partial_trace
+        from manlab.oracles import partial_trace
 
         a = factor_m2x1()
         for tag, basis in (("bell", BELL), ("random", random_unitary(4, 1234))):

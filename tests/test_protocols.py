@@ -25,9 +25,9 @@ from manlab.errors import (
 )
 from manlab.linalg import dagger, haar_state, haar_unitary
 from manlab.man import man_collinear, man_omega, orbit_averaged_man, self_man
+from manlab.oracles import algebra_state
 from manlab.protocols import (
     _restricted_distances,
-    algebra_state,
     markov_bound_check,
     mc_man_direct,
     mc_orbit_averaged_man,

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from manlab.algebras import trivial_algebra
 from manlab.linalg import (
-    SuperOperator,
     _haar_states,
     dagger,
     haar_state,
@@ -14,10 +13,8 @@ from manlab.linalg import (
     hs_inner,
     nullspace,
     orthonormalize_hs,
-    partial_trace,
-    swap_operator,
-    symmetric_two_design,
 )
+from manlab.oracles import SuperOperator, partial_trace, swap_operator, symmetric_two_design
 from manlab.rng import RngStream
 
 from helpers import SX, SY, SZ, random_matrix, ref_omega
