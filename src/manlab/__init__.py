@@ -23,6 +23,7 @@ _EXPORTS = {
     "algebras": (
         "OperatorAlgebra",
         "StructuralDecomposition",
+        "algebra_from_basis",
         "algebra_from_generators",
         "algebra_intersection",
         "center",

@@ -18,18 +18,20 @@ StructuralDecomposition.summary, computed once per decomposition.  Every
 unitary a frame is built from passes the one unitarity rule,
 manlab.masa._check_unitary.
 
-Named algebras, generators, commutants and centers are born from their frame
-(_algebra_from_frame): dim(A) and the decomposition are set at birth, and
-the dim(A) x d x d orthonormal basis is built on first access, by oracles
-only.  The spectral solve (_compute_decomposition) takes letters and returns
-the blocks of the algebra they generate: eigenspaces of one generic element,
-linked by the letters, polar factors along Prim's maximum spanning forest
-of the links from one stacked eigh per eigenspace dimension, and a check
-that every letter reads sum_J 1_{n_J} (x) X_J.  Its letters are generators,
-elements of A' and B in A''s frame that give dim(A n B'), or a bare basis,
-whose algebra must then have the basis's dimension.
+An OperatorAlgebra holds its decomposition from birth and reads dim(A) from
+the summary; its dim(A) x d x d orthonormal basis is built on first access,
+by oracles only.  Named algebras, commutants and centers are born from their
+frame (_algebra_from_frame).  The spectral solve (_compute_decomposition)
+takes letters and returns the blocks of the algebra they generate:
+eigenspaces of one generic element, linked by the letters, polar factors
+along Prim's maximum spanning forest of the links from one stacked eigh per
+eigenspace dimension, and a check that every letter reads
+sum_J 1_{n_J} (x) X_J.  Its letters are generators, elements of A' and B in
+A''s frame that give dim(A n B'), or a bare basis (algebra_from_basis, the
+oracles' one door), whose algebra must have the basis's dimension and keeps
+that basis.
 
-Values are immutable; the lazy caches (basis, decomposition, commutant, and a
+Values are immutable; the lazy caches (basis, commutant, and a
 decomposition's classes, blocks and summary) are write-once, so algebras can
 be shared read-only across workers.
 """
@@ -139,38 +141,20 @@ class StructuralDecomposition:
 
 
 class OperatorAlgebra:
-    """Hermitian-closed unital subalgebra of L(C^d), as an orthonormal basis."""
+    """Hermitian-closed unital subalgebra of L(C^d), held as its decomposition."""
 
-    def __init__(self, d: int, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=complex)
-        if basis.ndim != 3 or basis.shape[1:] != (d, d):
-            raise AlgebraError(f"basis must have shape (k, {d}, {d})")
-        if basis.shape[0] < 1 or basis.shape[0] > d * d:
-            raise AlgebraError("algebra dimension out of range")
-        basis.setflags(write=False)
-        self.d = int(d)
-        self._basis: Optional[np.ndarray] = basis
-        self._dim = basis.shape[0]
-        self._decomposition: Optional[StructuralDecomposition] = None
+    def __init__(self, dec: StructuralDecomposition):
+        self.d = dec.dim
+        self._decomposition = dec
+        self._basis: Optional[np.ndarray] = None
         self._commutant: Optional["OperatorAlgebra"] = None
-
-    @classmethod
-    def _from_decomposition(cls, dec: "StructuralDecomposition") -> "OperatorAlgebra":
-        """The algebra of the blocks: dim and structure set now, the basis on first access."""
-        alg = cls.__new__(cls)
-        alg.d = dec.dim
-        alg._basis = None
-        alg._dim = dec.summary.d_alg
-        alg._decomposition = dec
-        alg._commutant = None
-        return alg
 
     # -- basic geometry ----------------------------------------------------
 
     @property
     def basis(self) -> np.ndarray:
         """HS-orthonormal basis, (dim, d, d); built from the blocks on first access
-        when the algebra was born from them.  Oracles read it, production does not."""
+        unless the algebra was born from a bare basis.  Oracles read it, production does not."""
         if self._basis is None:
             basis = _block_algebra_basis(self._decomposition.blocks)
             basis.setflags(write=False)
@@ -180,7 +164,7 @@ class OperatorAlgebra:
     @property
     def dim(self) -> int:
         """d(A), the linear dimension of the algebra."""
-        return self._dim
+        return self._decomposition.summary.d_alg
 
     def __repr__(self) -> str:
         return f"OperatorAlgebra(d={self.d}, dim={self.dim})"
@@ -200,8 +184,9 @@ class OperatorAlgebra:
         scale = max(1.0, float(np.linalg.norm(x)))
         return bool(np.linalg.norm(x - self.project(x)) <= MEMBERSHIP_TOL * scale)
 
-    def projection_superoperator(self) -> SuperOperator:
-        """Conditional expectation onto the algebra (HS-orthogonal, CP, unital); an oracle."""
+    def projection_superoperator(self):
+        """Conditional expectation onto the algebra (HS-orthogonal, CP, unital), as a
+        manlab.oracles.SuperOperator; an oracle."""
         from .oracles import SuperOperator
 
         return SuperOperator.hs_projection(list(self.basis))
@@ -239,21 +224,14 @@ class OperatorAlgebra:
         return self._commutant
 
     def decomposition(self) -> StructuralDecomposition:
-        """The blocks, solved on first access for a bare basis: its elements are the
-        letters, and a basis that spans no algebra generates a larger one."""
-        if self._decomposition is None:
-            dec = _compute_decomposition(self.basis)
-            if dec.summary.d_alg != self.dim:
-                raise DecompositionError(f"the basis spans {self.dim} dimensions but generates "
-                                         f"an algebra of dimension {dec.summary.d_alg}")
-            self._decomposition = dec
+        """The central-block decomposition the algebra was born with."""
         return self._decomposition
 
     def conjugated(self, u: np.ndarray) -> "OperatorAlgebra":
         """The image algebra U A U^dag: the decomposition fixes the algebra, so only
         its frame moves."""
         _check_unitary(u)
-        return OperatorAlgebra._from_decomposition(_conjugate_decomposition(self.decomposition(), u))
+        return OperatorAlgebra(_conjugate_decomposition(self.decomposition(), u))
 
 
 # -- construction -----------------------------------------------------------
@@ -281,7 +259,28 @@ def algebra_from_generators(gens: Sequence[np.ndarray], d: int) -> OperatorAlgeb
             norm = np.linalg.norm(g)
             letters += [g / norm, dagger(g) / norm]
     stack = np.stack(letters) if letters else np.empty((0, d, d), dtype=complex)
-    return OperatorAlgebra._from_decomposition(_compute_decomposition(stack))
+    return OperatorAlgebra(_compute_decomposition(stack))
+
+
+def algebra_from_basis(d: int, basis: np.ndarray) -> OperatorAlgebra:
+    """The algebra a bare (k, d, d) basis spans, which keeps that basis as given.
+
+    The basis elements are the letters of the spectral solve, so a basis that
+    spans no algebra generates a larger one and is refused here; its
+    orthonormality is checked by validate() only.
+    """
+    basis = np.asarray(basis, dtype=complex)
+    if basis.ndim != 3 or basis.shape[1:] != (d, d):
+        raise AlgebraError(f"basis must have shape (k, {d}, {d})")
+    if basis.shape[0] < 1 or basis.shape[0] > d * d:
+        raise AlgebraError("algebra dimension out of range")
+    basis.setflags(write=False)
+    alg = OperatorAlgebra(_compute_decomposition(basis))
+    if alg.dim != len(basis):
+        raise DecompositionError(f"the basis spans {len(basis)} dimensions but generates "
+                                 f"an algebra of dimension {alg.dim}")
+    alg._basis = basis
+    return alg
 
 
 def full_algebra(d: int) -> OperatorAlgebra:
@@ -328,8 +327,7 @@ def structural_algebra(
 
 def _algebra_from_frame(frame: np.ndarray, shapes: Sequence[tuple[int, int]]) -> OperatorAlgebra:
     """The algebra sum_J V_J (1_{n_J} (x) M_{d_J}) V_J^dag, born from its frame."""
-    return OperatorAlgebra._from_decomposition(
-        StructuralDecomposition(*_canonical_block_order(frame, tuple(shapes))))
+    return OperatorAlgebra(StructuralDecomposition(*_canonical_block_order(frame, tuple(shapes))))
 
 
 def _block_algebra_basis(blocks: Sequence[Block]) -> np.ndarray:
@@ -400,7 +398,7 @@ def compute_commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     # unit-norm elements set the natural scale; without the floor a stack
     # that is pure rounding noise (scalar algebras) loses its nullspace
     null_rows = nullspace(np.concatenate(stack, axis=0), scale=1.0)
-    return OperatorAlgebra(d, null_rows.reshape(-1, d, d))
+    return algebra_from_basis(d, null_rows.reshape(-1, d, d))
 
 
 def _generating_pair(alg: OperatorAlgebra) -> list[np.ndarray]:
@@ -429,7 +427,7 @@ def algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> OperatorAlge
     qb = b.basis.reshape(b.dim, -1)
     residual = qa - (qa @ qb.conj().T) @ qb
     coeffs = nullspace(residual.T, scale=1.0)
-    return OperatorAlgebra(a.d, (coeffs @ qa).reshape(-1, a.d, a.d))
+    return algebra_from_basis(a.d, (coeffs @ qa).reshape(-1, a.d, a.d))
 
 
 def commutant_intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra) -> int:

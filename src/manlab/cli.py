@@ -18,10 +18,10 @@ A command imports only the modules it computes with (``_modules``), before
 the report's clock starts.  ``lattice`` and ``sweep lattice`` answer from
 ``manlab.report`` and never load numpy; ``masa`` and ``quantumness`` load
 numpy and ``manlab.masa`` but not the structure solve; every other command
-loads ``algebras`` and ``man``, and only the commands that sample load the
-Monte-Carlo and protocol simulators (``protocols``).  No command imports
-``numpy.random``: every draw, the ``--shots`` noise included, comes from the
-counter hash in ``rng``.
+loads ``algebras`` and ``man``, and the commands that sample, with every
+``protocol`` variant, load the Monte-Carlo and protocol simulators
+(``protocols``).  No command imports ``numpy.random``: every draw, the
+``--shots`` noise included, comes from the counter hash in ``rng``.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from manlab import protocols
 from manlab.algebras import (
     OperatorAlgebra,
     StructuralDecomposition,
+    algebra_from_basis,
     algebra_from_generators,
     compute_commutant,
     diagonal_masa,
@@ -79,8 +80,9 @@ def asymptotically_abelian_algebra(d: int) -> OperatorAlgebra:
 
 
 def strip_structure(alg: OperatorAlgebra) -> OperatorAlgebra:
-    """Same algebra, no cached decomposition or commutant hints."""
-    return OperatorAlgebra(alg.d, np.array(alg.basis, copy=True))
+    """Same algebra from a copy of its basis alone: born through the spectral solve,
+    with no frame or commutant carried over."""
+    return algebra_from_basis(alg.d, np.array(alg.basis, copy=True))
 
 
 def factor_m2x1() -> OperatorAlgebra:
@@ -148,7 +150,7 @@ def ref_algebra_from_generators(gens, d: int) -> OperatorAlgebra:
         products = [a @ b for a in basis for b in basis]
         new_basis = orthonormalize_hs(list(basis) + products)
         if len(new_basis) == len(basis):
-            return OperatorAlgebra(d, np.stack(basis))
+            return algebra_from_basis(d, np.stack(basis))
         basis = new_basis
     raise AssertionError("product closure did not stabilize")
 
@@ -172,7 +174,7 @@ def krylov_closure(gens, d: int) -> OperatorAlgebra:
     new = basis
     for _ in range(d * d + 1):
         if not letters or not len(new):
-            return OperatorAlgebra(d, basis.reshape(-1, d, d))
+            return algebra_from_basis(d, basis.reshape(-1, d, d))
         products = (np.stack(letters)[:, None] @ new.reshape(1, -1, d, d)).reshape(-1, d * d)
         for _ in range(2):
             products -= (products @ basis.conj().T) @ basis
@@ -188,7 +190,7 @@ def ref_algebra_intersection(a: OperatorAlgebra, b: OperatorAlgebra) -> Operator
     pb = b.projection_superoperator().transfer
     _, s, vh = np.linalg.svd(np.concatenate([eye - pa, eye - pb], axis=0))
     keep = s <= RANK_RTOL * max(s[0], 1.0)
-    return OperatorAlgebra(a.d, vh[keep].conj().reshape(-1, a.d, a.d))
+    return algebra_from_basis(a.d, vh[keep].conj().reshape(-1, a.d, a.d))
 
 
 def ref_hs_overlap(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
@@ -205,8 +207,8 @@ def ref_hs_overlap(a: OperatorAlgebra, b: OperatorAlgebra) -> float:
 def ref_omega(alg: OperatorAlgebra) -> np.ndarray:
     """Omega_A = sum_a e_a (x) e_a^dag over A's block basis: the d^4 reference.
 
-    Independent of man.omega_operator, which conjugates swap cores into
-    place block by block.
+    Independent of manlab.oracles.omega_operator, which conjugates swap cores
+    into place block by block.
     """
     d = alg.d
     omega = np.zeros((d * d, d * d), dtype=complex)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from manlab.algebras import (
     OperatorAlgebra,
     StructuralSummary,
+    algebra_from_basis,
     algebra_from_generators,
     algebra_intersection,
     center,
@@ -99,16 +100,13 @@ class TestGenerators:
 
     def test_validate_rejects_non_closed_span(self):
         basis = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), SX / np.sqrt(2)])
-        # span{1, sigma_x} is not closed under products with itself? it is;
-        # use {1, |0><1|} instead, not closed under adjoints
+        algebra_from_basis(2, basis).validate()  # span{1, sigma_x} is an algebra
+        # {1, |0><1|} is not closed under adjoints: the solve returns the algebra the
+        # basis generates, M_2, and the dimension check fails at birth once, without
+        # redrawing
         e01 = np.zeros((2, 2), dtype=complex)
         e01[0, 1] = 1
         bad = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), e01])
-        with pytest.raises(AlgebraError):
-            OperatorAlgebra(2, bad).validate()
-        OperatorAlgebra(2, basis)  # constructing without validate is fine
-        # the solve returns the algebra the basis generates, M_2; the dimension
-        # check then fails once, without redrawing
         import manlab.algebras as mod
 
         calls, attempt = [], mod._decompose_attempt
@@ -120,8 +118,17 @@ class TestGenerators:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mod, "_decompose_attempt", counted)
             with pytest.raises(DecompositionError, match="spans 2 dimensions .* dimension 4"):
-                OperatorAlgebra(2, bad).decomposition()
+                algebra_from_basis(2, bad)
         assert len(calls) == 1
+
+    def test_validate_rejects_non_orthonormal_basis(self):
+        # {1/sqrt 2, (1 + sigma_z)/2} spans the diagonal algebra, so it is born, but
+        # its elements overlap; only validate() refuses it
+        basis = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), (np.eye(2) + SZ) / 2])
+        alg = algebra_from_basis(2, basis)
+        assert alg.decomposition().shapes == ((1, 1), (1, 1))
+        with pytest.raises(AlgebraError, match="not HS-orthonormal"):
+            alg.validate()
 
 
 # Block data per ambient dimension for the seeded generator sets below.
@@ -281,7 +288,7 @@ def _intersection_pairs():
 def _with_phases(alg, seed):
     """The same algebra with each basis element multiplied by a random phase."""
     theta = RngStream(seed).generator(0).uniform(0, 2 * np.pi, alg.dim)
-    return OperatorAlgebra(alg.d, alg.basis * np.exp(1j * theta)[:, None, None])
+    return algebra_from_basis(alg.d, alg.basis * np.exp(1j * theta)[:, None, None])
 
 
 class TestPrincipalAngleIntersection:
@@ -368,7 +375,7 @@ class TestCommutantFromBlocks:
 
     def test_equals_commutant_oracle(self):
         # the named constructors build A' lazily from their own blocks; the
-        # stripped copies go through decomposition() first
+        # stripped copies are born from the spectral solve of their basis
         named = self._named()
         cases = named + [(f"{name}-stripped", strip_structure(alg)) for name, alg in named]
         for d in (4, 6, 8):
@@ -400,11 +407,11 @@ class TestCommutantFromBlocks:
         # blocks of the Hadamard MASA offered for the diagonal MASA: dimensions,
         # fill and the commutant dimension all match; only leakage tells them apart
         had = masa_from_unitary(HADAMARD).decomposition()
-        monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: (had.frame, had.shapes))
         alg = strip_structure(diagonal_masa(2))
         assert had.summary.d_alg == alg.dim and had.summary.d_comm == compute_commutant(alg).dim
+        monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: (had.frame, had.shapes))
         with pytest.raises(DecompositionError, match="leak"):
-            alg.decomposition()
+            strip_structure(diagonal_masa(2))
 
     def test_nan_frames_are_refused(self, monkeypatch):
         import manlab.algebras as mod
@@ -414,6 +421,61 @@ class TestCommutantFromBlocks:
         monkeypatch.setattr(mod, "_decompose_attempt", lambda *args: (nan_frame, ((1, 1), (1, 1))))
         with pytest.raises(DecompositionError, match="leak"):
             strip_structure(diagonal_masa(2)).decomposition()
+
+
+class TestOneBirthState:
+    """Every algebra holds its decomposition from birth; a bare basis is solved at
+    birth and read back exactly as given."""
+
+    def _constructors(self):
+        u4 = random_unitary(4, 51)
+        gens, _ = _structural_generators(4, 52)
+        m2 = factor_m2x1()
+        return [
+            ("full", lambda: full_algebra(3)),
+            ("trivial", lambda: trivial_algebra(3)),
+            ("diagonal", lambda: diagonal_masa(3)),
+            ("masa", lambda: masa_from_unitary(HADAMARD)),
+            ("structural", lambda: structural_algebra([(1, 2), (2, 1)], basis_change=u4)),
+            ("lattice", lambda: lattice_algebra([2, 2], {0})),
+            ("generators", lambda: algebra_from_generators(gens, 4)),
+            ("basis", lambda: algebra_from_basis(4, np.array(m2.basis))),
+            ("conjugated", lambda: m2.conjugated(u4)),
+            ("commutant", lambda: m2.commutant_algebra()),
+            ("center", lambda: center(m2)),
+            ("compute_commutant", lambda: compute_commutant(m2)),
+            ("intersection", lambda: algebra_intersection(m2, factor_1xm2().commutant_algebra())),
+        ]
+
+    def test_reads_after_birth_never_solve(self, monkeypatch):
+        import manlab.algebras as mod
+
+        def forbidden(*args):
+            raise AssertionError("structure solve after birth")
+
+        for name, build in self._constructors():
+            alg = build()
+            with monkeypatch.context() as mp:
+                mp.setattr(mod, "_compute_decomposition", forbidden)
+                dec = alg.decomposition()
+                assert alg.dim == dec.summary.d_alg and alg.d == dec.dim, name
+                assert alg.decomposition() is dec, name
+                comm = alg.commutant_algebra()
+                assert comm.dim == dec.summary.d_comm, name
+
+    def test_bare_basis_is_kept_as_given(self, monkeypatch):
+        import manlab.algebras as mod
+
+        def forbidden(*args):
+            raise AssertionError("basis rebuilt from the blocks")
+
+        given = _with_phases(factor_m2x1(), 53).basis.copy()
+        monkeypatch.setattr(mod, "_block_algebra_basis", forbidden)
+        alg = algebra_from_basis(4, given)
+        assert alg.basis.tobytes() == given.tobytes() and alg.basis.shape == given.shape
+        alg.validate()
+        for oracle in (compute_commutant(alg), algebra_intersection(alg, alg)):
+            oracle.validate()
 
 
 class TestFrame:
@@ -802,20 +864,27 @@ class TestIntersectionAndLattice:
 class TestDefensivePaths:
     def test_bad_basis_shape(self):
         with pytest.raises(AlgebraError):
-            OperatorAlgebra(3, np.zeros((1, 2, 2)))
+            algebra_from_basis(3, np.zeros((1, 2, 2)))
 
     def test_too_many_basis_elements(self):
         with pytest.raises(AlgebraError):
-            OperatorAlgebra(2, np.zeros((5, 2, 2)))
+            algebra_from_basis(2, np.zeros((5, 2, 2)))
+
+    def test_method_annotations_resolve(self):
+        # an annotation naming a type the module does not hold breaks get_type_hints
+        import typing
+
+        for name, method in vars(OperatorAlgebra).items():
+            if callable(method) and not name.startswith("__"):
+                typing.get_type_hints(method)
 
     def test_decompose_hard_error_after_retries(self, monkeypatch):
         import manlab.algebras as mod
 
         # force every clustering attempt to merge all eigenvalues
         monkeypatch.setattr(mod, "_cluster_indices", lambda evals: [list(range(len(evals)))])
-        alg = strip_structure(factor_m2x1())
         with pytest.raises(DecompositionError):
-            alg.decomposition()
+            strip_structure(factor_m2x1())
 
     def test_non_finite_unitary_is_refused(self):
         nan = np.full((2, 2), np.nan)

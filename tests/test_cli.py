@@ -348,7 +348,6 @@ class TestNoOmegaInProduction:
             raise AssertionError("omega_operator called outside the oracle tests")
 
         monkeypatch.setattr("manlab.oracles.omega_operator", forbidden)
-        monkeypatch.setattr("manlab.protocols.omega_operator", forbidden, raising=False)
         m2x1, full4 = str(specdir / "m2x1.json"), str(specdir / "full4.json")
         res = _run_json(capsys, ["man", m2x1, full4])["result"]
         assert res["method"] == "man.omega" and abs(res["S"] - 0.75) < 1e-12

@@ -209,7 +209,7 @@ def test_each_report_record_has_one_constructor():
     # (a frame has three: only algebras.py builds or permutes one)
     sites = {name: set() for name in ("ManReport", "StructuralSummary", "EstimatorResult",
                                       "MarkovCheckReport", "QuantumnessReport",
-                                      "StructuralDecomposition")}
+                                      "StructuralDecomposition", "OperatorAlgebra")}
     copies = []
     for path, source in _sources(os.path.join("src", "manlab")):
         tree = ast.parse(source)
@@ -228,4 +228,9 @@ def test_each_report_record_has_one_constructor():
         "StructuralDecomposition": {"algebras.py:_algebra_from_frame",
                                     "algebras.py:_compute_decomposition",
                                     "algebras.py:_conjugate_decomposition"},
+        # an algebra is born from its decomposition; a bare basis is solved at birth
+        "OperatorAlgebra": {"algebras.py:_algebra_from_frame",
+                            "algebras.py:algebra_from_generators",
+                            "algebras.py:algebra_from_basis",
+                            "algebras.py:OperatorAlgebra.conjugated"},
     }
