@@ -153,8 +153,8 @@ class OperatorAlgebra:
 
     @property
     def basis(self) -> np.ndarray:
-        """HS-orthonormal basis, (dim, d, d); built from the blocks on first access
-        unless the algebra was born from a bare basis.  Oracles read it, production does not."""
+        """The basis, (dim, d, d): the one algebra_from_basis was given, else an HS-orthonormal
+        one built from the blocks on first access.  Oracles read it, production does not."""
         if self._basis is None:
             basis = _block_algebra_basis(self._decomposition.blocks)
             basis.setflags(write=False)
